@@ -7,9 +7,17 @@ Stage 3 evaluates every requested span strategy at every requested
 inference ratio. The noise sweep and the static comparison reproduce the
 noise-adaptivity and mixed-noise analyses.
 
+The three reports forward each sample of a dataset variant once (held-out
+for eval, clean plus each SNR level for the sweep, the mixture for the
+comparison) into a per-layer table, and replay every policy over it. They
+calibrate from the training profile that 'calibrate' wrote
+(entropy_profile_train.csv) instead of re-profiling the training split.
+
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
-artifact excluded from that guarantee.
+artifact excluded from that guarantee. Its early-exit and full-pass times
+are summed from the per-layer times measured while the eval table was
+built, and the early-exit time includes the branches each policy evaluated.
 """
 
 from __future__ import annotations
@@ -22,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .branches import entropy_profile, train_branches
+from .branches import EntropyProfile, entropy_profile, train_branches
 from .data import (
-    FrameDataset,
     MixtureSpec,
     NoiseSpec,
     SynthDatasetSpec,
@@ -35,14 +42,22 @@ from .data import (
 from .encoder import EncoderConfig, init_encoder
 from .errors import ConfigError, DependencyError
 from .policy import (
+    SPAN_KINDS,
     ExitPolicy,
     calibrate,
     constrain,
     load_policy,
-    run_exit,
     save_policy,
 )
-from .probe import evaluate, evaluate_static, init_downstream_head, train_downstream
+from .probe import (
+    build_layer_table,
+    init_downstream_head,
+    replay_evaluate,
+    replay_exits,
+    replay_static,
+    replay_timing,
+    train_downstream,
+)
 from .serialize import (
     Checkpoint,
     load_checkpoint,
@@ -129,6 +144,15 @@ class RunConfig:
             raise ConfigError(
                 f"static_layer must be in 1..{self.num_layers}, got {self.static_layer}"
             )
+        unknown = [s for s in self.strategies if s not in SPAN_KINDS]
+        if unknown:
+            raise ConfigError(f"strategies must be among {SPAN_KINDS}, got {unknown}")
+        for name in ("ratio", "sweep_ratio"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0,1], got {getattr(self, name)}")
+        bad = [r for r in self.eval_ratios if not 0.0 <= r <= 1.0]
+        if bad:
+            raise ConfigError(f"eval_ratios must be in [0,1], got {bad}")
 
     # Seed derivation: every stage draws from its own named stream.
     @property
@@ -528,20 +552,33 @@ def _strategy_policy(cfg, base_policy, strategy, stats) -> ExitPolicy:
     return constrain(base_policy, strategy, stats, rate_cutoff=cfg.rate_cutoff)
 
 
+def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyProfile:
+    """The training profile 'calibrate' wrote; its repr floats read back bit-exact."""
+    lines = _require(paths.profile_train, stage, "calibrate").read_text().splitlines()
+    means = [float(line.split(",")[1]) for line in lines[1:] if line]
+    return EntropyProfile.from_layer_means(means, cfg.num_train)
+
+
+def _require_head(ck: Checkpoint, stage: str) -> None:
+    if ck.downstream is None:
+        raise DependencyError(f"stage {stage!r} needs a downstream head; run 'train-downstream'")
+
+
 def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     """Evaluate every (strategy, inference ratio) pair on the held-out split.
 
     Span statistics always come from the training-time ratio; only the
-    threshold is re-calibrated when the inference ratio differs.
+    threshold is re-calibrated when the inference ratio differs. Every pair
+    is replayed over one per-layer table of the held-out split.
     """
     heldout = load_dataset(_require(paths.eval_data, "eval", "synth"))
-    train = load_dataset(_require(paths.train_data, "eval", "synth"))
     ck = _loaded_pipeline(paths, "eval")
-    if ck.downstream is None:
-        raise DependencyError("stage 'eval' needs a downstream head; run 'train-downstream'")
-    _require(paths.policy_file, "eval", "calibrate")
+    profile = _read_profile(cfg, paths, "eval")
+    _require_head(ck, "eval")
     stats = load_span_stats(paths, "eval")
-    profile = entropy_profile(ck.encoder, ck.branches, train)
+    table = build_layer_table(
+        ck.encoder, ck.branches, heldout, ck.downstream, cfg.task, cfg.renormalize
+    )
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     summary = {}
@@ -555,16 +592,8 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
                 summary[name] = {"error": str(err)}
                 _write_json(paths.metrics_dir / f"eval_{name}.json", {"error": str(err)})
                 continue
-            record = evaluate(
-                ck.encoder,
-                ck.branches,
-                policy,
-                ck.downstream,
-                heldout,
-                task=cfg.task,
-                renormalize=cfg.renormalize,
-            )
-            timings[name] = record.pop("timing")
+            record = replay_evaluate(table, policy)
+            timings[name] = replay_timing(table, policy)
             _write_json(paths.metrics_dir / f"eval_{name}.json", record)
             _write_csv(
                 paths.metrics_dir / f"exit_hist_{name}.csv",
@@ -590,25 +619,21 @@ def noise_sweep(
     """Exit-layer distribution per noise level (clean first), at one inference ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
+    Each level's exits are replayed over one entropy table of its noised copy.
     """
     heldout = load_dataset(_require(paths.eval_data, "noise-sweep", "synth"))
-    train = load_dataset(_require(paths.train_data, "noise-sweep", "synth"))
     ck = _loaded_pipeline(paths, "noise-sweep")
+    profile = _read_profile(cfg, paths, "noise-sweep")
     levels: list[float | None] = [None, *(snr_levels if snr_levels is not None else cfg.snr_levels)]
-    profile = entropy_profile(ck.encoder, ck.branches, train)
     policy = calibrate(profile, cfg.sweep_ratio if ratio is None else ratio)
     dist_rows = []
     summary_rows = []
     results = []
     for level in levels:
         spec = NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
-        noised = add_noise(heldout, spec)
+        table = build_layer_table(ck.encoder, ck.branches, add_noise(heldout, spec))
         exits = np.array(
-            [
-                run_exit(ck.encoder, ck.branches, policy, noised.inputs[i], i)[1].exit_layer
-                for i in range(noised.num_sequences)
-            ],
-            dtype=np.int64,
+            [trace.exit_layer for trace in replay_exits(table, policy)], dtype=np.int64
         )
         counts = np.bincount(exits, minlength=cfg.num_layers + 1)[1:]
         fractions = counts / exits.shape[0]
@@ -639,29 +664,29 @@ def compare_static(
 
     One row per (strategy, noise level), plus "all" rows over the whole
     mixture; the static baseline is matched on mean compute by reporting
-    its depth and compute saved alongside.
+    its depth and compute saved alongside. Every row is replayed over one
+    per-layer table of the mixture.
     """
     heldout = load_dataset(_require(paths.eval_data, "compare-static", "synth"))
-    train = load_dataset(_require(paths.train_data, "compare-static", "synth"))
     ck = _loaded_pipeline(paths, "compare-static")
-    if ck.downstream is None:
-        raise DependencyError(
-            "stage 'compare-static' needs a downstream head; run 'train-downstream'"
-        )
+    profile = _read_profile(cfg, paths, "compare-static")
+    _require_head(ck, "compare-static")
     stats = load_span_stats(paths, "compare-static")
     layer = cfg.static_layer if static_layer is None else static_layer
     if not 1 <= layer <= cfg.num_layers:
         raise ValueError(f"static layer {layer} out of range 1..{cfg.num_layers}")
-    profile = entropy_profile(ck.encoder, ck.branches, train)
     base = calibrate(profile, cfg.ratio)
     mixed = make_mixture(heldout, cfg.mixture_spec(), cfg.noise_seed + 1)
+    table = build_layer_table(
+        ck.encoder, ck.branches, mixed, ck.downstream, cfg.task, cfg.renormalize
+    )
     tags = np.array(mixed.tags)
-    groups: list[tuple[str, FrameDataset]] = [("all", mixed)]
+    groups: list[tuple[str, np.ndarray | None]] = [("all", None)]
     for level in [None, *cfg.snr_levels]:
         label = _snr_label(level)
         idx = np.where(tags == ("clean" if level is None else f"snr{level:g}"))[0]
         if idx.size:
-            groups.append((label, mixed.subset(idx)))
+            groups.append((label, idx))
     rows = []
     for strategy in cfg.strategies:
         try:
@@ -675,16 +700,8 @@ def compare_static(
                 }
             )
             continue
-        for label, subset in groups:
-            record = evaluate(
-                ck.encoder,
-                ck.branches,
-                policy,
-                ck.downstream,
-                subset,
-                task=cfg.task,
-                renormalize=cfg.renormalize,
-            )
+        for label, idx in groups:
+            record = replay_evaluate(table, policy, idx)
             rows.append(
                 {
                     "strategy": strategy,
@@ -694,10 +711,8 @@ def compare_static(
                     "compute_saved": record["layer_compute_saved"],
                 }
             )
-    for label, subset in groups:
-        record = evaluate_static(
-            ck.encoder, ck.downstream, subset, layer, task=cfg.task, renormalize=cfg.renormalize
-        )
+    for label, idx in groups:
+        record = replay_static(table, layer, idx)
         rows.append(
             {
                 "strategy": f"static-{layer}",

@@ -1,4 +1,4 @@
-"""Downstream classifier over early-exited features.
+"""Downstream classifier over early-exited features, and the per-layer table.
 
 Features are a learned softmax-weighted sum of the layer-normalized hidden
 layers up to the exit. Exits stay active while the head
@@ -6,6 +6,13 @@ trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
 once. Evaluation reports accuracy alongside exit depth and compute-saved
 accounting, with a statically truncated twin for baseline comparisons.
+
+`evaluate` and `evaluate_static` forward every sample under one policy and
+are the reference paths. The reports instead build one `LayerTable` per
+dataset from one full forward per sample: the branch entropy at every layer
+and, by the prefix property, the probe's correct count at every exit depth.
+The `replay_*` functions are pure functions of that table and give the same
+records as the reference paths for any policy.
 """
 
 from __future__ import annotations
@@ -15,16 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import BranchSet
+from .branches import BranchSet, entropy_from_hidden
 from .data import FrameDataset
-from .encoder import Encoder, HiddenStates, IncrementalForward, forward_all
+from .encoder import Encoder, HiddenStates, IncrementalForward
+from .errors import ConfigError
 from .numeric import DTYPE, layer_norm, matmul64, new_rng, sgd_step, softmax
-from .policy import ExitPolicy, ExitTrace, SpanStats, collect_span_stats, run_exit
+from .policy import (
+    ExitPolicy,
+    ExitTrace,
+    SpanStats,
+    collect_span_stats,
+    decide_exit,
+    run_exit,
+)
 
 __all__ = [
     "DownstreamHead",
     "NormalizedPrefix",
     "DownstreamTrainResult",
+    "LayerTable",
     "init_downstream_head",
     "normalize_prefix",
     "prefix_weights",
@@ -32,6 +48,11 @@ __all__ = [
     "train_downstream",
     "evaluate",
     "evaluate_static",
+    "build_layer_table",
+    "replay_exits",
+    "replay_evaluate",
+    "replay_static",
+    "replay_timing",
 ]
 
 TASKS = ("frame", "sequence")
@@ -65,6 +86,31 @@ class NormalizedPrefix:
     @property
     def length(self) -> int:
         return self.layers.shape[0]
+
+
+@dataclass(frozen=True)
+class LayerTable:
+    """Per-sample, per-layer facts of one full forward over a dataset.
+
+    Row i is sample i; column k-1 is layer k. The correct counts are present
+    only when the table was built with a downstream head.
+    """
+
+    entropies: np.ndarray  # (N, L) float64 branch entropy of layer k
+    correct: np.ndarray | None  # (N, L) int64 probe correct count when exiting at k
+    scored: np.ndarray | None  # (N,) int64 predictions scored per sample
+    task: str | None
+    embed_seconds: np.ndarray  # (N,) wall time of the input projection
+    block_seconds: np.ndarray  # (N, L) wall time of block k
+    branch_seconds: np.ndarray  # (N, L) wall time of branch k's entropy
+
+    @property
+    def num_samples(self) -> int:
+        return self.entropies.shape[0]
+
+    @property
+    def num_layers(self) -> int:
+        return self.entropies.shape[1]
 
 
 @dataclass(frozen=True)
@@ -266,49 +312,19 @@ def _predictions(head, feats, labels, task, num_classes):
     return int(pooled.argmax() == _sequence_label(labels, num_classes)), 1
 
 
-def evaluate(
-    enc: Encoder,
-    branches: BranchSet,
-    policy: ExitPolicy,
-    head: DownstreamHead,
-    data: FrameDataset,
-    task: str = "frame",
-    renormalize: bool = True,
-) -> dict:
-    """Accuracy, exit-depth statistics, and compute accounting under a policy.
-
-    The "timing" entry holds wall-clock measurements (early-exit forwards
-    vs. full-depth forwards in this same process) and is the only
-    non-deterministic part of the record.
-    """
+def _check_dataset(data: FrameDataset, task: str) -> None:
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+
+
+def _exit_record(task, policy, exits, forced_count, correct, scored) -> dict:
+    """The evaluation record of one policy from its per-sample exits and summed scores."""
     num_layers = policy.num_layers
-    correct = 0
-    scored = 0
-    exits = []
-    forced_count = 0
-    early_seconds = 0.0
-    for i in range(data.num_sequences):
-        t0 = time.perf_counter()
-        hs, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
-        early_seconds += time.perf_counter() - t0
-        feats = weighted_features(head, normalize_prefix(hs, trace.exit_layer), renormalize)
-        c, s = _predictions(head, feats, data.labels[i], task, data.num_classes)
-        correct += c
-        scored += s
-        exits.append(trace.exit_layer)
-        forced_count += int(trace.forced)
-    full_seconds = 0.0
-    for i in range(data.num_sequences):
-        t0 = time.perf_counter()
-        forward_all(enc, data.inputs[i])
-        full_seconds += time.perf_counter() - t0
     exits = np.array(exits, dtype=np.int64)
     hist = np.bincount(exits, minlength=num_layers + 1)[1:]
-    n = data.num_sequences
+    n = exits.shape[0]
     return {
         "task": task,
         "num_samples": n,
@@ -326,12 +342,47 @@ def evaluate(
             "ratio": policy.ratio,
             "span_kind": policy.span_kind,
         },
-        "timing": {
-            "early_exit_seconds": early_seconds,
-            "full_pass_seconds": full_seconds,
-            "forward_time_saved": 1.0 - early_seconds / full_seconds,
-        },
     }
+
+
+def _static_record(task, num_samples, layer, num_layers, correct, scored) -> dict:
+    return {
+        "task": task,
+        "num_samples": num_samples,
+        "accuracy": correct / scored,
+        "mean_exit_layer": float(layer),
+        "layer_compute_saved": 1.0 - layer / num_layers,
+    }
+
+
+def evaluate(
+    enc: Encoder,
+    branches: BranchSet,
+    policy: ExitPolicy,
+    head: DownstreamHead,
+    data: FrameDataset,
+    task: str = "frame",
+    renormalize: bool = True,
+) -> dict:
+    """Accuracy, exit-depth statistics, and compute accounting under a policy.
+
+    The reference path: every sample is forwarded lazily under the policy.
+    `replay_evaluate` gives the same record from a `LayerTable`.
+    """
+    _check_dataset(data, task)
+    correct = 0
+    scored = 0
+    exits = []
+    forced_count = 0
+    for i in range(data.num_sequences):
+        hs, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
+        feats = weighted_features(head, normalize_prefix(hs, trace.exit_layer), renormalize)
+        c, s = _predictions(head, feats, data.labels[i], task, data.num_classes)
+        correct += c
+        scored += s
+        exits.append(trace.exit_layer)
+        forced_count += int(trace.forced)
+    return _exit_record(task, policy, exits, forced_count, correct, scored)
 
 
 def evaluate_static(
@@ -357,10 +408,147 @@ def evaluate_static(
         c, s = _predictions(head, feats, data.labels[i], task, data.num_classes)
         correct += c
         scored += s
+    return _static_record(task, data.num_sequences, layer, num_layers, correct, scored)
+
+
+def build_layer_table(
+    enc: Encoder,
+    branches: BranchSet,
+    data: FrameDataset,
+    head: DownstreamHead | None = None,
+    task: str = "frame",
+    renormalize: bool = True,
+) -> LayerTable:
+    """One full forward per sample, recording what every exit layer would see and score.
+
+    Entropies come from `entropy_from_hidden` on the same hidden matrices a
+    lazy forward computes (prefix property), so replayed exits equal those
+    of `run_exit`. With a head, the prefix is normalized once at depth L and
+    the features for exit depth k weight its first k layers, bit-identical
+    to the features of a pass truncated at k. Embed, block and branch wall
+    times are recorded per sample so any policy's early-exit cost can be
+    charged. Samples stream into (N, L) arrays; no hidden states are kept.
+    """
+    _check_dataset(data, task)
+    n = data.num_sequences
+    num_layers = enc.config.num_layers
+    entropies = np.empty((n, num_layers), dtype=np.float64)
+    embed_seconds = np.empty(n, dtype=np.float64)
+    block_seconds = np.empty((n, num_layers), dtype=np.float64)
+    branch_seconds = np.empty((n, num_layers), dtype=np.float64)
+    correct = scored = None
+    if head is not None:
+        correct = np.empty((n, num_layers), dtype=np.int64)
+        scored = np.empty(n, dtype=np.int64)
+    clock = time.perf_counter
+    for i in range(n):
+        t0 = clock()
+        inc = IncrementalForward(enc, data.inputs[i])
+        embed_seconds[i] = clock() - t0
+        for k in range(1, num_layers + 1):
+            t0 = clock()
+            hidden = inc.hidden(k)
+            t1 = clock()
+            entropies[i, k - 1] = entropy_from_hidden(branches, hidden, k)
+            branch_seconds[i, k - 1] = clock() - t1
+            block_seconds[i, k - 1] = t1 - t0
+        if head is None:
+            continue
+        normed = normalize_prefix(inc.states(), num_layers).layers
+        for k in range(1, num_layers + 1):
+            feats = weighted_features(head, NormalizedPrefix(normed[:k]), renormalize)
+            correct[i, k - 1], scored[i] = _predictions(
+                head, feats, data.labels[i], task, data.num_classes
+            )
+    return LayerTable(
+        entropies=entropies,
+        correct=correct,
+        scored=scored,
+        task=task if head is not None else None,
+        embed_seconds=embed_seconds,
+        block_seconds=block_seconds,
+        branch_seconds=branch_seconds,
+    )
+
+
+def _table_rows(table: LayerTable, rows) -> np.ndarray:
+    idx = np.arange(table.num_samples) if rows is None else np.asarray(rows, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("empty dataset")
+    return idx
+
+
+def _table_scores(table: LayerTable) -> tuple[np.ndarray, np.ndarray]:
+    if table.correct is None or table.scored is None:
+        raise ValueError("layer table was built without a downstream head")
+    return table.correct, table.scored
+
+
+def replay_exits(
+    table: LayerTable, policy: ExitPolicy, rows=None
+) -> list[ExitTrace]:
+    """The traces `run_exit` would give, decided from the table; sample_id is the row."""
+    if policy.num_layers != table.num_layers:
+        raise ConfigError(
+            f"policy is for {policy.num_layers} layers, table has {table.num_layers}"
+        )
+    traces = []
+    for i in _table_rows(table, rows):
+        row = table.entropies[i]
+        traces.append(decide_exit(policy, lambda k: row[k - 1], sample_id=int(i)))
+    return traces
+
+
+def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
+    """`evaluate`'s record for the table's dataset, or for `data.subset(rows)`."""
+    correct, scored = _table_scores(table)
+    traces = replay_exits(table, policy, rows)
+    idx = np.array([t.sample_id for t in traces], dtype=np.int64)
+    exits = np.array([t.exit_layer for t in traces], dtype=np.int64)
+    return _exit_record(
+        table.task,
+        policy,
+        exits,
+        sum(int(t.forced) for t in traces),
+        int(correct[idx, exits - 1].sum()),
+        int(scored[idx].sum()),
+    )
+
+
+def replay_static(table: LayerTable, layer: int, rows=None) -> dict:
+    """`evaluate_static`'s record for the table's dataset, or for `data.subset(rows)`."""
+    correct, scored = _table_scores(table)
+    if not 1 <= layer <= table.num_layers:
+        raise ValueError(f"layer {layer} out of range 1..{table.num_layers}")
+    idx = _table_rows(table, rows)
+    return _static_record(
+        table.task,
+        int(idx.size),
+        layer,
+        table.num_layers,
+        int(correct[idx, layer - 1].sum()),
+        int(scored[idx].sum()),
+    )
+
+
+def replay_timing(table: LayerTable, policy: ExitPolicy) -> dict:
+    """Wall time of early-exit forwards under `policy` against full-depth ones.
+
+    Both come from the per-layer times measured while the table was built.
+    A sample's early exit costs its embed, blocks 1..exit and the branches
+    the policy evaluated; its full pass costs its embed and all L blocks.
+    """
+    early = 0.0
+    full = 0.0
+    for trace in replay_exits(table, policy):
+        i = trace.sample_id
+        embed = table.embed_seconds[i]
+        blocks = table.block_seconds[i]
+        branch = sum(table.branch_seconds[i, k - 1] for k in trace.entropies)
+        early += embed + blocks[: trace.exit_layer].sum() + branch
+        full += embed + blocks.sum()
     return {
-        "task": task,
-        "num_samples": data.num_sequences,
-        "accuracy": correct / scored,
-        "mean_exit_layer": float(layer),
-        "layer_compute_saved": 1.0 - layer / num_layers,
+        "early_exit_seconds": float(early),
+        "full_pass_seconds": float(full),
+        "forward_time_saved": float(1.0 - early / full),
     }

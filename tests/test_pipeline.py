@@ -1,16 +1,26 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from adaexit import encoder
+from adaexit.branches import entropy_profile
 from adaexit.cli import main
+from adaexit.data import NoiseSpec, add_noise
 from adaexit.errors import ConfigError, DependencyError
 from adaexit.pipeline import (
     ArtifactPaths,
+    _read_profile,
+    _strategy_policy,
     apply_overrides,
+    compare_static,
     default_config,
     load_config,
+    load_span_stats,
+    noise_sweep,
     run_pipeline,
     save_config,
     stage_branches,
@@ -19,6 +29,17 @@ from adaexit.pipeline import (
     stage_synth,
     stage_teacher,
 )
+from adaexit.policy import calibrate, run_exit
+from adaexit.probe import (
+    TASKS,
+    build_layer_table,
+    evaluate,
+    evaluate_static,
+    replay_evaluate,
+    replay_exits,
+    replay_static,
+)
+from adaexit.serialize import load_checkpoint, load_dataset
 
 TINY = {
     "data.num_train": "60",
@@ -70,6 +91,41 @@ class TestConfig:
     def test_mixture_fraction_count_validated(self):
         with pytest.raises(ConfigError):
             apply_overrides(default_config(), {"eval.mixture_fractions": "0.5,0.5"})
+
+    @pytest.mark.parametrize(
+        "key, raw, value, field",
+        [
+            ("eval.strategies", "unconstrained,bogus", ("unconstrained", "bogus"), "strategies"),
+            ("eval.eval_ratios", "1.0,1.5", (1.0, 1.5), "eval_ratios"),
+            ("eval.eval_ratios", "-0.1", (-0.1,), "eval_ratios"),
+            ("eval.sweep_ratio", "1.5", 1.5, "sweep_ratio"),
+            ("eval.sweep_ratio", "nan", float("nan"), "sweep_ratio"),
+            ("policy.ratio", "-0.5", -0.5, "ratio"),
+        ],
+    )
+    def test_bad_eval_values_rejected_by_name(self, tmp_path, capsys, key, raw, value, field):
+        section, _, name = key.partition(".")
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            replace(default_config(), **{name: value})
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            apply_overrides(default_config(), {key: raw})
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{name} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            load_config(path)
+        code = main(["synth", "--artifacts", str(tmp_path / "run"), "--set", f"{key}={raw}"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{field} must")
+        assert not (tmp_path / "run").exists()
+
+    def test_edge_ratios_accepted(self):
+        cfg = apply_overrides(
+            default_config(),
+            {"eval.eval_ratios": "0,1", "eval.sweep_ratio": "0", "policy.ratio": "1"},
+        )
+        assert cfg.eval_ratios == (0.0, 1.0)
 
 
 class TestStages:
@@ -126,6 +182,40 @@ class TestStages:
         rows = noise_sweep(cfg, paths, snr_levels=(5.0, 5.0))
         assert rows[1] == rows[2]
 
+    def test_timing_present(self, tiny_run):
+        cfg, paths = tiny_run
+        summary = json.loads((paths.metrics_dir / "eval_summary.json").read_text())
+        timings = json.loads(paths.timing_file.read_text())
+        records = [name for name, record in summary.items() if "error" not in record]
+        assert records and sorted(timings) == sorted(records)
+        for name in records:
+            assert timings[name]["early_exit_seconds"] > 0
+            assert timings[name]["full_pass_seconds"] > 0
+
+    def test_report_forwards_once_per_sequence(self, tiny_run, monkeypatch):
+        # Each report forwards each sequence of each dataset variant exactly
+        # once, and never touches the training split.
+        cfg, paths = tiny_run
+        train = {x.tobytes() for x in load_dataset(paths.train_data).inputs}
+        forwarded = []
+        original = encoder.IncrementalForward.__init__
+
+        def counting_init(self, enc, frames):
+            forwarded.append(np.asarray(frames).tobytes())
+            original(self, enc, frames)
+
+        monkeypatch.setattr(encoder.IncrementalForward, "__init__", counting_init)
+        n = cfg.num_eval
+        for report, expected in (
+            (stage_eval, n),
+            (noise_sweep, (1 + len(cfg.snr_levels)) * n),
+            (compare_static, n),
+        ):
+            forwarded.clear()
+            report(cfg, paths)
+            assert len(forwarded) == expected, report.__name__
+            assert not train.intersection(forwarded), report.__name__
+
     def test_policy_file_matches_config_ratio(self, tiny_run):
         cfg, paths = tiny_run
         from adaexit.policy import load_policy
@@ -143,6 +233,11 @@ class TestStages:
             stage_branches(tiny_cfg, paths)
         with pytest.raises(DependencyError, match="train-teacher"):
             stage_eval(tiny_cfg, paths)
+        stage_teacher(tiny_cfg, paths)
+        stage_branches(tiny_cfg, paths)
+        for report in (stage_eval, noise_sweep, compare_static):
+            with pytest.raises(DependencyError, match="run 'calibrate' first"):
+                report(tiny_cfg, paths)
 
     def test_downstream_requires_policy(self, tiny_cfg, tmp_path):
         paths = ArtifactPaths(tmp_path / "partial")
@@ -152,6 +247,83 @@ class TestStages:
         stage_branches(tiny_cfg, paths)
         with pytest.raises(DependencyError, match="calibrate"):
             stage_downstream(tiny_cfg, paths)
+
+
+class TestReplay:
+    """Policies replayed over the per-layer table equal the reference forwards."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tiny_run):
+        cfg, paths = tiny_run
+        ck = load_checkpoint(paths.checkpoint)
+        heldout = load_dataset(paths.eval_data)
+        return cfg, paths, ck, heldout
+
+    def _policies(self, cfg, paths, ck):
+        profile = _read_profile(cfg, paths, "test")
+        stats = load_span_stats(paths, "test")
+        policies = []
+        for ratio in cfg.eval_ratios:
+            base = calibrate(profile, ratio)
+            for strategy in cfg.strategies:
+                try:
+                    policies.append(_strategy_policy(cfg, base, strategy, stats))
+                except ConfigError:
+                    continue
+        assert any(p.span_kind == "unconstrained" for p in policies)
+        return policies
+
+    def test_profile_csv_calibrates_like_a_fresh_profile(self, loaded):
+        cfg, paths, ck, _ = loaded
+        fresh = entropy_profile(ck.encoder, ck.branches, load_dataset(paths.train_data))
+        read = _read_profile(cfg, paths, "test")
+        assert read.layer_means == fresh.layer_means
+        for ratio in (*cfg.eval_ratios, cfg.sweep_ratio, cfg.ratio):
+            assert calibrate(read, ratio) == calibrate(fresh, ratio)
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("renormalize", (True, False))
+    def test_records_equal_reference(self, loaded, task, renormalize):
+        cfg, paths, ck, heldout = loaded
+        table = build_layer_table(
+            ck.encoder, ck.branches, heldout, ck.downstream, task, renormalize
+        )
+        for policy in self._policies(cfg, paths, ck):
+            reference = evaluate(
+                ck.encoder, ck.branches, policy, ck.downstream, heldout, task, renormalize
+            )
+            assert replay_evaluate(table, policy) == reference, policy
+        for layer in range(1, cfg.num_layers + 1):
+            reference = evaluate_static(
+                ck.encoder, ck.downstream, heldout, layer, task, renormalize
+            )
+            assert replay_static(table, layer) == reference, layer
+
+    def test_row_subset_equals_subset_dataset(self, loaded):
+        cfg, paths, ck, heldout = loaded
+        table = build_layer_table(ck.encoder, ck.branches, heldout, ck.downstream)
+        rows = np.array([17, 3, 3, 29, 8, 0, 21])
+        subset = heldout.subset(rows)
+        for policy in self._policies(cfg, paths, ck):
+            reference = evaluate(ck.encoder, ck.branches, policy, ck.downstream, subset)
+            assert replay_evaluate(table, policy, rows) == reference, policy
+        for layer in (1, cfg.static_layer, cfg.num_layers):
+            reference = evaluate_static(ck.encoder, ck.downstream, subset, layer)
+            assert replay_static(table, layer, rows) == reference, layer
+
+    def test_noise_sweep_exits_equal_served_exits(self, loaded):
+        cfg, paths, ck, heldout = loaded
+        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.sweep_ratio)
+        for level in (None, *cfg.snr_levels):
+            noised = add_noise(
+                heldout, NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
+            )
+            table = build_layer_table(ck.encoder, ck.branches, noised)
+            served = [
+                run_exit(ck.encoder, ck.branches, policy, noised.inputs[i], i)[1]
+                for i in range(noised.num_sequences)
+            ]
+            assert replay_exits(table, policy) == served, level
 
 
 class TestDeterminism:

@@ -7,14 +7,20 @@ import pytest
 
 from adaexit.branches import train_branches
 from adaexit.encoder import forward_all, parameter_digest
+from adaexit.errors import ConfigError
 from adaexit.policy import ExitPolicy, fixed_exit_policy
 from adaexit.probe import (
     DownstreamHead,
+    build_layer_table,
     evaluate,
     evaluate_static,
     init_downstream_head,
     normalize_prefix,
     prefix_weights,
+    replay_evaluate,
+    replay_exits,
+    replay_static,
+    replay_timing,
     train_downstream,
     weighted_features,
 )
@@ -264,14 +270,6 @@ class TestEvaluate:
             small_dataset.num_sequences
         )
 
-    def test_timing_present(self, stack, small_dataset, rng):
-        enc, branches = stack
-        head = _random_head(rng, num_labels=small_dataset.num_classes)
-        policy = fixed_exit_policy(2, SMALL_ENCODER.num_layers)
-        record = evaluate(enc, branches, policy, head, small_dataset)
-        assert record["timing"]["early_exit_seconds"] > 0
-        assert record["timing"]["full_pass_seconds"] > 0
-
     def test_static_equivalence(self, stack, small_dataset, rng):
         # The exit machinery pinned to layer k must reproduce the statically
         # truncated model exactly.
@@ -298,3 +296,72 @@ class TestEvaluate:
         head = _random_head(rng, num_labels=small_dataset.num_classes)
         with pytest.raises(ValueError):
             evaluate_static(enc, head, small_dataset, SMALL_ENCODER.num_layers + 1)
+
+
+class TestLayerTable:
+    def test_replay_matches_reference_on_random_head(self, stack, small_dataset, rng):
+        enc, branches = stack
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        table = build_layer_table(enc, branches, small_dataset, head)
+        assert table.entropies.shape == (small_dataset.num_sequences, SMALL_ENCODER.num_layers)
+        for threshold in (0.0, 0.4, 0.8, 10.0):
+            policy = ExitPolicy(
+                threshold=threshold, ratio=0.7, num_layers=SMALL_ENCODER.num_layers
+            )
+            assert replay_evaluate(table, policy) == evaluate(
+                enc, branches, policy, head, small_dataset
+            )
+
+    def test_timing_charges_evaluated_branches(self, stack, small_dataset):
+        enc, branches = stack
+        table = build_layer_table(enc, branches, small_dataset)
+        num_layers = SMALL_ENCODER.num_layers
+        full_depth = replay_timing(table, ExitPolicy(0.0, 0.0, num_layers))
+        expected_full = float((table.embed_seconds + table.block_seconds.sum(axis=1)).sum())
+        assert full_depth["full_pass_seconds"] == pytest.approx(expected_full)
+        assert full_depth["early_exit_seconds"] == pytest.approx(
+            expected_full + float(table.branch_seconds.sum())
+        )
+        # Pinned to layer 2: two blocks and one branch per sample.
+        pinned = replay_timing(table, fixed_exit_policy(2, num_layers))
+        assert pinned["early_exit_seconds"] == pytest.approx(
+            float(
+                (
+                    table.embed_seconds
+                    + table.block_seconds[:, :2].sum(axis=1)
+                    + table.branch_seconds[:, 1]
+                ).sum()
+            )
+        )
+        assert pinned["forward_time_saved"] == pytest.approx(
+            1 - pinned["early_exit_seconds"] / pinned["full_pass_seconds"]
+        )
+
+    def test_entropy_only_table_refuses_scoring(self, stack, small_dataset):
+        enc, branches = stack
+        table = build_layer_table(enc, branches, small_dataset)
+        assert table.correct is None and table.task is None
+        policy = fixed_exit_policy(2, SMALL_ENCODER.num_layers)
+        assert [t.exit_layer for t in replay_exits(table, policy)] == [2] * len(
+            small_dataset.inputs
+        )
+        with pytest.raises(ValueError, match="downstream head"):
+            replay_evaluate(table, policy)
+        with pytest.raises(ValueError, match="downstream head"):
+            replay_static(table, 2)
+
+    def test_mismatched_policy_and_empty_rows_rejected(self, stack, small_dataset):
+        enc, branches = stack
+        table = build_layer_table(enc, branches, small_dataset)
+        with pytest.raises(ConfigError):
+            replay_exits(table, ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers + 1))
+        with pytest.raises(ValueError, match="empty"):
+            replay_exits(table, ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers), rows=[])
+
+    def test_evaluate_has_no_timing(self, stack, small_dataset, rng):
+        enc, branches = stack
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        record = evaluate(
+            enc, branches, fixed_exit_policy(2, SMALL_ENCODER.num_layers), head, small_dataset
+        )
+        assert "timing" not in record
