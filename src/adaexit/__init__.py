@@ -22,7 +22,6 @@ from .encoder import (
     EncoderConfig,
     HiddenStates,
     forward_all,
-    forward_until,
     init_encoder,
     parameter_digest,
 )

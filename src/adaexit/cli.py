@@ -107,8 +107,8 @@ def _profile_entropy(cfg, paths, split: str) -> None:
     from .pipeline import _loaded_pipeline, _require, _write_profile
     from .serialize import load_dataset
 
-    source = paths.train_data if split == "train" else paths.eval_data
-    data = load_dataset(_require(source, "profile-entropy", "synth"))
+    source = "train_data" if split == "train" else "eval_data"
+    data = load_dataset(_require(paths, source, "profile-entropy"))
     ck = _loaded_pipeline(paths, "profile-entropy")
     profile = entropy_profile(ck.encoder, ck.branches, data)
     target = paths.profile_train if split == "train" else paths.profile_heldout

@@ -133,7 +133,7 @@ class MixtureSpec:
         if any(f < 0 for f in fracs):
             raise ConfigError("mixture fractions must be nonnegative")
         total = sum(fracs)
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # NaN fails this too
             raise ConfigError(f"mixture fractions must sum to 1 within 1e-6, got {total}")
 
 

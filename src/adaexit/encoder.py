@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConfigError
@@ -28,7 +26,6 @@ __all__ = [
     "IncrementalForward",
     "init_encoder",
     "forward_all",
-    "forward_until",
     "parameter_digest",
 ]
 
@@ -207,7 +204,7 @@ def _norm_rows64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     return (x64 - mean) / np.sqrt(var + eps) * gain.astype(np.float64) + bias.astype(np.float64)
 
 
-def _attention(a: np.ndarray, block: BlockParams, num_heads: int):
+def _attention(a: np.ndarray, block: BlockParams, num_heads: int) -> np.ndarray:
     frames, d = a.shape
     head_dim = d // num_heads
     q = matmul64(a, block.q_weight.T) + block.q_bias.astype(np.float64)
@@ -221,7 +218,7 @@ def _attention(a: np.ndarray, block: BlockParams, num_heads: int):
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     ctx = (weights @ v).transpose(1, 0, 2).reshape(frames, d)
-    return matmul64(ctx, block.out_weight.T) + block.out_bias.astype(np.float64), weights
+    return matmul64(ctx, block.out_weight.T) + block.out_bias.astype(np.float64)
 
 
 class IncrementalForward:
@@ -250,7 +247,6 @@ class IncrementalForward:
         embedded += enc.positional[:t].astype(np.float64)
         self._stream = embedded.astype(DTYPE)
         self._layers: list[np.ndarray] = []
-        self.last_attention: np.ndarray | None = None
 
     @property
     def layers_done(self) -> int:
@@ -265,8 +261,7 @@ class IncrementalForward:
             block = self.enc.blocks[self.layers_done]
             h64 = self._stream.astype(np.float64)
             attn_in = _norm_rows64(h64, block.attn_norm_gain, block.attn_norm_bias)
-            attn_out, self.last_attention = _attention(attn_in, block, cfg.num_heads)
-            h64 = h64 + attn_out
+            h64 = h64 + _attention(attn_in, block, cfg.num_heads)
             ffn_in = _norm_rows64(h64, block.ffn_norm_gain, block.ffn_norm_bias)
             hid = matmul64(ffn_in, block.ffn_in_weight.T) + block.ffn_in_bias.astype(np.float64)
             np.maximum(hid, 0.0, out=hid)
@@ -285,16 +280,3 @@ def forward_all(enc: Encoder, frames: np.ndarray) -> HiddenStates:
     inc.hidden(enc.config.num_layers)
     return inc.states()
 
-
-def forward_until(
-    enc: Encoder,
-    frames: np.ndarray,
-    stop: Callable[[int, np.ndarray], bool],
-) -> HiddenStates:
-    """Compute layers in order, calling stop(k, h_k) after each; halt when it returns True."""
-    inc = IncrementalForward(enc, frames)
-    for k in range(1, enc.config.num_layers + 1):
-        h_k = inc.hidden(k)
-        if stop(k, h_k):
-            break
-    return inc.states()

@@ -2,8 +2,8 @@
 
 Conventions: parameters and activations are stored as float32; reductions
 (dot products, normalization statistics, probability sums) run in float64
-so results are reproducible at desk scale. Probabilities, entropies, and
-losses are returned as float64. Entropy is measured in nats.
+so results are reproducible at desk scale. Probabilities and entropies
+are returned as float64. Entropy is measured in nats.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "softmax",
     "entropy",
     "layer_norm",
-    "cross_entropy",
-    "cross_entropy_grad",
     "sgd_step",
     "new_rng",
     "matmul64",
@@ -120,30 +118,6 @@ def layer_norm(
     normed = (x64 - mean) / np.sqrt(var + eps)
     out = normed * gain.astype(np.float64) + bias.astype(np.float64)
     return out.astype(DTYPE)
-
-
-def cross_entropy(logits: np.ndarray, target: int) -> float:
-    """Negative log softmax probability of the target class, in nats."""
-    x = _check_logits(logits)
-    if x.ndim != 1:
-        raise ValueError("cross_entropy expects a single logit vector")
-    target = int(target)
-    if not 0 <= target < x.shape[0]:
-        raise ValueError(f"target {target} out of range for {x.shape[0]} classes")
-    m = x.max()
-    shifted = x - m
-    return float(np.log(np.exp(shifted).sum()) - shifted[target])
-
-
-def cross_entropy_grad(logits: np.ndarray, target: int) -> np.ndarray:
-    """Gradient of cross_entropy w.r.t. the logits: softmax(logits) - one_hot(target)."""
-    p = softmax(logits)
-    target = int(target)
-    if not 0 <= target < p.shape[-1]:
-        raise ValueError(f"target {target} out of range for {p.shape[-1]} classes")
-    g = p.copy()
-    g[target] -= 1.0
-    return g
 
 
 def running_mean(values) -> float:

@@ -7,11 +7,12 @@ Stage 3 evaluates every requested span strategy at every requested
 inference ratio. The noise sweep and the static comparison reproduce the
 noise-adaptivity and mixed-noise analyses.
 
-The three reports forward each sample of a dataset variant once (held-out
-for eval, clean plus each SNR level for the sweep, the mixture for the
-comparison) into a per-layer table, and replay every policy over it. They
-calibrate from the training profile that 'calibrate' wrote
-(entropy_profile_train.csv) instead of re-profiling the training split.
+Eval and the static comparison forward each sample of their dataset (the
+held-out split, the noise mixture) once into a per-layer table and replay
+every policy over it. The noise sweep replays one policy, so it serves each
+noised sample through `run_exit` instead. All three reports calibrate from
+the training profile that 'calibrate' wrote (entropy_profile_train.csv)
+instead of re-profiling the training split.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
@@ -25,7 +26,7 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +45,18 @@ from .errors import ConfigError, DependencyError
 from .policy import (
     SPAN_KINDS,
     ExitPolicy,
+    SpanStats,
     calibrate,
     constrain,
     load_policy,
+    run_exit,
     save_policy,
 )
 from .probe import (
+    TASKS,
     build_layer_table,
     init_downstream_head,
     replay_evaluate,
-    replay_exits,
     replay_static,
     replay_timing,
     train_downstream,
@@ -69,6 +72,7 @@ from .teacher import train_teacher
 
 __all__ = [
     "RunConfig",
+    "ARTIFACTS",
     "ArtifactPaths",
     "default_config",
     "load_config",
@@ -153,6 +157,11 @@ class RunConfig:
         bad = [r for r in self.eval_ratios if not 0.0 <= r <= 1.0]
         if bad:
             raise ConfigError(f"eval_ratios must be in [0,1], got {bad}")
+        if not 0.0 < self.rate_cutoff < 1.0:
+            raise ConfigError(f"rate_cutoff must be in (0,1), got {self.rate_cutoff}")
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        self.mixture_spec()
 
     # Seed derivation: every stage draws from its own named stream.
     @property
@@ -302,89 +311,51 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     return replace(cfg, **updates)
 
 
+# Artifact name -> (file or directory under the artifacts root, the command that writes it).
+ARTIFACTS = {
+    "config_file": ("config.ini", "pipeline"),
+    "train_data": ("train_data.bin", "synth"),
+    "eval_data": ("eval_data.bin", "synth"),
+    "checkpoint": ("checkpoint.bin", "train-teacher"),
+    "teacher_loss": ("teacher_loss.csv", "train-teacher"),
+    "branch_loss": ("branch_loss.csv", "train-branches"),
+    "profile_heldout": ("entropy_profile_heldout.csv", "train-branches"),
+    "profile_train": ("entropy_profile_train.csv", "calibrate"),
+    "policy_file": ("policy.txt", "calibrate"),
+    "span_stats": ("span_stats.json", "train-downstream"),
+    "exit_traces": ("exit_traces_train.csv", "train-downstream"),
+    "downstream_loss": ("downstream_loss.csv", "train-downstream"),
+    "metrics_dir": ("metrics", "eval"),
+    "timing_file": ("timing.json", "eval"),
+    "exit_distribution": ("exit_distribution.csv", "noise-sweep"),
+    "exit_summary": ("exit_summary.csv", "noise-sweep"),
+    "comparison_csv": ("comparison.csv", "compare-static"),
+    "comparison_json": ("comparison.json", "compare-static"),
+}
+
+
 @dataclass(frozen=True)
 class ArtifactPaths:
+    """The artifacts directory; each name in `ARTIFACTS` is an attribute giving its path."""
+
     root: Path
 
     def __post_init__(self):
         object.__setattr__(self, "root", Path(self.root))
 
-    @property
-    def config_file(self) -> Path:
-        return self.root / "config.ini"
-
-    @property
-    def train_data(self) -> Path:
-        return self.root / "train_data.bin"
-
-    @property
-    def eval_data(self) -> Path:
-        return self.root / "eval_data.bin"
-
-    @property
-    def checkpoint(self) -> Path:
-        return self.root / "checkpoint.bin"
-
-    @property
-    def teacher_loss(self) -> Path:
-        return self.root / "teacher_loss.csv"
-
-    @property
-    def branch_loss(self) -> Path:
-        return self.root / "branch_loss.csv"
-
-    @property
-    def profile_heldout(self) -> Path:
-        return self.root / "entropy_profile_heldout.csv"
-
-    @property
-    def profile_train(self) -> Path:
-        return self.root / "entropy_profile_train.csv"
-
-    @property
-    def policy_file(self) -> Path:
-        return self.root / "policy.txt"
-
-    @property
-    def span_stats(self) -> Path:
-        return self.root / "span_stats.json"
-
-    @property
-    def exit_traces(self) -> Path:
-        return self.root / "exit_traces_train.csv"
-
-    @property
-    def downstream_loss(self) -> Path:
-        return self.root / "downstream_loss.csv"
-
-    @property
-    def metrics_dir(self) -> Path:
-        return self.root / "metrics"
-
-    @property
-    def exit_distribution(self) -> Path:
-        return self.root / "exit_distribution.csv"
-
-    @property
-    def exit_summary(self) -> Path:
-        return self.root / "exit_summary.csv"
-
-    @property
-    def comparison_csv(self) -> Path:
-        return self.root / "comparison.csv"
-
-    @property
-    def comparison_json(self) -> Path:
-        return self.root / "comparison.json"
-
-    @property
-    def timing_file(self) -> Path:
-        return self.root / "timing.json"
+    def __getattr__(self, name: str) -> Path:
+        if name not in ARTIFACTS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.root / ARTIFACTS[name][0]
 
 
-def _require(path: Path, stage: str, hint: str) -> Path:
+def _require(paths: ArtifactPaths, name: str, stage: str) -> Path:
+    """The path of artifact `name`, or a DependencyError naming the command that writes it."""
+    path = getattr(paths, name)
     if not path.exists():
-        raise DependencyError(f"stage {stage!r} needs {path.name}; run {hint!r} first")
+        raise DependencyError(
+            f"stage {stage!r} needs {path.name}; run {ARTIFACTS[name][1]!r} first"
+        )
     return path
 
 
@@ -413,7 +384,7 @@ def stage_synth(cfg: RunConfig, paths: ArtifactPaths) -> None:
 
 
 def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
-    train = load_dataset(_require(paths.train_data, "train-teacher", "synth"))
+    train = load_dataset(_require(paths, "train_data", "train-teacher"))
     enc = init_encoder(cfg.encoder_config())
     result = train_teacher(
         enc,
@@ -432,9 +403,9 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
 
 
 def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
-    train = load_dataset(_require(paths.train_data, "train-branches", "synth"))
-    heldout = load_dataset(_require(paths.eval_data, "train-branches", "synth"))
-    ck = load_checkpoint(_require(paths.checkpoint, "train-branches", "train-teacher"))
+    train = load_dataset(_require(paths, "train_data", "train-branches"))
+    heldout = load_dataset(_require(paths, "eval_data", "train-branches"))
+    ck = load_checkpoint(_require(paths, "checkpoint", "train-branches"))
     if ck.teacher is None:
         raise DependencyError("stage 'train-branches' needs a teacher head; run 'train-teacher'")
     result = train_branches(
@@ -465,7 +436,7 @@ def _write_profile(path: Path, profile) -> None:
 
 
 def _loaded_pipeline(paths: ArtifactPaths, stage: str):
-    ck = load_checkpoint(_require(paths.checkpoint, stage, "train-teacher"))
+    ck = load_checkpoint(_require(paths, "checkpoint", stage))
     if ck.branches is None:
         raise DependencyError(f"stage {stage!r} needs trained branches; run 'train-branches'")
     return ck
@@ -473,7 +444,7 @@ def _loaded_pipeline(paths: ArtifactPaths, stage: str):
 
 def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
     """Profile the training split and fix the threshold at the configured ratio."""
-    train = load_dataset(_require(paths.train_data, "calibrate", "synth"))
+    train = load_dataset(_require(paths, "train_data", "calibrate"))
     ck = _loaded_pipeline(paths, "calibrate")
     profile = entropy_profile(ck.encoder, ck.branches, train)
     _write_profile(paths.profile_train, profile)
@@ -483,9 +454,9 @@ def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
 
 
 def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
-    train = load_dataset(_require(paths.train_data, "train-downstream", "synth"))
+    train = load_dataset(_require(paths, "train_data", "train-downstream"))
     ck = _loaded_pipeline(paths, "train-downstream")
-    policy = load_policy(_require(paths.policy_file, "train-downstream", "calibrate"))
+    policy = load_policy(_require(paths, "policy_file", "train-downstream"))
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
@@ -503,17 +474,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
         renormalize=cfg.renormalize,
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
-    stats = result.span_stats
-    _write_json(
-        paths.span_stats,
-        {
-            "mean_exit": stats.mean_exit,
-            "exit_rates": list(stats.exit_rates),
-            "min_exit": stats.min_exit,
-            "max_exit": stats.max_exit,
-            "num_traces": stats.num_traces,
-        },
-    )
+    _write_json(paths.span_stats, asdict(result.span_stats))
     num_layers = cfg.num_layers
     entropy_cols = ",".join(f"e{k}" for k in range(1, num_layers + 1))
     rows = []
@@ -533,28 +494,14 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     )
 
 
-def load_span_stats(paths: ArtifactPaths, stage: str):
-    from .policy import SpanStats
-
-    raw = json.loads(_require(paths.span_stats, stage, "train-downstream").read_text())
-    return SpanStats(
-        mean_exit=raw["mean_exit"],
-        exit_rates=tuple(raw["exit_rates"]),
-        min_exit=raw["min_exit"],
-        max_exit=raw["max_exit"],
-        num_traces=raw["num_traces"],
-    )
-
-
-def _strategy_policy(cfg, base_policy, strategy, stats) -> ExitPolicy:
-    if strategy == "unconstrained":
-        return base_policy
-    return constrain(base_policy, strategy, stats, rate_cutoff=cfg.rate_cutoff)
+def load_span_stats(paths: ArtifactPaths, stage: str) -> SpanStats:
+    raw = json.loads(_require(paths, "span_stats", stage).read_text())
+    return SpanStats(**{**raw, "exit_rates": tuple(raw["exit_rates"])})
 
 
 def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyProfile:
     """The training profile 'calibrate' wrote; its repr floats read back bit-exact."""
-    lines = _require(paths.profile_train, stage, "calibrate").read_text().splitlines()
+    lines = _require(paths, "profile_train", stage).read_text().splitlines()
     means = [float(line.split(",")[1]) for line in lines[1:] if line]
     return EntropyProfile.from_layer_means(means, cfg.num_train)
 
@@ -571,7 +518,7 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     threshold is re-calibrated when the inference ratio differs. Every pair
     is replayed over one per-layer table of the held-out split.
     """
-    heldout = load_dataset(_require(paths.eval_data, "eval", "synth"))
+    heldout = load_dataset(_require(paths, "eval_data", "eval"))
     ck = _loaded_pipeline(paths, "eval")
     profile = _read_profile(cfg, paths, "eval")
     _require_head(ck, "eval")
@@ -587,7 +534,7 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
         for strategy in cfg.strategies:
             name = f"{strategy}_ratio{ratio:g}"
             try:
-                policy = _strategy_policy(cfg, base, strategy, stats)
+                policy = constrain(base, strategy, stats, rate_cutoff=cfg.rate_cutoff)
             except ConfigError as err:
                 summary[name] = {"error": str(err)}
                 _write_json(paths.metrics_dir / f"eval_{name}.json", {"error": str(err)})
@@ -619,25 +566,32 @@ def noise_sweep(
     """Exit-layer distribution per noise level (clean first), at one inference ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
-    Each level's exits are replayed over one entropy table of its noised copy.
+    Each noised sequence is served through `run_exit`, so only the layers up
+    to its exit are computed.
     """
-    heldout = load_dataset(_require(paths.eval_data, "noise-sweep", "synth"))
+    heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
     ck = _loaded_pipeline(paths, "noise-sweep")
     profile = _read_profile(cfg, paths, "noise-sweep")
-    levels: list[float | None] = [None, *(snr_levels if snr_levels is not None else cfg.snr_levels)]
+    levels = cfg.snr_levels if snr_levels is None else snr_levels
+    specs = [
+        NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
+        for level in (None, *levels)
+    ]
     policy = calibrate(profile, cfg.sweep_ratio if ratio is None else ratio)
     dist_rows = []
     summary_rows = []
     results = []
-    for level in levels:
-        spec = NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
-        table = build_layer_table(ck.encoder, ck.branches, add_noise(heldout, spec))
+    for spec in specs:
         exits = np.array(
-            [trace.exit_layer for trace in replay_exits(table, policy)], dtype=np.int64
+            [
+                run_exit(ck.encoder, ck.branches, policy, frames)[1].exit_layer
+                for frames in add_noise(heldout, spec).inputs
+            ],
+            dtype=np.int64,
         )
         counts = np.bincount(exits, minlength=cfg.num_layers + 1)[1:]
         fractions = counts / exits.shape[0]
-        label = _snr_label(level)
+        label = _snr_label(spec.snr_db)
         for k in range(cfg.num_layers):
             dist_rows.append((label, k + 1, repr(float(fractions[k]))))
         summary_rows.append(
@@ -667,7 +621,7 @@ def compare_static(
     its depth and compute saved alongside. Every row is replayed over one
     per-layer table of the mixture.
     """
-    heldout = load_dataset(_require(paths.eval_data, "compare-static", "synth"))
+    heldout = load_dataset(_require(paths, "eval_data", "compare-static"))
     ck = _loaded_pipeline(paths, "compare-static")
     profile = _read_profile(cfg, paths, "compare-static")
     _require_head(ck, "compare-static")
@@ -690,7 +644,7 @@ def compare_static(
     rows = []
     for strategy in cfg.strategies:
         try:
-            policy = _strategy_policy(cfg, base, strategy, stats)
+            policy = constrain(base, strategy, stats, rate_cutoff=cfg.rate_cutoff)
         except ConfigError as err:
             rows.append(
                 {

@@ -12,7 +12,7 @@ time from statistics gathered while the downstream head trained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 SPAN_KINDS = ("unconstrained", "mean", "threshold", "minmax")
+
+# The ExitPolicy fields each span kind sets; every other span field is None.
+_SPAN_FIELDS = {
+    "unconstrained": (),
+    "mean": ("mean_exit",),
+    "threshold": ("exit_rates", "rate_cutoff"),
+    "minmax": ("min_exit", "max_exit"),
+}
 
 
 @dataclass(frozen=True)
@@ -213,28 +221,10 @@ def constrain(
     """Restrict where the policy may exit, from downstream-training statistics.
 
     The threshold and ratio are unchanged; changing the ratio is done by
-    re-calibrating before constraining.
+    re-calibrating before constraining. "unconstrained" clears every span field.
     """
-    if span_kind == "unconstrained":
-        return replace(
-            policy,
-            span_kind="unconstrained",
-            mean_exit=None,
-            exit_rates=None,
-            rate_cutoff=None,
-            min_exit=None,
-            max_exit=None,
-        )
-    if span_kind == "mean":
-        return replace(
-            policy,
-            span_kind="mean",
-            mean_exit=stats.mean_exit,
-            exit_rates=None,
-            rate_cutoff=None,
-            min_exit=None,
-            max_exit=None,
-        )
+    if span_kind not in SPAN_KINDS:
+        raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {span_kind!r}")
     if span_kind == "threshold":
         if len(stats.exit_rates) != policy.num_layers:
             raise ConfigError(
@@ -245,26 +235,16 @@ def constrain(
                 f"no layer's exit rate exceeds the cutoff {rate_cutoff}; "
                 "threshold span would be empty"
             )
-        return replace(
-            policy,
-            span_kind="threshold",
-            mean_exit=None,
-            exit_rates=stats.exit_rates,
-            rate_cutoff=rate_cutoff,
-            min_exit=None,
-            max_exit=None,
-        )
-    if span_kind == "minmax":
-        return replace(
-            policy,
-            span_kind="minmax",
-            mean_exit=None,
-            exit_rates=None,
-            rate_cutoff=None,
-            min_exit=stats.min_exit,
-            max_exit=stats.max_exit,
-        )
-    raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {span_kind!r}")
+    values = {**asdict(stats), "rate_cutoff": rate_cutoff}
+    return replace(
+        policy,
+        span_kind=span_kind,
+        **{
+            name: values[name] if name in _SPAN_FIELDS[span_kind] else None
+            for names in _SPAN_FIELDS.values()
+            for name in names
+        },
+    )
 
 
 def fixed_exit_policy(layer: int, num_layers: int) -> ExitPolicy:

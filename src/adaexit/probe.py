@@ -8,9 +8,10 @@ once. Evaluation reports accuracy alongside exit depth and compute-saved
 accounting, with a statically truncated twin for baseline comparisons.
 
 `evaluate` and `evaluate_static` forward every sample under one policy and
-are the reference paths. The reports instead build one `LayerTable` per
-dataset from one full forward per sample: the branch entropy at every layer
-and, by the prefix property, the probe's correct count at every exit depth.
+are the reference paths. The eval and static-comparison reports instead
+build one `LayerTable` per dataset from one full forward per sample: the
+branch entropy at every layer and, by the prefix property, the probe's
+correct count at every exit depth.
 The `replay_*` functions are pure functions of that table and give the same
 records as the reference paths for any policy.
 """
@@ -38,7 +39,6 @@ from .policy import (
 
 __all__ = [
     "DownstreamHead",
-    "NormalizedPrefix",
     "DownstreamTrainResult",
     "LayerTable",
     "init_downstream_head",
@@ -78,28 +78,16 @@ class DownstreamHead:
 
 
 @dataclass(frozen=True)
-class NormalizedPrefix:
-    """Layer-normalized hidden matrices for layers 1..exit, stacked (exit, T, dim)."""
-
-    layers: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.layers.shape[0]
-
-
-@dataclass(frozen=True)
 class LayerTable:
     """Per-sample, per-layer facts of one full forward over a dataset.
 
-    Row i is sample i; column k-1 is layer k. The correct counts are present
-    only when the table was built with a downstream head.
+    Row i is sample i; column k-1 is layer k.
     """
 
     entropies: np.ndarray  # (N, L) float64 branch entropy of layer k
-    correct: np.ndarray | None  # (N, L) int64 probe correct count when exiting at k
-    scored: np.ndarray | None  # (N,) int64 predictions scored per sample
-    task: str | None
+    correct: np.ndarray  # (N, L) int64 probe correct count when exiting at k
+    scored: np.ndarray  # (N,) int64 predictions scored per sample
+    task: str
     embed_seconds: np.ndarray  # (N,) wall time of the input projection
     block_seconds: np.ndarray  # (N, L) wall time of block k
     branch_seconds: np.ndarray  # (N, L) wall time of branch k's entropy
@@ -133,14 +121,16 @@ def init_downstream_head(
     )
 
 
-def normalize_prefix(hs: HiddenStates, exit_layer: int) -> NormalizedPrefix:
-    """Layer-normalize every frame vector of layers 1..exit_layer independently."""
+def normalize_prefix(hs: HiddenStates, exit_layer: int) -> np.ndarray:
+    """Layer-normalize every frame vector of layers 1..exit_layer independently.
+
+    Returns the normalized layers stacked as (exit_layer, frames, model_dim).
+    """
     if not 1 <= exit_layer <= hs.layers_computed:
         raise ValueError(
             f"exit layer {exit_layer} exceeds computed layers ({hs.layers_computed})"
         )
-    normed = np.stack([layer_norm(hs.layer(k)) for k in range(1, exit_layer + 1)])
-    return NormalizedPrefix(layers=normed)
+    return np.stack([layer_norm(hs.layer(k)) for k in range(1, exit_layer + 1)])
 
 
 def prefix_weights(head: DownstreamHead, length: int, renormalize: bool = True) -> np.ndarray:
@@ -157,17 +147,15 @@ def prefix_weights(head: DownstreamHead, length: int, renormalize: bool = True) 
 
 
 def weighted_features(
-    head: DownstreamHead, prefix: NormalizedPrefix, renormalize: bool = True
+    head: DownstreamHead, prefix: np.ndarray, renormalize: bool = True
 ) -> np.ndarray:
-    """Weighted sum of the normalized prefix, shape (frames, model_dim).
+    """Weighted sum of a normalized (k, frames, model_dim) prefix, shape (frames, model_dim).
 
     Returned in float64: this is a reduction over layers, and the training
     loss differentiates through it.
     """
-    if prefix.length == 0:
-        raise ValueError("empty prefix")
-    weights = prefix_weights(head, prefix.length, renormalize)
-    return np.einsum("k,ktd->td", weights, prefix.layers.astype(np.float64))
+    weights = prefix_weights(head, prefix.shape[0], renormalize)
+    return np.einsum("k,ktd->td", weights, prefix.astype(np.float64))
 
 
 def _sequence_label(labels: np.ndarray, num_classes: int) -> int:
@@ -179,8 +167,8 @@ def _precompute_prefixes(
     branches: BranchSet,
     policy: ExitPolicy,
     data: FrameDataset,
-) -> tuple[list[NormalizedPrefix], list[ExitTrace]]:
-    prefixes: list[NormalizedPrefix] = []
+) -> tuple[list[np.ndarray], list[ExitTrace]]:
+    prefixes: list[np.ndarray] = []
     traces: list[ExitTrace] = []
     for i in range(data.num_sequences):
         hs, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
@@ -224,8 +212,8 @@ def _loss_and_grads(head, feats64, labels, task):
 
 def _layer_weight_grad(head, prefix, d_feats, renormalize):
     """Gradient of the loss w.r.t. the raw layer weights for one sample."""
-    length = prefix.length
-    per_layer = np.einsum("ktd,td->k", prefix.layers.astype(np.float64), d_feats)
+    length = prefix.shape[0]
+    per_layer = np.einsum("ktd,td->k", prefix.astype(np.float64), d_feats)
     grad = np.zeros(head.num_layers, dtype=np.float64)
     if renormalize:
         weights = softmax(head.layer_weights[:length])
@@ -415,7 +403,7 @@ def build_layer_table(
     enc: Encoder,
     branches: BranchSet,
     data: FrameDataset,
-    head: DownstreamHead | None = None,
+    head: DownstreamHead,
     task: str = "frame",
     renormalize: bool = True,
 ) -> LayerTable:
@@ -423,9 +411,9 @@ def build_layer_table(
 
     Entropies come from `entropy_from_hidden` on the same hidden matrices a
     lazy forward computes (prefix property), so replayed exits equal those
-    of `run_exit`. With a head, the prefix is normalized once at depth L and
-    the features for exit depth k weight its first k layers, bit-identical
-    to the features of a pass truncated at k. Embed, block and branch wall
+    of `run_exit`. The prefix is normalized once at depth L and the
+    features for exit depth k weight its first k layers, bit-identical to
+    the features of a pass truncated at k. Embed, block and branch wall
     times are recorded per sample so any policy's early-exit cost can be
     charged. Samples stream into (N, L) arrays; no hidden states are kept.
     """
@@ -436,10 +424,8 @@ def build_layer_table(
     embed_seconds = np.empty(n, dtype=np.float64)
     block_seconds = np.empty((n, num_layers), dtype=np.float64)
     branch_seconds = np.empty((n, num_layers), dtype=np.float64)
-    correct = scored = None
-    if head is not None:
-        correct = np.empty((n, num_layers), dtype=np.int64)
-        scored = np.empty(n, dtype=np.int64)
+    correct = np.empty((n, num_layers), dtype=np.int64)
+    scored = np.empty(n, dtype=np.int64)
     clock = time.perf_counter
     for i in range(n):
         t0 = clock()
@@ -452,11 +438,9 @@ def build_layer_table(
             entropies[i, k - 1] = entropy_from_hidden(branches, hidden, k)
             branch_seconds[i, k - 1] = clock() - t1
             block_seconds[i, k - 1] = t1 - t0
-        if head is None:
-            continue
-        normed = normalize_prefix(inc.states(), num_layers).layers
+        normed = normalize_prefix(inc.states(), num_layers)
         for k in range(1, num_layers + 1):
-            feats = weighted_features(head, NormalizedPrefix(normed[:k]), renormalize)
+            feats = weighted_features(head, normed[:k], renormalize)
             correct[i, k - 1], scored[i] = _predictions(
                 head, feats, data.labels[i], task, data.num_classes
             )
@@ -464,7 +448,7 @@ def build_layer_table(
         entropies=entropies,
         correct=correct,
         scored=scored,
-        task=task if head is not None else None,
+        task=task,
         embed_seconds=embed_seconds,
         block_seconds=block_seconds,
         branch_seconds=branch_seconds,
@@ -476,12 +460,6 @@ def _table_rows(table: LayerTable, rows) -> np.ndarray:
     if idx.size == 0:
         raise ValueError("empty dataset")
     return idx
-
-
-def _table_scores(table: LayerTable) -> tuple[np.ndarray, np.ndarray]:
-    if table.correct is None or table.scored is None:
-        raise ValueError("layer table was built without a downstream head")
-    return table.correct, table.scored
 
 
 def replay_exits(
@@ -501,7 +479,6 @@ def replay_exits(
 
 def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
     """`evaluate`'s record for the table's dataset, or for `data.subset(rows)`."""
-    correct, scored = _table_scores(table)
     traces = replay_exits(table, policy, rows)
     idx = np.array([t.sample_id for t in traces], dtype=np.int64)
     exits = np.array([t.exit_layer for t in traces], dtype=np.int64)
@@ -510,14 +487,13 @@ def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
         policy,
         exits,
         sum(int(t.forced) for t in traces),
-        int(correct[idx, exits - 1].sum()),
-        int(scored[idx].sum()),
+        int(table.correct[idx, exits - 1].sum()),
+        int(table.scored[idx].sum()),
     )
 
 
 def replay_static(table: LayerTable, layer: int, rows=None) -> dict:
     """`evaluate_static`'s record for the table's dataset, or for `data.subset(rows)`."""
-    correct, scored = _table_scores(table)
     if not 1 <= layer <= table.num_layers:
         raise ValueError(f"layer {layer} out of range 1..{table.num_layers}")
     idx = _table_rows(table, rows)
@@ -526,8 +502,8 @@ def replay_static(table: LayerTable, layer: int, rows=None) -> dict:
         int(idx.size),
         layer,
         table.num_layers,
-        int(correct[idx, layer - 1].sum()),
-        int(scored[idx].sum()),
+        int(table.correct[idx, layer - 1].sum()),
+        int(table.scored[idx].sum()),
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaexit.data import SynthDatasetSpec, synth_dataset
-from adaexit.encoder import EncoderConfig, init_encoder
+from adaexit.encoder import EncoderConfig, IncrementalForward, init_encoder
 
 SMALL_ENCODER = EncoderConfig(
     num_layers=4,
@@ -26,6 +26,13 @@ SMALL_DATA = SynthDatasetSpec(
     jitter_std=0.4,
     seed=21,
 )
+
+
+def truncated_forward(enc, frames, k):
+    """Hidden states of a pass that stops after layer k."""
+    inc = IncrementalForward(enc, frames)
+    inc.hidden(k)
+    return inc.states()
 
 
 @pytest.fixture(scope="session")

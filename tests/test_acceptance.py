@@ -18,7 +18,7 @@ import pytest
 
 from adaexit.branches import EntropyProfile, init_branches, sample_entropies
 from adaexit.data import make_mixture
-from adaexit.encoder import EncoderConfig, forward_all, forward_until, init_encoder
+from adaexit.encoder import EncoderConfig, IncrementalForward, forward_all, init_encoder
 from adaexit.pipeline import (
     ArtifactPaths,
     apply_overrides,
@@ -196,7 +196,9 @@ def test_criterion_3_prefix_correctness():
         x = rng.standard_normal((8, enc.config.input_dim)).astype(np.float32)
         full = forward_all(enc, x)
         for k in range(1, enc.config.num_layers + 1):
-            part = forward_until(enc, x, lambda j, h: j == k)
+            inc = IncrementalForward(enc, x)
+            inc.hidden(k)
+            part = inc.states()
             assert part.layers_computed == k
             for j in range(1, k + 1):
                 if not np.array_equal(part.layer(j), full.layer(j)):

@@ -16,11 +16,11 @@ from adaexit.branches import (
     train_branches,
 )
 from adaexit.data import FrameDataset
-from adaexit.encoder import forward_all, forward_until, parameter_digest
+from adaexit.encoder import forward_all, parameter_digest
 from adaexit.numeric import entropy, softmax
 from adaexit.teacher import train_teacher
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, truncated_forward
 
 
 @pytest.fixture(scope="module")
@@ -162,14 +162,14 @@ class TestBranchEntropy:
             assert (values >= 0).all() and (values <= limit + 1e-12).all()
 
     def test_requires_computed_layer(self, small_encoder, trained, small_dataset):
-        partial = forward_until(small_encoder, small_dataset.inputs[0], lambda k, h: k == 2)
+        partial = truncated_forward(small_encoder, small_dataset.inputs[0], 2)
         with pytest.raises(ValueError):
             branch_entropy(trained, partial, 3)
 
     def test_prefix_entropy_matches_full(self, small_encoder, trained, small_dataset):
         x = small_dataset.inputs[4]
         full = forward_all(small_encoder, x)
-        part = forward_until(small_encoder, x, lambda k, h: k == 2)
+        part = truncated_forward(small_encoder, x, 2)
         assert branch_entropy(trained, part, 2) == branch_entropy(trained, full, 2)
 
     def test_independent_of_other_samples(self, small_encoder, trained, small_dataset):

@@ -5,17 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adaexit import encoder
 from adaexit.encoder import (
     EncoderConfig,
     IncrementalForward,
+    _attention,
     forward_all,
-    forward_until,
     init_encoder,
     parameter_digest,
 )
 from adaexit.errors import ConfigError
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, truncated_forward
 
 # Self-golden value frozen at first build; guards against any silent change
 # to parameter initialization.
@@ -97,21 +98,31 @@ class TestForward:
             forward_all(small_encoder, _inputs(rng, dim=SMALL_ENCODER.input_dim + 1))
 
     def test_attention_rows_are_probabilities(self, small_encoder, rng):
-        inc = IncrementalForward(small_encoder, _inputs(rng))
-        for k in range(1, SMALL_ENCODER.num_layers + 1):
-            inc.hidden(k)
-            sums = inc.last_attention.sum(axis=-1)
-            assert np.allclose(sums, 1.0, atol=1e-5)
+        # With every value row equal to c and identity output weights, the
+        # attention output is each weight row's sum times c: c iff rows sum to 1.
+        d = SMALL_ENCODER.model_dim
+        c = rng.standard_normal(d).astype(np.float32)
+        block = replace(
+            small_encoder.blocks[0],
+            v_weight=np.zeros((d, d), dtype=np.float32),
+            v_bias=c,
+            out_weight=np.eye(d, dtype=np.float32),
+            out_bias=np.zeros(d, dtype=np.float32),
+        )
+        out = _attention(rng.standard_normal((10, d)), block, SMALL_ENCODER.num_heads)
+        assert np.allclose(out, np.broadcast_to(c, out.shape), atol=1e-5)
 
 
 class TestForwardUntil:
+    """A forward stopped at layer k by IncrementalForward.hidden(k)."""
+
     def test_stop_immediately(self, small_encoder, rng):
-        hs = forward_until(small_encoder, _inputs(rng), lambda k, h: True)
+        hs = truncated_forward(small_encoder, _inputs(rng), 1)
         assert hs.layers_computed == 1
 
     def test_never_stop_equals_forward_all(self, small_encoder, rng):
         x = _inputs(rng)
-        a = forward_until(small_encoder, x, lambda k, h: False)
+        a = truncated_forward(small_encoder, x, SMALL_ENCODER.num_layers)
         b = forward_all(small_encoder, x)
         assert a.layers_computed == b.layers_computed
         for k in range(1, a.layers_computed + 1):
@@ -121,18 +132,30 @@ class TestForwardUntil:
     def test_prefix_bit_identical(self, small_encoder, rng, stop_at):
         x = _inputs(rng)
         full = forward_all(small_encoder, x)
-        part = forward_until(small_encoder, x, lambda k, h: k == stop_at)
+        part = truncated_forward(small_encoder, x, stop_at)
         assert part.layers_computed == stop_at
         for k in range(1, stop_at + 1):
             assert np.array_equal(part.layer(k), full.layer(k))
 
-    def test_callback_sees_each_layer_once(self, small_encoder, rng):
-        seen = []
-        forward_until(small_encoder, _inputs(rng), lambda k, h: seen.append(k) or k == 3)
-        assert seen == [1, 2, 3]
+    def test_each_layer_computed_once(self, small_encoder, rng, monkeypatch):
+        blocks = []
+        original = encoder._attention
+
+        def counting(a, block, num_heads):
+            blocks.append(block)
+            return original(a, block, num_heads)
+
+        monkeypatch.setattr(encoder, "_attention", counting)
+        inc = IncrementalForward(small_encoder, _inputs(rng))
+        third = inc.hidden(3)
+        assert inc.hidden(2) is inc.states().layer(2)
+        assert inc.hidden(3) is third
+        assert len(blocks) == 3
+        assert all(a is b for a, b in zip(blocks, small_encoder.blocks))
+        assert inc.layers_done == 3
 
     def test_uncomputed_layer_access_raises(self, small_encoder, rng):
-        hs = forward_until(small_encoder, _inputs(rng), lambda k, h: k == 2)
+        hs = truncated_forward(small_encoder, _inputs(rng), 2)
         with pytest.raises(ValueError):
             hs.layer(3)
 

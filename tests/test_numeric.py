@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adaexit.numeric import (
-    cross_entropy,
-    cross_entropy_grad,
     entropy,
     layer_norm,
     new_rng,
     sgd_step,
     softmax,
 )
+from adaexit.probe import DownstreamHead, _loss_and_grads
 
 finite_vectors = arrays(
     np.float64,
@@ -117,35 +116,48 @@ class TestLayerNorm:
             layer_norm(np.ones(4), gain=np.ones(3), bias=np.zeros(4))
 
 
+def probe_loss(logits, target):
+    """Loss and logit gradient of the downstream probe's sequence-task cross-entropy.
+
+    A zero probe weight makes the probe's logits equal its bias.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    head = DownstreamHead(
+        layer_weights=np.zeros(1, dtype=np.float32),
+        probe_weight=np.zeros((logits.size, 1), dtype=np.float32),
+        probe_bias=logits,
+    )
+    loss, _, _, d_logits = _loss_and_grads(head, np.zeros((1, 1)), target, "sequence")
+    return loss, d_logits
+
+
 class TestCrossEntropy:
     def test_symmetric_two_way(self):
-        assert cross_entropy([0.0, 0.0], 0) == pytest.approx(math.log(2), abs=1e-12)
+        assert probe_loss([0.0, 0.0], 0)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_dominant_logit(self):
-        assert cross_entropy([20.0, 0.0, 0.0], 0) == pytest.approx(0.0, abs=1e-6)
+        assert probe_loss([20.0, 0.0, 0.0], 0)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_softmax_oracle(self):
         expect = -math.log(math.exp(3) / (math.exp(1) + math.exp(2) + math.exp(3)))
-        assert cross_entropy([1.0, 2.0, 3.0], 2) == pytest.approx(expect, abs=1e-10)
+        assert probe_loss([1.0, 2.0, 3.0], 2)[0] == pytest.approx(expect, abs=1e-10)
         assert expect == pytest.approx(0.4076, abs=1e-4)
 
     def test_matches_negative_log_softmax(self, rng):
         x = rng.standard_normal(9)
-        assert cross_entropy(x, 4) == pytest.approx(-math.log(softmax(x)[4]), abs=1e-10)
-
-    def test_out_of_range_target(self):
-        with pytest.raises(ValueError):
-            cross_entropy([1.0, 2.0], 2)
+        assert probe_loss(x, 4)[0] == pytest.approx(-math.log(softmax(x)[4]), abs=1e-10)
 
     def test_gradient_matches_finite_differences(self, rng):
         x = rng.standard_normal(7)
         target = 3
-        grad = cross_entropy_grad(x, target)
+        _, grad = probe_loss(x, target)
         h = 1e-3
         for i in range(7):
             bump = np.zeros(7)
             bump[i] = h
-            fd = (cross_entropy(x + bump, target) - cross_entropy(x - bump, target)) / (2 * h)
+            fd = (probe_loss(x + bump, target)[0] - probe_loss(x - bump, target)[0]) / (
+                2 * h
+            )
             denom = max(abs(fd), 1e-8)
             assert abs(grad[i] - fd) / denom < 1e-4
 

@@ -8,13 +8,13 @@ import pytest
 
 from adaexit import encoder
 from adaexit.branches import entropy_profile
-from adaexit.cli import main
+from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
 from adaexit.errors import ConfigError, DependencyError
 from adaexit.pipeline import (
+    ARTIFACTS,
     ArtifactPaths,
     _read_profile,
-    _strategy_policy,
     apply_overrides,
     compare_static,
     default_config,
@@ -29,7 +29,7 @@ from adaexit.pipeline import (
     stage_synth,
     stage_teacher,
 )
-from adaexit.policy import calibrate, run_exit
+from adaexit.policy import calibrate, constrain, run_exit
 from adaexit.probe import (
     TASKS,
     build_layer_table,
@@ -101,6 +101,18 @@ class TestConfig:
             ("eval.sweep_ratio", "1.5", 1.5, "sweep_ratio"),
             ("eval.sweep_ratio", "nan", float("nan"), "sweep_ratio"),
             ("policy.ratio", "-0.5", -0.5, "ratio"),
+            ("policy.rate_cutoff", "0.0", 0.0, "rate_cutoff"),
+            ("policy.rate_cutoff", "1", 1.0, "rate_cutoff"),
+            ("downstream.task", "frames", "frames", "task"),
+            ("eval.noise_kind", "pink", "pink", "noise kind"),
+            ("eval.noise_seed", "-1", -1, "seed"),
+            ("eval.snr_levels", "10,nan,0", (10.0, float("nan"), 0.0), "snr_db"),
+            ("eval.mixture_fractions", "0.6,0.3,0.2,-0.1", (0.6, 0.3, 0.2, -0.1),
+             "mixture fractions"),
+            ("eval.mixture_fractions", "0.4,0.3,0.2,0.2", (0.4, 0.3, 0.2, 0.2),
+             "mixture fractions"),
+            ("eval.mixture_fractions", "0.4,0.3,0.2,nan", (0.4, 0.3, 0.2, float("nan")),
+             "mixture fractions"),
         ],
     )
     def test_bad_eval_values_rejected_by_name(self, tmp_path, capsys, key, raw, value, field):
@@ -138,6 +150,19 @@ class TestStages:
             "comparison_csv", "comparison_json", "timing_file", "config_file",
         ):
             assert getattr(paths, attr).exists(), attr
+
+    def test_artifact_table_matches_written_files(self, tiny_run):
+        _, paths = tiny_run
+        # Files under metrics/ count as the one metrics_dir entry.
+        written = {
+            path.relative_to(paths.root).parts[0]
+            for path in paths.root.rglob("*")
+            if path.is_file()
+        }
+        assert written == {name for name, _ in ARTIFACTS.values()}
+        parser = build_parser()
+        for _, stage in ARTIFACTS.values():
+            assert parser.parse_args([stage]).command == stage
 
     def test_eval_metrics_cover_strategies_and_ratios(self, tiny_run):
         cfg, paths = tiny_run
@@ -267,7 +292,9 @@ class TestReplay:
             base = calibrate(profile, ratio)
             for strategy in cfg.strategies:
                 try:
-                    policies.append(_strategy_policy(cfg, base, strategy, stats))
+                    policies.append(
+                        constrain(base, strategy, stats, rate_cutoff=cfg.rate_cutoff)
+                    )
                 except ConfigError:
                     continue
         assert any(p.span_kind == "unconstrained" for p in policies)
@@ -318,7 +345,7 @@ class TestReplay:
             noised = add_noise(
                 heldout, NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
             )
-            table = build_layer_table(ck.encoder, ck.branches, noised)
+            table = build_layer_table(ck.encoder, ck.branches, noised, ck.downstream)
             served = [
                 run_exit(ck.encoder, ck.branches, policy, noised.inputs[i], i)[1]
                 for i in range(noised.num_sequences)

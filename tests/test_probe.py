@@ -26,7 +26,7 @@ from adaexit.probe import (
 )
 from adaexit.teacher import train_teacher
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, truncated_forward
 
 
 @pytest.fixture(scope="module")
@@ -59,25 +59,23 @@ class TestNormalizePrefix:
         layer = np.full((4, SMALL_ENCODER.model_dim), 2.5, dtype=np.float32)
         hs = HiddenStates(layers=(layer,), total_layers=SMALL_ENCODER.num_layers)
         prefix = normalize_prefix(hs, 1)
-        assert np.allclose(prefix.layers[0], 0.0, atol=1e-2)
+        assert np.allclose(prefix[0], 0.0, atol=1e-2)
 
     def test_single_layer_prefix(self, small_encoder, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         prefix = normalize_prefix(hs, 1)
-        assert prefix.length == 1
+        assert prefix.shape == (1, *hs.layer(1).shape)
 
     def test_per_vector_statistics_oracle(self, small_encoder, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         prefix = normalize_prefix(hs, 2)
         for k in range(2):
-            rows = prefix.layers[k].astype(np.float64)
+            rows = prefix[k].astype(np.float64)
             assert np.allclose(rows.mean(axis=1), 0.0, atol=1e-5)
             assert np.allclose(rows.var(axis=1), 1.0, atol=1e-3)
 
     def test_exceeding_computed_layers_rejected(self, small_encoder, small_dataset):
-        from adaexit.encoder import forward_until
-
-        hs = forward_until(small_encoder, small_dataset.inputs[0], lambda k, h: k == 2)
+        hs = truncated_forward(small_encoder, small_dataset.inputs[0], 2)
         with pytest.raises(ValueError):
             normalize_prefix(hs, 3)
 
@@ -88,7 +86,7 @@ class TestWeightedFeatures:
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         prefix = normalize_prefix(hs, 1)
         feats = weighted_features(head, prefix)
-        assert np.allclose(feats, prefix.layers[0], atol=1e-6)
+        assert np.allclose(feats, prefix[0], atol=1e-6)
 
     def test_equal_weights_average(self, small_encoder, small_dataset, rng):
         head = _random_head(rng)
@@ -100,7 +98,7 @@ class TestWeightedFeatures:
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         prefix = normalize_prefix(hs, 2)
         feats = weighted_features(head, prefix)
-        mean = (prefix.layers[0].astype(np.float64) + prefix.layers[1].astype(np.float64)) / 2
+        mean = (prefix[0].astype(np.float64) + prefix[1].astype(np.float64)) / 2
         assert np.allclose(feats, mean, atol=1e-6)
 
     def test_softmax_oracle(self, small_encoder, small_dataset, rng):
@@ -112,9 +110,7 @@ class TestWeightedFeatures:
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         prefix = normalize_prefix(hs, 2)
         feats = weighted_features(head, prefix)
-        expect = 0.25 * prefix.layers[0].astype(np.float64) + 0.75 * prefix.layers[1].astype(
-            np.float64
-        )
+        expect = 0.25 * prefix[0].astype(np.float64) + 0.75 * prefix[1].astype(np.float64)
         assert np.allclose(feats, expect, atol=1e-6)
 
     def test_renormalized_weights_sum_to_one(self, rng):
@@ -312,9 +308,10 @@ class TestLayerTable:
                 enc, branches, policy, head, small_dataset
             )
 
-    def test_timing_charges_evaluated_branches(self, stack, small_dataset):
+    def test_timing_charges_evaluated_branches(self, stack, small_dataset, rng):
         enc, branches = stack
-        table = build_layer_table(enc, branches, small_dataset)
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        table = build_layer_table(enc, branches, small_dataset, head)
         num_layers = SMALL_ENCODER.num_layers
         full_depth = replay_timing(table, ExitPolicy(0.0, 0.0, num_layers))
         expected_full = float((table.embed_seconds + table.block_seconds.sum(axis=1)).sum())
@@ -337,22 +334,20 @@ class TestLayerTable:
             1 - pinned["early_exit_seconds"] / pinned["full_pass_seconds"]
         )
 
-    def test_entropy_only_table_refuses_scoring(self, stack, small_dataset):
+    def test_pinned_policy_replays_as_static(self, stack, small_dataset, rng):
         enc, branches = stack
-        table = build_layer_table(enc, branches, small_dataset)
-        assert table.correct is None and table.task is None
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        table = build_layer_table(enc, branches, small_dataset, head)
         policy = fixed_exit_policy(2, SMALL_ENCODER.num_layers)
         assert [t.exit_layer for t in replay_exits(table, policy)] == [2] * len(
             small_dataset.inputs
         )
-        with pytest.raises(ValueError, match="downstream head"):
-            replay_evaluate(table, policy)
-        with pytest.raises(ValueError, match="downstream head"):
-            replay_static(table, 2)
+        assert replay_evaluate(table, policy)["accuracy"] == replay_static(table, 2)["accuracy"]
 
-    def test_mismatched_policy_and_empty_rows_rejected(self, stack, small_dataset):
+    def test_mismatched_policy_and_empty_rows_rejected(self, stack, small_dataset, rng):
         enc, branches = stack
-        table = build_layer_table(enc, branches, small_dataset)
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        table = build_layer_table(enc, branches, small_dataset, head)
         with pytest.raises(ConfigError):
             replay_exits(table, ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers + 1))
         with pytest.raises(ValueError, match="empty"):

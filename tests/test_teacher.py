@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaexit.data import FrameDataset
-from adaexit.encoder import forward_all, forward_until, parameter_digest
+from adaexit.encoder import forward_all, parameter_digest
 from adaexit.teacher import (
     final_layer_features,
     init_teacher_head,
@@ -13,7 +13,7 @@ from adaexit.teacher import (
     train_teacher,
 )
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, truncated_forward
 
 
 class TestTrainTeacher:
@@ -126,7 +126,7 @@ class TestPseudoLabels:
 
     def test_requires_final_layer(self, small_encoder, small_dataset):
         head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
-        partial = forward_until(small_encoder, small_dataset.inputs[0], lambda k, h: k == 2)
+        partial = truncated_forward(small_encoder, small_dataset.inputs[0], 2)
         with pytest.raises(ValueError):
             pseudo_labels(head, partial)
 
