@@ -1,7 +1,9 @@
 """Per-layer linear exit branches, their training loss, and entropy profiles.
 
 Each encoder layer gets one linear classifier trained to predict the
-teacher's pseudo-labels from that layer's hidden states. The sequence-level
+teacher's pseudo-labels from that layer's hidden states. The branches are
+trained together by `numeric.train_linear_heads`, one head per layer, the
+trainer whose one-head case is the teacher. The sequence-level
 entropy of branch k is the mean per-frame Shannon entropy of its softmax
 posterior; dataset-level per-layer means feed threshold calibration.
 """
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, HiddenStates, forward_all
-from .numeric import DTYPE, entropy, matmul64, new_rng, running_mean, sgd_step, softmax
+from .encoder import Encoder, HiddenStates, forward_all, hidden_state_cache
+from .numeric import DTYPE, entropy, matmul64, running_mean, softmax, train_linear_heads
 from .teacher import TeacherHead, pseudo_labels
 
 __all__ = [
@@ -99,23 +101,6 @@ def init_branches(num_layers: int, num_classes: int, model_dim: int) -> BranchSe
     )
 
 
-def cache_hidden_states(enc: Encoder, data: FrameDataset) -> np.ndarray:
-    """All layers for all sequences, shape (N, L, T, model_dim) float32.
-
-    The encoder is frozen, so caching one full pass per sample is exactly
-    equivalent to re-running the forward inside every minibatch.
-    """
-    cfg = enc.config
-    out = np.empty(
-        (data.num_sequences, cfg.num_layers, data.frames, cfg.model_dim), dtype=DTYPE
-    )
-    for i in range(data.num_sequences):
-        hs = forward_all(enc, data.inputs[i])
-        for k in range(cfg.num_layers):
-            out[i, k] = hs.layers[k]
-    return out
-
-
 def train_branches(
     enc: Encoder,
     head: TeacherHead,
@@ -125,7 +110,7 @@ def train_branches(
     steps: int,
     seed: int,
 ) -> BranchTrainResult:
-    """Train all branches jointly against pseudo-labels, one shared forward per minibatch.
+    """Train all branches jointly against pseudo-labels, one shared batch per step.
 
     Per layer the loss is the frame-averaged cross-entropy between the
     branch posterior and the teacher's argmax at the deepest layer,
@@ -133,44 +118,19 @@ def train_branches(
     """
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
-    cfg = enc.config
-    branches = init_branches(cfg.num_layers, head.num_classes, cfg.model_dim)
-    if steps == 0:
-        return BranchTrainResult(branches=branches, loss_rows=[])
-    cache = cache_hidden_states(enc, data)
+    num_layers = enc.config.num_layers
+    branches = init_branches(num_layers, head.num_classes, enc.config.model_dim)
+    cache = hidden_state_cache(enc, data.inputs, range(1, num_layers + 1))
     targets = np.empty((data.num_sequences, data.frames), dtype=np.int32)
     for i in range(data.num_sequences):
-        hs = HiddenStates(layers=tuple(cache[i]), total_layers=cfg.num_layers)
+        hs = HiddenStates(layers=tuple(cache[:, i]), total_layers=num_layers)
         targets[i] = pseudo_labels(head, hs)
-
-    rng = new_rng(seed)
-    weights = branches.weights
-    biases = branches.biases
-    num_layers = cfg.num_layers
-    loss_rows: list[tuple[int, int, float]] = []
-    for step in range(steps):
-        batch = rng.integers(0, data.num_sequences, size=batch_size)
-        # (L, rows, d) with rows = batch * frames; all layers share the batch.
-        feats = cache[batch].transpose(1, 0, 2, 3).reshape(num_layers, -1, cfg.model_dim)
-        y = targets[batch].reshape(-1)
-        rows = y.shape[0]
-        logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
-            np.float64
-        )
-        logits -= logits.max(axis=-1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        picked = probs[:, np.arange(rows), y]
-        layer_losses = -np.log(np.maximum(picked, 1e-300)).mean(axis=1)
-        dlogits = probs
-        dlogits[:, np.arange(rows), y] -= 1.0
-        dlogits /= rows
-        grad_w = matmul64(dlogits.transpose(0, 2, 1), feats)
-        grad_b = dlogits.sum(axis=1)
-        weights = sgd_step(weights, grad_w, lr)
-        biases = sgd_step(biases, grad_b, lr)
-        for k in range(num_layers):
-            loss_rows.append((step, k + 1, float(layer_losses[k])))
+    weights, biases, losses = train_linear_heads(
+        cache, targets, branches.weights, branches.biases, lr, steps, batch_size, seed
+    )
+    loss_rows = [
+        (step, k + 1, float(loss)) for step, row in enumerate(losses) for k, loss in enumerate(row)
+    ]
     return BranchTrainResult(
         branches=BranchSet(weights=weights, biases=biases), loss_rows=loss_rows
     )

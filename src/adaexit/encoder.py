@@ -26,6 +26,7 @@ __all__ = [
     "IncrementalForward",
     "init_encoder",
     "forward_all",
+    "hidden_state_cache",
     "parameter_digest",
 ]
 
@@ -280,3 +281,17 @@ def forward_all(enc: Encoder, frames: np.ndarray) -> HiddenStates:
     inc.hidden(enc.config.num_layers)
     return inc.states()
 
+
+
+def hidden_state_cache(enc: Encoder, inputs: np.ndarray, layers) -> np.ndarray:
+    """Layers `layers` (1-based) of every sequence, shape (len(layers), N, frames, model_dim).
+
+    One forward per sequence, up to the deepest layer asked for.
+    """
+    num_sequences, frames = inputs.shape[:2]
+    out = np.empty((len(layers), num_sequences, frames, enc.config.model_dim), dtype=DTYPE)
+    for i in range(num_sequences):
+        inc = IncrementalForward(enc, inputs[i])
+        for h, k in enumerate(layers):
+            out[h, i] = inc.hidden(k)
+    return out

@@ -4,6 +4,11 @@ Conventions: parameters and activations are stored as float32; reductions
 (dot products, normalization statistics, probability sums) run in float64
 so results are reproducible at desk scale. Probabilities and entropies
 are returned as float64. Entropy is measured in nats.
+
+Every head trains through `cross_entropy`, the one softmax cross-entropy
+and logit gradient, and the linear heads through `train_linear_heads`, the
+one minibatch-SGD loop: the teacher is its one-head call, the exit branches
+its one-head-per-layer call.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ DTYPE = np.float32
 __all__ = [
     "DTYPE",
     "softmax",
+    "cross_entropy",
+    "train_linear_heads",
     "entropy",
     "layer_norm",
     "sgd_step",
@@ -36,26 +43,67 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
 
 
-def _check_logits(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a stack of vectors, got ndim={x.ndim}")
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction over the last axis of any stack of rows.
+
+    Returns float64 probabilities that sum to 1 along the last axis.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    if x.ndim == 0:
+        raise ValueError("expected a vector or a stack of vectors, got a scalar")
     if x.shape[-1] == 0 or x.size == 0:
         raise ValueError("empty input")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
-    return x
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)  # in place: a fresh array per call costs more than the exp
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction. Accepts a vector or a 2-D stack of rows.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy over rows and its float64 logit gradient.
 
-    Returns float64 probabilities that sum to 1 along the last axis.
+    logits: (..., rows, C); labels: (rows,) class indices shared by every
+    leading index. Returns the loss, of the leading shape, and
+    (softmax - one_hot) / rows. A stack's gradient equals the single calls
+    bit for bit; its loss sums rows in order where one matrix sums them
+    pairwise, so the losses agree to rounding only.
     """
-    x = _check_logits(logits)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    probs = softmax(logits)
+    rows = probs.shape[-2]
+    idx = np.arange(rows)
+    loss = -np.log(np.maximum(probs[..., idx, labels], 1e-300)).mean(axis=-1)
+    probs[..., idx, labels] -= 1.0
+    probs /= rows
+    return loss, probs
+
+
+def train_linear_heads(
+    cache, labels, weights, biases, lr: float, steps: int, batch_size: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minibatch SGD on softmax cross-entropy for H linear heads over cached hidden states.
+
+    cache: (H, N, T, d) float32, head h reads cache[h]; labels: (N, T) shared
+    by every head; weights (H, C, d) and biases (H, C) are the starting
+    values. Every step draws one batch of sequences from `seed` for all
+    heads, so a head's weights do not depend on the heads trained with it.
+    Returns the final weights and biases and each step's loss, (steps, H).
+    """
+    heads, num_sequences, _, dim = cache.shape
+    rng = new_rng(seed)
+    losses = np.empty((steps, heads), dtype=np.float64)
+    for step in range(steps):
+        batch = rng.integers(0, num_sequences, size=batch_size)
+        # (H, rows, d) with rows = batch * frames.
+        feats = cache[:, batch].reshape(heads, -1, dim)
+        logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
+            np.float64
+        )
+        losses[step], dlogits = cross_entropy(logits, labels[batch].reshape(-1))
+        weights = sgd_step(weights, matmul64(dlogits.transpose(0, 2, 1), feats), lr)
+        biases = sgd_step(biases, dlogits.sum(axis=1), lr)
+    return weights, biases, losses
 
 
 def entropy(p: np.ndarray) -> float | np.ndarray:

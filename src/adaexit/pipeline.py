@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -89,6 +90,17 @@ __all__ = [
     "run_pipeline",
 ]
 
+# Scalar config fields: (names, test of a valid value, what a valid value is).
+_SCALAR_RULES = (
+    (("num_train", "num_eval", "teacher_batch", "branch_batch", "downstream_batch"),
+     lambda v: v >= 1, "positive"),
+    (("teacher_steps", "branch_steps", "downstream_steps"), lambda v: v >= 0, "nonnegative"),
+    (("teacher_lr", "branch_lr", "downstream_lr"), lambda v: 0.0 <= v < math.inf,
+     "finite and nonnegative"),
+    (("ratio", "sweep_ratio"), lambda v: 0.0 <= v <= 1.0, "in [0,1]"),
+    (("rate_cutoff",), lambda v: 0.0 < v < 1.0, "in (0,1)"),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -139,6 +151,16 @@ class RunConfig:
     noise_seed: int = 107
 
     def __post_init__(self):
+        for names, valid, what in _SCALAR_RULES:
+            for name in names:
+                if not valid(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {what}, got {getattr(self, name)}")
+        if self.frames > self.max_frames:
+            raise ConfigError(
+                f"frames must be at most max_frames ({self.max_frames}), got {self.frames}"
+            )
+        self.encoder_config()
+        self.dataset_spec()
         if len(self.mixture_fractions) != len(self.snr_levels) + 1:
             raise ConfigError(
                 "mixture needs one fraction for clean plus one per SNR level: "
@@ -151,14 +173,9 @@ class RunConfig:
         unknown = [s for s in self.strategies if s not in SPAN_KINDS]
         if unknown:
             raise ConfigError(f"strategies must be among {SPAN_KINDS}, got {unknown}")
-        for name in ("ratio", "sweep_ratio"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0,1], got {getattr(self, name)}")
         bad = [r for r in self.eval_ratios if not 0.0 <= r <= 1.0]
         if bad:
             raise ConfigError(f"eval_ratios must be in [0,1], got {bad}")
-        if not 0.0 < self.rate_cutoff < 1.0:
-            raise ConfigError(f"rate_cutoff must be in (0,1), got {self.rate_cutoff}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         self.mixture_spec()
@@ -280,9 +297,10 @@ def load_config(path: str | Path) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    for section, names in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        names = _SECTIONS[section]
         for key in parser.options(section):
             if key not in names:
                 raise ConfigError(f"unknown config key [{section}] {key}")

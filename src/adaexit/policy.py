@@ -63,7 +63,7 @@ class ExitPolicy:
     def __post_init__(self):
         if self.span_kind not in SPAN_KINDS:
             raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {self.span_kind!r}")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ConfigError(f"threshold must be nonnegative, got {self.threshold}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"ratio must be in [0,1], got {self.ratio}")

@@ -27,7 +27,7 @@ from .branches import BranchSet, entropy_from_hidden
 from .data import FrameDataset
 from .encoder import Encoder, HiddenStates, IncrementalForward
 from .errors import ConfigError
-from .numeric import DTYPE, layer_norm, matmul64, new_rng, sgd_step, softmax
+from .numeric import DTYPE, cross_entropy, layer_norm, matmul64, new_rng, sgd_step, softmax
 from .policy import (
     ExitPolicy,
     ExitTrace,
@@ -180,34 +180,22 @@ def _precompute_prefixes(
 def _loss_and_grads(head, feats64, labels, task):
     """Loss, feature gradient, and probe gradients for one sample.
 
-    feats64: (frames, dim) float64 features. Returns
+    feats64: (frames, dim) float64 features; the sequence task scores the
+    one row of frame-pooled features. Returns
     (loss, d_features, d_probe_weight, d_probe_bias).
     """
     frames = feats64.shape[0]
     w64 = head.probe_weight.astype(np.float64)
     if task == "frame":
         logits = feats64 @ w64.T + head.probe_bias.astype(np.float64)
-        probs = softmax(logits)
-        idx = np.arange(frames)
-        loss = float(-np.log(np.maximum(probs[idx, labels], 1e-300)).mean())
-        dlogits = probs
-        dlogits[idx, labels] -= 1.0
-        dlogits /= frames
-        d_pw = dlogits.T @ feats64
-        d_pb = dlogits.sum(axis=0)
-        d_feats = dlogits @ w64
-        return loss, d_feats, d_pw, d_pb
+        loss, dlogits = cross_entropy(logits, labels)
+        return float(loss), dlogits @ w64, dlogits.T @ feats64, dlogits.sum(axis=0)
     pooled = feats64.mean(axis=0)
     logits = w64 @ pooled + head.probe_bias.astype(np.float64)
-    probs = softmax(logits)
-    label = int(labels)
-    loss = float(-np.log(max(probs[label], 1e-300)))
-    dlogits = probs
-    dlogits[label] -= 1.0
-    d_pw = np.outer(dlogits, pooled)
-    d_pb = dlogits
+    loss, dlogits = cross_entropy(logits[None], np.array([int(labels)]))
+    dlogits = dlogits[0]
     d_feats = np.tile((dlogits @ w64) / frames, (frames, 1))
-    return loss, d_feats, d_pw, d_pb
+    return float(loss), d_feats, np.outer(dlogits, pooled), dlogits
 
 
 def _layer_weight_grad(head, prefix, d_feats, renormalize):

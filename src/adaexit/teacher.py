@@ -3,7 +3,8 @@
 The teacher is a linear head trained on ground-truth frame labels over the
 deepest hidden layer of the frozen encoder. Its argmax predictions become
 the pseudo-labels that the per-layer exit branches are trained against, so
-the branches never see ground truth directly.
+the branches never see ground truth directly. It trains as the one-head
+call of `numeric.train_linear_heads`, the branches' trainer.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, HiddenStates, forward_all
-from .numeric import DTYPE, new_rng, matmul64, sgd_step, softmax
+from .encoder import Encoder, HiddenStates, hidden_state_cache
+from .numeric import DTYPE, matmul64, new_rng, train_linear_heads
 
 __all__ = [
     "TeacherHead",
@@ -54,34 +55,6 @@ def init_teacher_head(num_classes: int, model_dim: int, seed: int) -> TeacherHea
     return TeacherHead(weight=weight, bias=np.zeros(num_classes, dtype=DTYPE))
 
 
-def final_layer_features(enc: Encoder, data: FrameDataset) -> np.ndarray:
-    """Deepest-layer hidden states for every sequence, shape (N, T, model_dim)."""
-    depth = enc.config.num_layers
-    feats = np.empty((data.num_sequences, data.frames, enc.config.model_dim), dtype=DTYPE)
-    for i in range(data.num_sequences):
-        feats[i] = forward_all(enc, data.inputs[i]).layer(depth)
-    return feats
-
-
-def _linear_ce_step(weight, bias, feats, labels, lr):
-    """One SGD step of softmax cross-entropy for a linear head.
-
-    feats: (rows, dim) float32, labels: (rows,) int. Returns the updated
-    (weight, bias) and the mean loss before the step.
-    """
-    rows = feats.shape[0]
-    logits = matmul64(feats, weight.T) + bias.astype(np.float64)
-    probs = softmax(logits)
-    idx = np.arange(rows)
-    loss = float(-np.log(np.maximum(probs[idx, labels], 1e-300)).mean())
-    dlogits = probs
-    dlogits[idx, labels] -= 1.0
-    dlogits /= rows
-    grad_w = matmul64(dlogits.T, feats)
-    grad_b = dlogits.sum(axis=0)
-    return sgd_step(weight, grad_w, lr), sgd_step(bias, grad_b, lr), loss
-
-
 def train_teacher(
     enc: Encoder,
     data: FrameDataset,
@@ -96,19 +69,13 @@ def train_teacher(
     if int(data.labels.max()) >= data.num_classes:
         raise ValueError("labels exceed num_classes")
     head = init_teacher_head(data.num_classes, enc.config.model_dim, seed)
-    if steps == 0:
-        return TeacherTrainResult(head=head, losses=[])
-    feats = final_layer_features(enc, data)
-    rng = new_rng(seed)
-    weight, bias = head.weight, head.bias
-    losses: list[float] = []
-    for _ in range(steps):
-        batch = rng.integers(0, data.num_sequences, size=batch_size)
-        x = feats[batch].reshape(-1, enc.config.model_dim)
-        y = data.labels[batch].reshape(-1)
-        weight, bias, loss = _linear_ce_step(weight, bias, x, y, lr)
-        losses.append(loss)
-    return TeacherTrainResult(head=TeacherHead(weight=weight, bias=bias), losses=losses)
+    cache = hidden_state_cache(enc, data.inputs, (enc.config.num_layers,))
+    weights, biases, losses = train_linear_heads(
+        cache, data.labels, head.weight[None], head.bias[None], lr, steps, batch_size, seed
+    )
+    return TeacherTrainResult(
+        head=TeacherHead(weight=weights[0], bias=biases[0]), losses=losses[:, 0].tolist()
+    )
 
 
 def teacher_logits(head: TeacherHead, hidden: np.ndarray) -> np.ndarray:

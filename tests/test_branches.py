@@ -111,6 +111,12 @@ class TestTraining:
                 denom = max(abs(fd), 1e-8)
                 assert abs(analytic[c, j] - fd) / denom < 1e-4
 
+    def test_empty_batch_rejected(self, small_encoder, teacher, small_dataset):
+        with pytest.raises(ValueError):
+            train_branches(
+                small_encoder, teacher, small_dataset, lr=0.05, batch_size=0, steps=5, seed=6
+            )
+
     def test_frozen_contract(self, small_encoder, teacher, small_dataset):
         enc_before = parameter_digest(small_encoder)
         teacher_before = (teacher.weight.copy(), teacher.bias.copy())

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adaexit.numeric import (
+    cross_entropy,
     entropy,
     layer_norm,
     new_rng,
     sgd_step,
     softmax,
+    train_linear_heads,
 )
-from adaexit.probe import DownstreamHead, _loss_and_grads
 
 finite_vectors = arrays(
     np.float64,
@@ -48,6 +49,17 @@ class TestSoftmax:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             softmax([1.0, np.inf])
+
+    def test_stack_equals_rows_bitwise(self, rng):
+        x = rng.standard_normal((2, 3, 6)) * 10.0
+        out = softmax(x)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], softmax(x[i, j]))
+
+    def test_rejects_scalar(self):
+        with pytest.raises(ValueError):
+            softmax(1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(finite_vectors)
@@ -117,18 +129,9 @@ class TestLayerNorm:
 
 
 def probe_loss(logits, target):
-    """Loss and logit gradient of the downstream probe's sequence-task cross-entropy.
-
-    A zero probe weight makes the probe's logits equal its bias.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    head = DownstreamHead(
-        layer_weights=np.zeros(1, dtype=np.float32),
-        probe_weight=np.zeros((logits.size, 1), dtype=np.float32),
-        probe_bias=logits,
-    )
-    loss, _, _, d_logits = _loss_and_grads(head, np.zeros((1, 1)), target, "sequence")
-    return loss, d_logits
+    """Loss and logit gradient of one row of logits against one target."""
+    loss, d_logits = cross_entropy(np.asarray(logits, dtype=np.float64)[None], [target])
+    return float(loss), d_logits[0]
 
 
 class TestCrossEntropy:
@@ -160,6 +163,103 @@ class TestCrossEntropy:
             )
             denom = max(abs(fd), 1e-8)
             assert abs(grad[i] - fd) / denom < 1e-4
+
+    def test_mean_over_rows(self, rng):
+        x = rng.standard_normal((6, 5))
+        labels = np.array([0, 4, 2, 2, 1, 3])
+        loss, grad = cross_entropy(x, labels)
+        rows = [probe_loss(x[r], labels[r]) for r in range(6)]
+        assert float(loss) == pytest.approx(np.mean([r[0] for r in rows]), abs=1e-12)
+        assert np.allclose(grad, np.stack([r[1] for r in rows]) / 6, atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [7, 40])
+    def test_stack_equals_single_calls(self, rng, rows):
+        x = rng.standard_normal((3, rows, 5)) * 4.0
+        labels = rng.integers(0, 5, size=rows)
+        loss, grad = cross_entropy(x, labels)
+        assert loss.shape == (3,) and grad.shape == x.shape
+        for h in range(3):
+            single_loss, single_grad = cross_entropy(x[h], labels)
+            assert np.array_equal(grad[h], single_grad)
+            # The stacked mean sums the rows in order, a single call pairwise.
+            assert loss[h] == pytest.approx(float(single_loss), rel=1e-14)
+
+    def test_does_not_modify_input(self, rng):
+        x = rng.standard_normal((4, 3))
+        before = x.copy()
+        cross_entropy(x, np.array([0, 1, 2, 0]))
+        assert np.array_equal(x, before)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError):
+            cross_entropy(np.zeros((2, 0, 3)), np.zeros(0, dtype=np.int64))
+
+
+class TestTrainLinearHeads:
+    HEADS, N, T, DIM, C = 3, 10, 6, 5, 4
+
+    def _problem(self, rng):
+        cache = rng.standard_normal((self.HEADS, self.N, self.T, self.DIM)).astype(np.float32)
+        labels = rng.integers(0, self.C, size=(self.N, self.T)).astype(np.int32)
+        weights = (rng.standard_normal((self.HEADS, self.C, self.DIM)) * 0.1).astype(np.float32)
+        biases = np.zeros((self.HEADS, self.C), dtype=np.float32)
+        return cache, labels, weights, biases
+
+    def test_joint_heads_equal_heads_trained_alone_bitwise(self, rng):
+        cache, labels, weights, biases = self._problem(rng)
+        joint_w, joint_b, joint_loss = train_linear_heads(
+            cache, labels, weights, biases, lr=0.5, steps=30, batch_size=3, seed=7
+        )
+        assert joint_loss.shape == (30, self.HEADS)
+        for h in range(self.HEADS):
+            w, b, loss = train_linear_heads(
+                cache[h : h + 1], labels, weights[h : h + 1], biases[h : h + 1],
+                lr=0.5, steps=30, batch_size=3, seed=7,
+            )
+            assert np.array_equal(w[0], joint_w[h])
+            assert np.array_equal(b[0], joint_b[h])
+            # Only the reported loss may differ, in the summation order of its mean.
+            assert np.allclose(loss[:, 0], joint_loss[:, h], rtol=1e-14, atol=0.0)
+
+    def test_step_matches_hand_written_gradient(self, rng):
+        cache, labels, weights, biases = self._problem(rng)
+        w, b, loss = train_linear_heads(
+            cache[:1], labels, weights[:1], biases[:1], lr=0.5, steps=1, batch_size=4, seed=7
+        )
+        batch = new_rng(7).integers(0, self.N, size=4)
+        x = cache[0, batch].reshape(-1, self.DIM).astype(np.float64)
+        y = labels[batch].reshape(-1)
+        probs = softmax(x @ weights[0].T.astype(np.float64))
+        onehot = np.eye(self.C)[y]
+        expect_loss = -np.log(probs[np.arange(y.size), y]).mean()
+        grad = (probs - onehot) / y.size
+        assert loss[0, 0] == pytest.approx(expect_loss, abs=1e-12)
+        assert np.allclose(w[0], weights[0] - 0.5 * grad.T @ x, atol=1e-6)
+        assert np.allclose(b[0], -0.5 * grad.sum(axis=0), atol=1e-6)
+
+    def test_loss_decreases(self, rng):
+        cache, labels, weights, biases = self._problem(rng)
+        # Make the labels a linear function of head 0's features.
+        labels = cache[0, :, :, : self.C].argmax(axis=-1).astype(np.int32)
+        _, _, loss = train_linear_heads(
+            cache[:1], labels, weights[:1], biases[:1], lr=0.5, steps=200, batch_size=4, seed=7
+        )
+        assert loss[-20:, 0].mean() < loss[:20, 0].mean()
+
+    def test_zero_steps_returns_start(self, rng):
+        cache, labels, weights, biases = self._problem(rng)
+        w, b, loss = train_linear_heads(
+            cache, labels, weights, biases, lr=0.5, steps=0, batch_size=3, seed=7
+        )
+        assert np.array_equal(w, weights) and np.array_equal(b, biases)
+        assert loss.shape == (0, self.HEADS)
+
+    def test_empty_batch_rejected(self, rng):
+        cache, labels, weights, biases = self._problem(rng)
+        with pytest.raises(ValueError, match="empty input"):
+            train_linear_heads(
+                cache, labels, weights, biases, lr=0.5, steps=5, batch_size=0, seed=7
+            )
 
 
 class TestSgdStep:

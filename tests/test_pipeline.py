@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,25 @@ def tiny_run(tiny_cfg, tmp_path_factory):
     return tiny_cfg, run_pipeline(tiny_cfg, root / "run")
 
 
+def _assert_rejected(tmp_path, capsys, key, raw, value, pattern):
+    """A bad value fails by name in the constructor, overrides, INI file and CLI."""
+    section, _, name = key.partition(".")
+    with pytest.raises(ConfigError, match=pattern):
+        replace(default_config(), **{name: value})
+    with pytest.raises(ConfigError, match=pattern):
+        apply_overrides(default_config(), {key: raw})
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{name} = {raw}\n")
+    with pytest.raises(ConfigError, match=pattern):
+        load_config(path)
+    code = main(["synth", "--artifacts", str(tmp_path / "run"), "--set", f"{key}={raw}"])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert re.search(pattern, record["message"])
+    assert not (tmp_path / "run").exists()
+
+
 class TestConfig:
     def test_ini_round_trip(self, tmp_path):
         cfg = default_config()
@@ -113,24 +133,36 @@ class TestConfig:
              "mixture fractions"),
             ("eval.mixture_fractions", "0.4,0.3,0.2,nan", (0.4, 0.3, 0.2, float("nan")),
              "mixture fractions"),
+            ("data.num_train", "0", 0, "num_train"),
+            ("data.num_eval", "0", 0, "num_eval"),
+            ("data.frames", "65", 65, "frames"),
+            ("data.context_window", "4", 4, "context_window"),
+            ("data.data_seed", "-1", -1, "seed"),
+            ("encoder.encoder_seed", "-1", -1, "seed"),
+            ("encoder.ffn_dim", "0", 0, "ffn_dim"),
+            ("teacher.teacher_batch", "0", 0, "teacher_batch"),
+            ("branches.branch_batch", "0", 0, "branch_batch"),
+            ("downstream.downstream_batch", "-3", -3, "downstream_batch"),
+            ("teacher.teacher_steps", "-1", -1, "teacher_steps"),
+            ("branches.branch_steps", "-1", -1, "branch_steps"),
+            ("downstream.downstream_steps", "-1", -1, "downstream_steps"),
+            ("teacher.teacher_lr", "-0.5", -0.5, "teacher_lr"),
+            ("branches.branch_lr", "nan", float("nan"), "branch_lr"),
+            ("downstream.downstream_lr", "inf", float("inf"), "downstream_lr"),
         ],
     )
     def test_bad_eval_values_rejected_by_name(self, tmp_path, capsys, key, raw, value, field):
-        section, _, name = key.partition(".")
-        with pytest.raises(ConfigError, match=f"^{field} must"):
-            replace(default_config(), **{name: value})
-        with pytest.raises(ConfigError, match=f"^{field} must"):
-            apply_overrides(default_config(), {key: raw})
-        path = tmp_path / "bad.ini"
-        path.write_text(f"[{section}]\n{name} = {raw}\n")
-        with pytest.raises(ConfigError, match=f"^{field} must"):
+        _assert_rejected(tmp_path, capsys, key, raw, value, f"^{field} must")
+
+    def test_encoder_shape_rejected_up_front(self, tmp_path, capsys):
+        # Used to pass the config check and fail in train-teacher, after synth.
+        _assert_rejected(tmp_path, capsys, "encoder.num_heads", "3", 3, "num_heads 3")
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text("[dta]\nnum_train = 10\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[dta\]"):
             load_config(path)
-        code = main(["synth", "--artifacts", str(tmp_path / "run"), "--set", f"{key}={raw}"])
-        assert code == 1
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == "ConfigError"
-        assert record["message"].startswith(f"{field} must")
-        assert not (tmp_path / "run").exists()
 
     def test_edge_ratios_accepted(self):
         cfg = apply_overrides(

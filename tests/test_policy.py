@@ -351,3 +351,12 @@ class TestPolicyFile:
         path.write_text("threshold = 1.0\n")
         with pytest.raises(FormatError):
             load_policy(path)
+
+    def test_nan_threshold_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="^threshold must"):
+            ExitPolicy(threshold=float("nan"), ratio=0.7, num_layers=8)
+        path = tmp_path / "policy.txt"
+        save_policy(ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8), path)
+        path.write_text(path.read_text().replace("threshold = 1.25", "threshold = nan"))
+        with pytest.raises(ConfigError, match="^threshold must"):
+            load_policy(path)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from adaexit.data import FrameDataset
-from adaexit.encoder import forward_all, parameter_digest
+from adaexit.encoder import forward_all, hidden_state_cache, parameter_digest
 from adaexit.teacher import (
-    final_layer_features,
     init_teacher_head,
     pseudo_labels,
     teacher_logits,
@@ -56,7 +55,10 @@ class TestTrainTeacher:
         protos[1, 0] = -10.0
         data = FrameDataset(inputs=protos[labels], labels=labels, num_classes=2)
 
-        feats = final_layer_features(small_encoder, data).reshape(-1, SMALL_ENCODER.model_dim)
+        final = (SMALL_ENCODER.num_layers,)
+        feats = hidden_state_cache(small_encoder, data.inputs, final).reshape(
+            -1, SMALL_ENCODER.model_dim
+        )
         flat = data.labels.reshape(-1)
         targets = np.where(flat == 0, 1.0, -1.0)
         coef, *_ = np.linalg.lstsq(
