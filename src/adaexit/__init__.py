@@ -20,7 +20,6 @@ from .data import (
 from .encoder import (
     Encoder,
     EncoderConfig,
-    HiddenStates,
     forward_all,
     init_encoder,
     parameter_digest,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, HiddenStates, forward_all, hidden_state_cache
+from .encoder import Encoder, forward_all, hidden_state_cache
 from .numeric import DTYPE, entropy, matmul64, running_mean, softmax, train_linear_heads
 from .teacher import TeacherHead, pseudo_labels
 
@@ -81,10 +81,10 @@ class EntropyProfile:
     @classmethod
     def from_layer_means(cls, means, num_samples: int) -> "EntropyProfile":
         means = tuple(float(m) for m in means)
-        return cls(
+        return cls(  # __post_init__ refuses an empty profile by name
             layer_means=means,
-            max_mean=max(means),
-            min_mean=min(means),
+            max_mean=max(means, default=0.0),
+            min_mean=min(means, default=0.0),
             num_samples=num_samples,
         )
 
@@ -121,10 +121,7 @@ def train_branches(
     num_layers = enc.config.num_layers
     branches = init_branches(num_layers, head.num_classes, enc.config.model_dim)
     cache = hidden_state_cache(enc, data.inputs, range(1, num_layers + 1))
-    targets = np.empty((data.num_sequences, data.frames), dtype=np.int32)
-    for i in range(data.num_sequences):
-        hs = HiddenStates(layers=tuple(cache[:, i]), total_layers=num_layers)
-        targets[i] = pseudo_labels(head, hs)
+    targets = pseudo_labels(head, cache[-1])
     weights, biases, losses = train_linear_heads(
         cache, targets, branches.weights, branches.biases, lr, steps, batch_size, seed
     )
@@ -151,15 +148,17 @@ def entropy_from_hidden(branches: BranchSet, hidden: np.ndarray, layer: int) -> 
     return running_mean(entropy(probs))
 
 
-def branch_entropy(branches: BranchSet, hs: HiddenStates, layer: int) -> float:
-    """Sequence-level entropy of branch `layer`; the layer must have been computed."""
-    return entropy_from_hidden(branches, hs.layer(layer), layer)
+def branch_entropy(branches: BranchSet, states: np.ndarray, layer: int) -> float:
+    """Sequence-level entropy of branch `layer` over a sample's computed layers."""
+    if not 1 <= layer <= len(states):
+        raise ValueError(f"layer {layer} not computed (have 1..{len(states)})")
+    return entropy_from_hidden(branches, states[layer - 1], layer)
 
 
-def sample_entropies(branches: BranchSet, hs: HiddenStates) -> np.ndarray:
-    """Entropies of every computed layer for one sample, shape (layers_computed,)."""
+def sample_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
+    """Entropies of every computed layer for one sample, shape (len(states),)."""
     return np.array(
-        [branch_entropy(branches, hs, k) for k in range(1, hs.layers_computed + 1)],
+        [branch_entropy(branches, states, k) for k in range(1, len(states) + 1)],
         dtype=np.float64,
     )
 

@@ -109,7 +109,7 @@ def _profile_entropy(cfg, paths, split: str) -> None:
 
     source = "train_data" if split == "train" else "eval_data"
     data = load_dataset(_require(paths, source, "profile-entropy"))
-    ck = _loaded_pipeline(paths, "profile-entropy")
+    ck = _loaded_pipeline(cfg, paths, "profile-entropy")
     profile = entropy_profile(ck.encoder, ck.branches, data)
     target = paths.profile_train if split == "train" else paths.profile_heldout
     _write_profile(target, profile)

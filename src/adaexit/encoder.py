@@ -4,9 +4,10 @@ The stack is pre-norm (self-attention and feed-forward sublayers with
 residuals), bidirectional attention, sinusoidal positions, and an input
 projection. Parameters are drawn deterministically from a seed and never
 trained; the lazy forward mode computes blocks one at a time so an exit
-decision can stop the pass early. The early-exit correctness core is the
-prefix property: stopping at layer k yields hidden states bit-identical to
-the first k layers of the full pass.
+decision can stop the pass early. A sample's computed layers are one
+float32 (layers, frames, model_dim) array whose row k-1 is layer k. The
+early-exit correctness core is the prefix property: stopping at layer k
+yields hidden states bit-identical to the first k rows of the full pass.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numeric import DTYPE, matmul64, new_rng
+from .numeric import DTYPE, layer_norm64, matmul64, new_rng
 
 __all__ = [
     "EncoderConfig",
     "BlockParams",
     "Encoder",
-    "HiddenStates",
     "IncrementalForward",
     "init_encoder",
     "forward_all",
@@ -108,33 +108,6 @@ class Encoder:
         return arrays
 
 
-@dataclass(frozen=True)
-class HiddenStates:
-    """Per-layer (frames, model_dim) hidden matrices for one sample.
-
-    layers[k-1] holds layer k; a truncated pass stores only the computed prefix.
-    """
-
-    layers: tuple[np.ndarray, ...]
-    total_layers: int
-
-    @property
-    def layers_computed(self) -> int:
-        return len(self.layers)
-
-    @property
-    def frames(self) -> int:
-        return self.layers[0].shape[0]
-
-    def layer(self, k: int) -> np.ndarray:
-        """Hidden matrix of layer k (1-based)."""
-        if not 1 <= k <= self.layers_computed:
-            raise ValueError(
-                f"layer {k} not computed (have 1..{self.layers_computed} of {self.total_layers})"
-            )
-        return self.layers[k - 1]
-
-
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return (rng.standard_normal((fan_out, fan_in)) * std).astype(DTYPE)
@@ -199,12 +172,6 @@ def parameter_digest(enc: Encoder) -> str:
     return h.hexdigest()
 
 
-def _norm_rows64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    return (x64 - mean) / np.sqrt(var + eps) * gain.astype(np.float64) + bias.astype(np.float64)
-
-
 def _attention(a: np.ndarray, block: BlockParams, num_heads: int) -> np.ndarray:
     frames, d = a.shape
     head_dim = d // num_heads
@@ -247,40 +214,38 @@ class IncrementalForward:
         embedded = matmul64(x, enc.input_weight.T) + enc.input_bias.astype(np.float64)
         embedded += enc.positional[:t].astype(np.float64)
         self._stream = embedded.astype(DTYPE)
-        self._layers: list[np.ndarray] = []
-
-    @property
-    def layers_done(self) -> int:
-        return len(self._layers)
+        self._states = np.empty((cfg.num_layers, t, cfg.model_dim), dtype=DTYPE)
+        self.layers_done = 0
 
     def hidden(self, k: int) -> np.ndarray:
-        """Advance to layer k (1-based) if needed and return its hidden matrix."""
+        """Advance to layer k (1-based) if needed and return its hidden matrix, row k-1."""
         cfg = self.enc.config
         if not 1 <= k <= cfg.num_layers:
             raise ValueError(f"layer {k} out of range 1..{cfg.num_layers}")
         while self.layers_done < k:
             block = self.enc.blocks[self.layers_done]
             h64 = self._stream.astype(np.float64)
-            attn_in = _norm_rows64(h64, block.attn_norm_gain, block.attn_norm_bias)
+            attn_in = layer_norm64(h64, block.attn_norm_gain, block.attn_norm_bias)
             h64 = h64 + _attention(attn_in, block, cfg.num_heads)
-            ffn_in = _norm_rows64(h64, block.ffn_norm_gain, block.ffn_norm_bias)
+            ffn_in = layer_norm64(h64, block.ffn_norm_gain, block.ffn_norm_bias)
             hid = matmul64(ffn_in, block.ffn_in_weight.T) + block.ffn_in_bias.astype(np.float64)
             np.maximum(hid, 0.0, out=hid)
             h64 = h64 + matmul64(hid, block.ffn_out_weight.T) + block.ffn_out_bias.astype(np.float64)
-            self._stream = h64.astype(DTYPE)
-            self._layers.append(self._stream)
-        return self._layers[k - 1]
+            self._states[self.layers_done] = h64
+            self._stream = self._states[self.layers_done]
+            self.layers_done += 1
+        return self._states[k - 1]
 
-    def states(self) -> HiddenStates:
-        return HiddenStates(layers=tuple(self._layers), total_layers=self.enc.config.num_layers)
+    def states(self) -> np.ndarray:
+        """The computed prefix, (layers_done, frames, model_dim); a view, not a copy."""
+        return self._states[: self.layers_done]
 
 
-def forward_all(enc: Encoder, frames: np.ndarray) -> HiddenStates:
-    """Full pass: hidden states for every layer."""
+def forward_all(enc: Encoder, frames: np.ndarray) -> np.ndarray:
+    """Full pass: every layer's hidden matrix, (num_layers, frames, model_dim)."""
     inc = IncrementalForward(enc, frames)
     inc.hidden(enc.config.num_layers)
     return inc.states()
-
 
 
 def hidden_state_cache(enc: Encoder, inputs: np.ndarray, layers) -> np.ndarray:

@@ -24,6 +24,7 @@ __all__ = [
     "train_linear_heads",
     "entropy",
     "layer_norm",
+    "layer_norm64",
     "sgd_step",
     "new_rng",
     "matmul64",
@@ -66,14 +67,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
     logits: (..., rows, C); labels: (rows,) class indices shared by every
     leading index. Returns the loss, of the leading shape, and
-    (softmax - one_hot) / rows. A stack's gradient equals the single calls
-    bit for bit; its loss sums rows in order where one matrix sums them
-    pairwise, so the losses agree to rounding only.
+    (softmax - one_hot) / rows. A stack's loss and gradient equal the
+    single calls bit for bit.
     """
     probs = softmax(logits)
     rows = probs.shape[-2]
     idx = np.arange(rows)
-    loss = -np.log(np.maximum(probs[..., idx, labels], 1e-300)).mean(axis=-1)
+    # Row-major picks, so every head's mean sums its rows in one order.
+    picked = np.ascontiguousarray(probs[..., idx, labels])
+    loss = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
     probs[..., idx, labels] -= 1.0
     probs /= rows
     return loss, probs
@@ -130,6 +132,13 @@ def entropy(p: np.ndarray) -> float | np.ndarray:
     return float(h) if q.ndim == 1 else h
 
 
+def layer_norm64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Unvalidated float64 core of `layer_norm`; the encoder's blocks call it directly."""
+    mean = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    return (x64 - mean) / np.sqrt(var + eps) * gain.astype(np.float64) + bias.astype(np.float64)
+
+
 def layer_norm(
     v: np.ndarray,
     gain: np.ndarray | None = None,
@@ -138,21 +147,17 @@ def layer_norm(
 ) -> np.ndarray:
     """Normalize each row to zero mean / unit variance, then scale and shift.
 
-    Accepts a vector or a 2-D stack of rows; gain and bias default to ones
-    and zeros. Statistics are computed in float64; the result is float32.
+    Accepts any stack of rows; gain and bias default to ones and zeros.
+    Statistics are computed in float64; the result is float32.
     """
     x = np.asarray(v)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a stack of vectors, got ndim={x.ndim}")
+    if x.ndim == 0:
+        raise ValueError("expected a vector or a stack of vectors, got a scalar")
     if x.shape[-1] == 0 or x.size == 0:
         raise ValueError("empty input")
     width = x.shape[-1]
-    if gain is None:
-        gain = np.ones(width, dtype=DTYPE)
-    if bias is None:
-        bias = np.zeros(width, dtype=DTYPE)
-    gain = np.asarray(gain)
-    bias = np.asarray(bias)
+    gain = np.ones(width, dtype=DTYPE) if gain is None else np.asarray(gain)
+    bias = np.zeros(width, dtype=DTYPE) if bias is None else np.asarray(bias)
     if gain.shape != (width,) or bias.shape != (width,):
         raise ValueError(
             f"gain/bias length mismatch: input width {width}, "
@@ -160,12 +165,7 @@ def layer_norm(
         )
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    x64 = x.astype(np.float64)
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    normed = (x64 - mean) / np.sqrt(var + eps)
-    out = normed * gain.astype(np.float64) + bias.astype(np.float64)
-    return out.astype(DTYPE)
+    return layer_norm64(x.astype(np.float64), gain, bias, eps).astype(DTYPE)
 
 
 def running_mean(values) -> float:

@@ -42,7 +42,7 @@ from .data import (
     synth_dataset,
 )
 from .encoder import EncoderConfig, init_encoder
-from .errors import ConfigError, DependencyError
+from .errors import ConfigError, DependencyError, FormatError
 from .policy import (
     SPAN_KINDS,
     ExitPolicy,
@@ -453,8 +453,13 @@ def _write_profile(path: Path, profile) -> None:
     )
 
 
-def _loaded_pipeline(paths: ArtifactPaths, stage: str):
-    ck = load_checkpoint(_require(paths, "checkpoint", stage))
+def _loaded_pipeline(cfg: RunConfig, paths: ArtifactPaths, stage: str):
+    path = _require(paths, "checkpoint", stage)
+    ck = load_checkpoint(path)
+    if ck.encoder.config != cfg.encoder_config():
+        raise DependencyError(
+            f"{path.name} holds {ck.encoder.config}, the config asks for {cfg.encoder_config()}"
+        )
     if ck.branches is None:
         raise DependencyError(f"stage {stage!r} needs trained branches; run 'train-branches'")
     return ck
@@ -463,7 +468,7 @@ def _loaded_pipeline(paths: ArtifactPaths, stage: str):
 def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
     """Profile the training split and fix the threshold at the configured ratio."""
     train = load_dataset(_require(paths, "train_data", "calibrate"))
-    ck = _loaded_pipeline(paths, "calibrate")
+    ck = _loaded_pipeline(cfg, paths, "calibrate")
     profile = entropy_profile(ck.encoder, ck.branches, train)
     _write_profile(paths.profile_train, profile)
     policy = calibrate(profile, cfg.ratio)
@@ -473,7 +478,7 @@ def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
 
 def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     train = load_dataset(_require(paths, "train_data", "train-downstream"))
-    ck = _loaded_pipeline(paths, "train-downstream")
+    ck = _loaded_pipeline(cfg, paths, "train-downstream")
     policy = load_policy(_require(paths, "policy_file", "train-downstream"))
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
@@ -512,15 +517,57 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     )
 
 
-def load_span_stats(paths: ArtifactPaths, stage: str) -> SpanStats:
-    raw = json.loads(_require(paths, "span_stats", stage).read_text())
+def _unit_rates(rates, num_layers: int) -> bool:
+    x = np.asarray(rates, dtype=np.float64)  # NaN fails >= 0, inf fails the sum
+    return x.shape == (num_layers,) and (x >= 0).all() and abs(x.sum() - 1.0) <= 1e-9
+
+
+# span_stats.json fields in check order: (name, test of record s for n layers, valid value).
+# type(v) is int refuses JSON's true and 2.0 as layer indices.
+_SPAN_STATS_RULES = (
+    ("exit_rates", lambda s, n: _unit_rates(s["exit_rates"], n),
+     "one finite, nonnegative rate per layer, summing to 1 within 1e-9"),
+    ("min_exit", lambda s, n: type(s["min_exit"]) is int and s["min_exit"] >= 1, "an integer >= 1"),
+    ("max_exit", lambda s, n: type(s["max_exit"]) is int and s["min_exit"] <= s["max_exit"] <= n,
+     "an integer in [min_exit, num_layers]"),
+    ("mean_exit", lambda s, n: type(s["mean_exit"]) in (int, float)
+     and s["min_exit"] <= s["mean_exit"] <= s["max_exit"], "a number in [min_exit, max_exit]"),
+    ("num_traces", lambda s, n: type(s["num_traces"]) is int and s["num_traces"] >= 1,
+     "an integer >= 1"),
+)
+
+
+def load_span_stats(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> SpanStats:
+    """The span statistics 'train-downstream' wrote, checked field by field for this run."""
+    path = _require(paths, "span_stats", stage)
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path.name}: not JSON ({err})") from err
+    names = {f.name for f in fields(SpanStats)}
+    keys = set(raw) if isinstance(raw, dict) else set()
+    if keys != names:
+        raise FormatError(
+            f"{path.name}: missing keys {sorted(names - keys)}, unknown keys {sorted(keys - names)}"
+        )
+    for name, valid, what in _SPAN_STATS_RULES:
+        try:
+            ok = valid(raw, cfg.num_layers)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise FormatError(f"{path.name}: {name} must be {what}, got {raw[name]!r}")
     return SpanStats(**{**raw, "exit_rates": tuple(raw["exit_rates"])})
 
 
 def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyProfile:
     """The training profile 'calibrate' wrote; its repr floats read back bit-exact."""
-    lines = _require(paths, "profile_train", stage).read_text().splitlines()
-    means = [float(line.split(",")[1]) for line in lines[1:] if line]
+    path = _require(paths, "profile_train", stage)
+    means = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:] if line]
+    if len(means) != cfg.num_layers:
+        raise DependencyError(
+            f"{path.name} has {len(means)} layers, the config has {cfg.num_layers}"
+        )
     return EntropyProfile.from_layer_means(means, cfg.num_train)
 
 
@@ -537,10 +584,10 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     is replayed over one per-layer table of the held-out split.
     """
     heldout = load_dataset(_require(paths, "eval_data", "eval"))
-    ck = _loaded_pipeline(paths, "eval")
+    ck = _loaded_pipeline(cfg, paths, "eval")
     profile = _read_profile(cfg, paths, "eval")
     _require_head(ck, "eval")
-    stats = load_span_stats(paths, "eval")
+    stats = load_span_stats(cfg, paths, "eval")
     table = build_layer_table(
         ck.encoder, ck.branches, heldout, ck.downstream, cfg.task, cfg.renormalize
     )
@@ -588,7 +635,7 @@ def noise_sweep(
     to its exit are computed.
     """
     heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
-    ck = _loaded_pipeline(paths, "noise-sweep")
+    ck = _loaded_pipeline(cfg, paths, "noise-sweep")
     profile = _read_profile(cfg, paths, "noise-sweep")
     levels = cfg.snr_levels if snr_levels is None else snr_levels
     specs = [
@@ -640,10 +687,10 @@ def compare_static(
     per-layer table of the mixture.
     """
     heldout = load_dataset(_require(paths, "eval_data", "compare-static"))
-    ck = _loaded_pipeline(paths, "compare-static")
+    ck = _loaded_pipeline(cfg, paths, "compare-static")
     profile = _read_profile(cfg, paths, "compare-static")
     _require_head(ck, "compare-static")
-    stats = load_span_stats(paths, "compare-static")
+    stats = load_span_stats(cfg, paths, "compare-static")
     layer = cfg.static_layer if static_layer is None else static_layer
     if not 1 <= layer <= cfg.num_layers:
         raise ValueError(f"static layer {layer} out of range 1..{cfg.num_layers}")

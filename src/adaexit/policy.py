@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .branches import BranchSet, EntropyProfile, entropy_from_hidden
-from .encoder import Encoder, HiddenStates, IncrementalForward
+from .encoder import Encoder, IncrementalForward
 from .errors import ConfigError, FormatError
 
 __all__ = [
@@ -175,12 +175,13 @@ def run_exit(
     policy: ExitPolicy,
     frames: np.ndarray,
     sample_id: int = 0,
-) -> tuple[HiddenStates, ExitTrace]:
+) -> tuple[np.ndarray, ExitTrace]:
     """Forward one sample lazily, deciding the exit from branch entropies.
 
     Layers below the first allowed layer are computed (the stream must pass
     through them) but their branches are never evaluated; no layer beyond
-    the exit is computed at all.
+    the exit is computed at all. Returns the computed layers,
+    (exit_layer, frames, model_dim), and the trace.
     """
     if policy.num_layers != enc.config.num_layers:
         raise ConfigError(

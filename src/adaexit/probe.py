@@ -1,7 +1,9 @@
 """Downstream classifier over early-exited features, and the per-layer table.
 
 Features are a learned softmax-weighted sum of the layer-normalized hidden
-layers up to the exit. Exits stay active while the head
+layers up to the exit. A sample's computed layers are one (layers, frames,
+model_dim) array, and `normalize_prefix` normalizes its first k rows in one
+`numeric.layer_norm` call. Exits stay active while the head
 trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
 once. Evaluation reports accuracy alongside exit depth and compute-saved
@@ -25,7 +27,7 @@ import numpy as np
 
 from .branches import BranchSet, entropy_from_hidden
 from .data import FrameDataset
-from .encoder import Encoder, HiddenStates, IncrementalForward
+from .encoder import Encoder, IncrementalForward
 from .errors import ConfigError
 from .numeric import DTYPE, cross_entropy, layer_norm, matmul64, new_rng, sgd_step, softmax
 from .policy import (
@@ -121,16 +123,14 @@ def init_downstream_head(
     )
 
 
-def normalize_prefix(hs: HiddenStates, exit_layer: int) -> np.ndarray:
-    """Layer-normalize every frame vector of layers 1..exit_layer independently.
+def normalize_prefix(states: np.ndarray, exit_layer: int) -> np.ndarray:
+    """Layer-normalize every frame vector of a sample's layers 1..exit_layer, in one call.
 
-    Returns the normalized layers stacked as (exit_layer, frames, model_dim).
+    Returns the normalized layers as (exit_layer, frames, model_dim).
     """
-    if not 1 <= exit_layer <= hs.layers_computed:
-        raise ValueError(
-            f"exit layer {exit_layer} exceeds computed layers ({hs.layers_computed})"
-        )
-    return np.stack([layer_norm(hs.layer(k)) for k in range(1, exit_layer + 1)])
+    if not 1 <= exit_layer <= len(states):
+        raise ValueError(f"exit layer {exit_layer} not computed (have 1..{len(states)})")
+    return layer_norm(states[:exit_layer])
 
 
 def prefix_weights(head: DownstreamHead, length: int, renormalize: bool = True) -> np.ndarray:
@@ -160,21 +160,6 @@ def weighted_features(
 
 def _sequence_label(labels: np.ndarray, num_classes: int) -> int:
     return int(np.bincount(labels, minlength=num_classes).argmax())
-
-
-def _precompute_prefixes(
-    enc: Encoder,
-    branches: BranchSet,
-    policy: ExitPolicy,
-    data: FrameDataset,
-) -> tuple[list[np.ndarray], list[ExitTrace]]:
-    prefixes: list[np.ndarray] = []
-    traces: list[ExitTrace] = []
-    for i in range(data.num_sequences):
-        hs, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
-        prefixes.append(normalize_prefix(hs, trace.exit_layer))
-        traces.append(trace)
-    return prefixes, traces
 
 
 def _loss_and_grads(head, feats64, labels, task):
@@ -238,7 +223,11 @@ def train_downstream(
         raise ValueError("empty dataset")
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    prefixes, traces = _precompute_prefixes(enc, branches, policy, data)
+    prefixes, traces = [], []
+    for i in range(data.num_sequences):
+        states, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
+        prefixes.append(normalize_prefix(states, trace.exit_layer))
+        traces.append(trace)
     span_stats = collect_span_stats(traces, policy.num_layers)
     if task == "sequence":
         sample_labels = [

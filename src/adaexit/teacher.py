@@ -4,7 +4,8 @@ The teacher is a linear head trained on ground-truth frame labels over the
 deepest hidden layer of the frozen encoder. Its argmax predictions become
 the pseudo-labels that the per-layer exit branches are trained against, so
 the branches never see ground truth directly. It trains as the one-head
-call of `numeric.train_linear_heads`, the branches' trainer.
+call of `numeric.train_linear_heads`, the branches' trainer. Pseudo-labels
+take final-layer states of any leading shape: one sample or a whole cache.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, HiddenStates, hidden_state_cache
+from .encoder import Encoder, hidden_state_cache
 from .numeric import DTYPE, matmul64, new_rng, train_linear_heads
 
 __all__ = [
@@ -79,16 +80,10 @@ def train_teacher(
 
 
 def teacher_logits(head: TeacherHead, hidden: np.ndarray) -> np.ndarray:
-    """Logits for one layer's hidden matrix, shape (frames, num_classes), float64."""
+    """Float64 logits (..., frames, num_classes) of (..., frames, model_dim) hidden states."""
     return matmul64(hidden, head.weight.T) + head.bias.astype(np.float64)
 
 
-def pseudo_labels(head: TeacherHead, hs: HiddenStates) -> np.ndarray:
-    """Per-frame argmax of the teacher at the deepest layer; ties take the lowest class."""
-    if hs.layers_computed < hs.total_layers:
-        raise ValueError(
-            f"pseudo labels need the final layer: computed {hs.layers_computed} "
-            f"of {hs.total_layers}"
-        )
-    logits = teacher_logits(head, hs.layer(hs.total_layers))
-    return logits.argmax(axis=1).astype(np.int32)
+def pseudo_labels(head: TeacherHead, final: np.ndarray) -> np.ndarray:
+    """Int32 per-frame argmax (..., frames) of final-layer states; ties take the lowest class."""
+    return teacher_logits(head, final).argmax(axis=-1).astype(np.int32)

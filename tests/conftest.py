@@ -29,7 +29,7 @@ SMALL_DATA = SynthDatasetSpec(
 
 
 def truncated_forward(enc, frames, k):
-    """Hidden states of a pass that stops after layer k."""
+    """The (k, frames, model_dim) layers of a pass that stops after layer k."""
     inc = IncrementalForward(enc, frames)
     inc.hidden(k)
     return inc.states()

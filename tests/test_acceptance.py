@@ -110,7 +110,7 @@ def full_run(stage1_runs):
         "paths": paths,
         "checkpoint": load_checkpoint(paths.checkpoint),
         "policy": load_policy(paths.policy_file),
-        "stats": load_span_stats(paths, "acceptance"),
+        "stats": load_span_stats(cfg, paths, "acceptance"),
     }
 
 
@@ -199,9 +199,9 @@ def test_criterion_3_prefix_correctness():
             inc = IncrementalForward(enc, x)
             inc.hidden(k)
             part = inc.states()
-            assert part.layers_computed == k
+            assert len(part) == k
             for j in range(1, k + 1):
-                if not np.array_equal(part.layer(j), full.layer(j)):
+                if not np.array_equal(part[j - 1], full[j - 1]):
                     _report(3, False, f"prefix mismatch at stop={k} layer={j}")
             checked += 1
     _report(3, True, f"100 random inputs x every stop layer ({checked} truncated passes), "
@@ -259,11 +259,11 @@ def test_criterion_5_gradient_checks(stage1_runs):
 
     # Branch loss on a 2-frame toy batch.
     hs = forward_all(ck.encoder, heldout.inputs[0][:2])
-    targets = pseudo_labels(ck.teacher, hs)
+    targets = pseudo_labels(ck.teacher, hs[-1])
     k = 3
     weights = ck.branches.weights.copy()
-    h_k = hs.layer(k).astype(np.float64)
-    probs = softmax(branch_logits(ck.branches, hs.layer(k), k))
+    h_k = hs[k - 1].astype(np.float64)
+    probs = softmax(branch_logits(ck.branches, hs[k - 1], k))
     dlogits = probs.copy()
     dlogits[np.arange(2), targets] -= 1.0
     dlogits /= 2
@@ -273,7 +273,7 @@ def test_criterion_5_gradient_checks(stage1_runs):
         from adaexit.branches import BranchSet
 
         logits = branch_logits(
-            BranchSet(weights=w, biases=ck.branches.biases), hs.layer(k), k
+            BranchSet(weights=w, biases=ck.branches.biases), hs[k - 1], k
         )
         p = softmax(logits)
         return float(-np.log(p[np.arange(2), targets]).mean())
@@ -445,7 +445,7 @@ def test_criterion_9_compute_accounting(stage1_runs):
     overruns = 0
     for i in range(40):
         hs, trace = run_exit(ck.encoder, ck.branches, policy, heldout.inputs[i], i)
-        if hs.layers_computed != trace.exit_layer or trace.layers_computed != trace.exit_layer:
+        if len(hs) != trace.exit_layer or trace.layers_computed != trace.exit_layer:
             overruns += 1
     _report(
         9,

@@ -41,9 +41,9 @@ def _mean_ce_per_layer(enc, head, branches, data):
         hs = forward_all(enc, data.inputs[i])
         from adaexit.teacher import pseudo_labels
 
-        targets = pseudo_labels(head, hs)
+        targets = pseudo_labels(head, hs[-1])
         for k in range(1, branches.num_layers + 1):
-            probs = softmax(branch_logits(branches, hs.layer(k), k))
+            probs = softmax(branch_logits(branches, hs[k - 1], k))
             picked = probs[np.arange(targets.shape[0]), targets]
             totals[k - 1] += float(-np.log(np.maximum(picked, 1e-300)).mean())
     return totals / data.num_sequences
@@ -79,7 +79,7 @@ class TestTraining:
         hs = forward_all(small_encoder, data.inputs[0])
         from adaexit.teacher import pseudo_labels
 
-        targets = pseudo_labels(teacher, hs)
+        targets = pseudo_labels(teacher, hs[-1])
         weights = rng.standard_normal(
             (SMALL_ENCODER.num_layers, teacher.num_classes, SMALL_ENCODER.model_dim)
         ).astype(np.float32) * np.float32(0.1)
@@ -87,13 +87,13 @@ class TestTraining:
         branches = BranchSet(weights=weights, biases=biases)
 
         def layer_loss(branch_set, k):
-            probs = softmax(branch_logits(branch_set, hs.layer(k), k))
+            probs = softmax(branch_logits(branch_set, hs[k - 1], k))
             picked = probs[np.arange(targets.shape[0]), targets]
             return float(-np.log(picked).mean())
 
         k = 2
-        h_k = hs.layer(k).astype(np.float64)
-        probs = softmax(branch_logits(branches, hs.layer(k), k))
+        h_k = hs[k - 1].astype(np.float64)
+        probs = softmax(branch_logits(branches, hs[k - 1], k))
         dlogits = probs.copy()
         dlogits[np.arange(targets.shape[0]), targets] -= 1.0
         dlogits /= targets.shape[0]
@@ -145,13 +145,13 @@ class TestBranchEntropy:
     def test_single_frame_equals_frame_entropy(self, small_encoder, trained, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0][:1])
         k = 2
-        probs = softmax(branch_logits(trained, hs.layer(k), k))
+        probs = softmax(branch_logits(trained, hs[k - 1], k))
         assert branch_entropy(trained, hs, k) == pytest.approx(entropy(probs[0]), abs=1e-12)
 
     def test_double_sum_oracle(self, small_encoder, trained, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0][:3])
         k = 3
-        logits = branch_logits(trained, hs.layer(k), k)
+        logits = branch_logits(trained, hs[k - 1], k)
         total = 0.0
         for t in range(3):
             p = softmax(logits[t])
@@ -171,6 +171,12 @@ class TestBranchEntropy:
         partial = truncated_forward(small_encoder, small_dataset.inputs[0], 2)
         with pytest.raises(ValueError):
             branch_entropy(trained, partial, 3)
+
+    def test_layer_zero_rejected(self, small_encoder, trained, small_dataset):
+        # states[-1] would silently wrap to the deepest computed layer.
+        full = forward_all(small_encoder, small_dataset.inputs[0])
+        with pytest.raises(ValueError, match="layer 0 not computed"):
+            branch_entropy(trained, full, 0)
 
     def test_prefix_entropy_matches_full(self, small_encoder, trained, small_dataset):
         x = small_dataset.inputs[4]
@@ -211,6 +217,10 @@ class TestEntropyProfile:
     def test_empty_dataset_rejected(self, small_encoder, trained, small_dataset):
         with pytest.raises(ValueError):
             entropy_profile(small_encoder, trained, small_dataset.subset([]))
+
+    def test_no_layers_rejected_by_name(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            EntropyProfile.from_layer_means([], 1)
 
     def test_inconsistent_extremes_rejected(self):
         with pytest.raises(ValueError):

@@ -68,21 +68,21 @@ class TestInit:
 class TestForward:
     def test_all_layers_returned(self, small_encoder, rng):
         hs = forward_all(small_encoder, _inputs(rng))
-        assert hs.layers_computed == SMALL_ENCODER.num_layers
-        assert hs.layer(1).shape == (10, SMALL_ENCODER.model_dim)
+        assert len(hs) == SMALL_ENCODER.num_layers
+        assert hs[0].shape == (10, SMALL_ENCODER.model_dim)
+        assert hs.dtype == np.float32
 
     def test_deterministic(self, small_encoder, rng):
         x = _inputs(rng)
         a = forward_all(small_encoder, x)
         b = forward_all(small_encoder, x)
-        for k in range(1, a.layers_computed + 1):
-            assert np.array_equal(a.layer(k), b.layer(k))
+        assert np.array_equal(a, b)
 
     def test_batch_order_irrelevant(self, small_encoder, rng):
         # No cross-sample state: each forward is a pure function of its input.
         xs = [_inputs(rng) for _ in range(4)]
-        first = [forward_all(small_encoder, x).layer(4) for x in xs]
-        second = [forward_all(small_encoder, x).layer(4) for x in reversed(xs)]
+        first = [forward_all(small_encoder, x)[3] for x in xs]
+        second = [forward_all(small_encoder, x)[3] for x in reversed(xs)]
         for a, b in zip(first, reversed(second)):
             assert np.array_equal(a, b)
 
@@ -119,24 +119,34 @@ class TestForwardUntil:
 
     def test_stop_immediately(self, small_encoder, rng):
         hs = truncated_forward(small_encoder, _inputs(rng), 1)
-        assert hs.layers_computed == 1
+        assert len(hs) == 1
 
     def test_never_stop_equals_forward_all(self, small_encoder, rng):
         x = _inputs(rng)
         a = truncated_forward(small_encoder, x, SMALL_ENCODER.num_layers)
         b = forward_all(small_encoder, x)
-        assert a.layers_computed == b.layers_computed
-        for k in range(1, a.layers_computed + 1):
-            assert np.array_equal(a.layer(k), b.layer(k))
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("stop_at", [1, 2, 3, 4])
     def test_prefix_bit_identical(self, small_encoder, rng, stop_at):
         x = _inputs(rng)
         full = forward_all(small_encoder, x)
         part = truncated_forward(small_encoder, x, stop_at)
-        assert part.layers_computed == stop_at
-        for k in range(1, stop_at + 1):
-            assert np.array_equal(part.layer(k), full.layer(k))
+        assert len(part) == stop_at
+        assert np.array_equal(part, full[:stop_at])
+
+    def test_states_after_each_layer_equal_full_prefix(self, small_encoder, rng):
+        # One forward advanced layer by layer: after hidden(k), states() is
+        # the first k rows of the full pass, bit for bit.
+        x = _inputs(rng)
+        full = forward_all(small_encoder, x)
+        inc = IncrementalForward(small_encoder, x)
+        for k in range(1, SMALL_ENCODER.num_layers + 1):
+            inc.hidden(k)
+            states = inc.states()
+            assert states.shape == full[:k].shape and states.dtype == full.dtype
+            assert np.array_equal(states, full[:k])
 
     def test_each_layer_computed_once(self, small_encoder, rng, monkeypatch):
         blocks = []
@@ -149,16 +159,16 @@ class TestForwardUntil:
         monkeypatch.setattr(encoder, "_attention", counting)
         inc = IncrementalForward(small_encoder, _inputs(rng))
         third = inc.hidden(3)
-        assert inc.hidden(2) is inc.states().layer(2)
-        assert inc.hidden(3) is third
+        assert np.shares_memory(inc.hidden(2), inc.states()[1])
+        assert np.shares_memory(inc.hidden(3), third)
         assert len(blocks) == 3
         assert all(a is b for a, b in zip(blocks, small_encoder.blocks))
         assert inc.layers_done == 3
 
     def test_uncomputed_layer_access_raises(self, small_encoder, rng):
         hs = truncated_forward(small_encoder, _inputs(rng), 2)
-        with pytest.raises(ValueError):
-            hs.layer(3)
+        with pytest.raises(IndexError):
+            hs[2]
 
 
 class TestHiddenStateCache:
@@ -170,7 +180,7 @@ class TestHiddenStateCache:
         for i in range(3):
             hs = forward_all(small_encoder, inputs[i])
             for h, k in enumerate((4, 1, 3)):
-                assert np.array_equal(cache[h, i], hs.layer(k))
+                assert np.array_equal(cache[h, i], hs[k - 1])
 
     def test_stops_at_deepest_requested_layer(self, small_encoder, rng, monkeypatch):
         blocks = []

@@ -127,6 +127,21 @@ class TestLayerNorm:
         with pytest.raises(ValueError):
             layer_norm(np.ones(4), gain=np.ones(3), bias=np.zeros(4))
 
+    def test_stack_equals_matrices_bitwise(self, rng):
+        x = (rng.standard_normal((3, 5, 32)) * 3.0).astype(np.float32)
+        gain = rng.standard_normal(32).astype(np.float32)
+        bias = rng.standard_normal(32).astype(np.float32)
+        out = layer_norm(x, gain, bias)
+        assert out.shape == x.shape and out.dtype == np.float32
+        for i in range(3):
+            assert np.array_equal(out[i], layer_norm(x[i], gain, bias))
+            for r in range(5):
+                assert np.array_equal(out[i, r], layer_norm(x[i, r], gain, bias))
+
+    def test_rejects_scalar(self):
+        with pytest.raises(ValueError):
+            layer_norm(np.float32(1.0))
+
 
 def probe_loss(logits, target):
     """Loss and logit gradient of one row of logits against one target."""
@@ -181,8 +196,7 @@ class TestCrossEntropy:
         for h in range(3):
             single_loss, single_grad = cross_entropy(x[h], labels)
             assert np.array_equal(grad[h], single_grad)
-            # The stacked mean sums the rows in order, a single call pairwise.
-            assert loss[h] == pytest.approx(float(single_loss), rel=1e-14)
+            assert loss[h] == single_loss
 
     def test_does_not_modify_input(self, rng):
         x = rng.standard_normal((4, 3))
@@ -218,8 +232,7 @@ class TestTrainLinearHeads:
             )
             assert np.array_equal(w[0], joint_w[h])
             assert np.array_equal(b[0], joint_b[h])
-            # Only the reported loss may differ, in the summation order of its mean.
-            assert np.allclose(loss[:, 0], joint_loss[:, h], rtol=1e-14, atol=0.0)
+            assert np.array_equal(loss[:, 0], joint_loss[:, h])
 
     def test_step_matches_hand_written_gradient(self, rng):
         cache, labels, weights, biases = self._problem(rng)

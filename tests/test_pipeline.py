@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from adaexit import encoder
 from adaexit.branches import entropy_profile
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
-from adaexit.errors import ConfigError, DependencyError
+from adaexit.errors import ConfigError, DependencyError, FormatError
 from adaexit.pipeline import (
     ARTIFACTS,
     ArtifactPaths,
@@ -25,6 +26,7 @@ from adaexit.pipeline import (
     run_pipeline,
     save_config,
     stage_branches,
+    stage_calibrate,
     stage_downstream,
     stage_eval,
     stage_synth,
@@ -306,6 +308,130 @@ class TestStages:
             stage_downstream(tiny_cfg, paths)
 
 
+def _drop(key):
+    return lambda raw: raw.pop(key)
+
+
+def _set(**values):
+    return lambda raw: raw.update(values)
+
+
+# The run has 8 layers.
+THREE_RATES = _set(mean_exit=42, exit_rates=[0.5, 0.25, 0.25])
+RATES = "exit_rates must be one finite, nonnegative rate per layer, summing to 1 within 1e-9"
+
+
+class TestStaleInputs:
+    """A malformed or stale input fails by file name, before any forward."""
+
+    REPORTS = (stage_eval, noise_sweep, compare_static)
+
+    @pytest.fixture()
+    def copy(self, tiny_run, tmp_path):
+        cfg, paths = tiny_run
+        shutil.copytree(paths.root, tmp_path / "run")
+        return cfg, ArtifactPaths(tmp_path / "run")
+
+    @pytest.fixture()
+    def forwarded(self, monkeypatch):
+        calls = []
+        original = encoder.IncrementalForward.__init__
+
+        def counting_init(self, enc, frames):
+            calls.append(1)
+            original(self, enc, frames)
+
+        monkeypatch.setattr(encoder.IncrementalForward, "__init__", counting_init)
+        return calls
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param(_drop("num_traces"), r"missing keys \['num_traces'\]", id="no-num_traces"),
+            pytest.param(_set(extra=1), r"unknown keys \['extra'\]", id="unknown-key"),
+            pytest.param(THREE_RATES, RATES, id="three-rates"),
+            pytest.param(
+                _set(mean_exit=42), r"mean_exit must be a number in \[min_exit, max_exit\]",
+                id="mean-above-max",
+            ),
+            pytest.param(_set(mean_exit=float("nan")), "mean_exit must be", id="mean-nan"),
+            pytest.param(_set(mean_exit="3"), "mean_exit must be", id="mean-str"),
+            pytest.param(_set(min_exit=0), "min_exit must be an integer >= 1", id="min-zero"),
+            pytest.param(
+                _set(max_exit=9), r"max_exit must be an integer in \[min_exit, num_layers\]",
+                id="max-above-L",
+            ),
+            pytest.param(_set(min_exit=1.5), "min_exit must be an integer", id="min-float"),
+            pytest.param(_set(num_traces=0), "num_traces must be an integer >= 1", id="no-traces"),
+            pytest.param(_set(num_traces=True), "num_traces must be an integer", id="traces-bool"),
+            pytest.param(_set(exit_rates=[1.5] + [0.0] * 7), RATES, id="rates-sum"),
+            pytest.param(_set(exit_rates=[-0.5, 1.5] + [0.0] * 6), RATES, id="rate-negative"),
+            pytest.param(_set(exit_rates=[float("nan")] * 8), RATES, id="rates-nan"),
+            pytest.param(_set(exit_rates=[float("inf")] + [0.0] * 7), RATES, id="rates-inf"),
+        ],
+    )
+    def test_malformed_span_stats_rejected_by_name(self, copy, change, message):
+        cfg, paths = copy
+        raw = json.loads(paths.span_stats.read_text())
+        change(raw)
+        paths.span_stats.write_text(json.dumps(raw))
+        with pytest.raises(FormatError, match=r"^span_stats\.json: .*" + message):
+            load_span_stats(cfg, paths, "test")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not JSON"),
+        ("[1, 2]", r"missing keys \['exit_rates', 'max_exit', 'mean_exit', 'min_exit'"),
+    ], ids=["truncated", "list"])
+    def test_span_stats_that_is_no_record_rejected(self, copy, text, message):
+        cfg, paths = copy
+        paths.span_stats.write_text(text)
+        with pytest.raises(FormatError, match=r"^span_stats\.json: " + message):
+            load_span_stats(cfg, paths, "test")
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [(_drop("num_traces"), "num_traces"), (THREE_RATES, "exit_rates")],
+        ids=["no-num_traces", "three-rates"],
+    )
+    def test_eval_reports_malformed_span_stats(self, copy, capsys, change, field):
+        cfg, paths = copy
+        raw = json.loads(paths.span_stats.read_text())
+        change(raw)
+        paths.span_stats.write_text(json.dumps(raw))
+        args = ["eval", "--artifacts", str(paths.root)]
+        for key, value in TINY.items():
+            args.extend(["--set", f"{key}={value}"])
+        assert main(args) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert record["message"].startswith("span_stats.json: ") and field in record["message"]
+
+    @pytest.mark.parametrize("rows", [3, 0])
+    def test_stale_profile_fails_before_any_forward(self, copy, forwarded, rows):
+        cfg, paths = copy
+        lines = paths.profile_train.read_text().splitlines()
+        paths.profile_train.write_text("\n".join(lines[: 1 + rows]) + "\n")
+        for report in self.REPORTS:
+            with pytest.raises(
+                DependencyError,
+                match=rf"entropy_profile_train\.csv has {rows} layers, the config has 8",
+            ):
+                report(cfg, paths)
+        assert forwarded == []
+
+    def test_checkpoint_of_another_encoder_fails_before_any_forward(self, copy, forwarded):
+        cfg, paths = copy
+        four = apply_overrides(cfg, {"encoder.num_layers": "4"})
+        for report in (*self.REPORTS, stage_calibrate, stage_downstream):
+            with pytest.raises(
+                DependencyError,
+                match=r"checkpoint\.bin holds EncoderConfig\(num_layers=8, .*"
+                r"the config asks for EncoderConfig\(num_layers=4, ",
+            ):
+                report(four, paths)
+        assert forwarded == []
+
+
 class TestReplay:
     """Policies replayed over the per-layer table equal the reference forwards."""
 
@@ -318,7 +444,7 @@ class TestReplay:
 
     def _policies(self, cfg, paths, ck):
         profile = _read_profile(cfg, paths, "test")
-        stats = load_span_stats(paths, "test")
+        stats = load_span_stats(cfg, paths, "test")
         policies = []
         for ratio in cfg.eval_ratios:
             base = calibrate(profile, ratio)

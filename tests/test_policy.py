@@ -291,14 +291,14 @@ class TestRunExit:
         policy = ExitPolicy(threshold=0.0, ratio=0.0, num_layers=enc.config.num_layers)
         hs, trace = run_exit(enc, branches, policy, small_dataset.inputs[0])
         assert trace.exit_layer == enc.config.num_layers
-        assert hs.layers_computed == trace.exit_layer == trace.layers_computed
+        assert len(hs) == trace.exit_layer == trace.layers_computed
 
     def test_span_start_computes_passthrough_layers(self, setup, small_dataset):
         enc, branches = setup
         policy = fixed_exit_policy(3, enc.config.num_layers)
         hs, trace = run_exit(enc, branches, policy, small_dataset.inputs[1])
         assert trace.exit_layer == 3
-        assert hs.layers_computed == 3
+        assert len(hs) == 3
         assert set(trace.entropies) == {3}
 
     def test_entropies_match_forward_all(self, setup, small_dataset):

@@ -8,6 +8,7 @@ import pytest
 from adaexit.branches import train_branches
 from adaexit.encoder import forward_all, parameter_digest
 from adaexit.errors import ConfigError
+from adaexit.numeric import layer_norm
 from adaexit.policy import ExitPolicy, fixed_exit_policy
 from adaexit.probe import (
     DownstreamHead,
@@ -54,17 +55,14 @@ def _random_head(rng, num_layers=SMALL_ENCODER.num_layers, num_labels=5,
 
 class TestNormalizePrefix:
     def test_constant_rows_become_zero(self, small_encoder):
-        from adaexit.encoder import HiddenStates
-
-        layer = np.full((4, SMALL_ENCODER.model_dim), 2.5, dtype=np.float32)
-        hs = HiddenStates(layers=(layer,), total_layers=SMALL_ENCODER.num_layers)
+        hs = np.full((1, 4, SMALL_ENCODER.model_dim), 2.5, dtype=np.float32)
         prefix = normalize_prefix(hs, 1)
         assert np.allclose(prefix[0], 0.0, atol=1e-2)
 
     def test_single_layer_prefix(self, small_encoder, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         prefix = normalize_prefix(hs, 1)
-        assert prefix.shape == (1, *hs.layer(1).shape)
+        assert prefix.shape == (1, *hs[0].shape)
 
     def test_per_vector_statistics_oracle(self, small_encoder, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0])
@@ -78,6 +76,19 @@ class TestNormalizePrefix:
         hs = truncated_forward(small_encoder, small_dataset.inputs[0], 2)
         with pytest.raises(ValueError):
             normalize_prefix(hs, 3)
+
+    def test_zero_layers_rejected(self, small_encoder, small_dataset):
+        # states[:0] would be an empty prefix, not an error.
+        hs = forward_all(small_encoder, small_dataset.inputs[0])
+        with pytest.raises(ValueError, match="exit layer 0 not computed"):
+            normalize_prefix(hs, 0)
+
+    def test_one_call_equals_per_layer_calls_bitwise(self, small_encoder, small_dataset):
+        hs = forward_all(small_encoder, small_dataset.inputs[0])
+        for k in range(1, SMALL_ENCODER.num_layers + 1):
+            expect = np.stack([layer_norm(hs[j]) for j in range(k)])
+            prefix = normalize_prefix(hs, k)
+            assert prefix.dtype == expect.dtype and np.array_equal(prefix, expect)
 
 
 class TestWeightedFeatures:

@@ -12,7 +12,7 @@ from adaexit.teacher import (
     train_teacher,
 )
 
-from conftest import SMALL_ENCODER, truncated_forward
+from conftest import SMALL_ENCODER
 
 
 class TestTrainTeacher:
@@ -76,7 +76,7 @@ class TestTrainTeacher:
         correct = 0
         for i in range(n):
             hs = forward_all(small_encoder, data.inputs[i])
-            pred = pseudo_labels(result.head, hs)
+            pred = pseudo_labels(result.head, hs[-1])
             correct += int((pred == data.labels[i]).sum())
         assert correct / (n * frames) >= 0.99
 
@@ -97,7 +97,7 @@ class TestPseudoLabels:
         from adaexit.teacher import TeacherHead
 
         hs = forward_all(small_encoder, small_dataset.inputs[0])
-        labels = pseudo_labels(TeacherHead(weight=boosted, bias=bias), hs)
+        labels = pseudo_labels(TeacherHead(weight=boosted, bias=bias), hs[-1])
         assert (labels == 4).all()
 
     def test_tie_breaks_to_lowest_class(self):
@@ -115,8 +115,8 @@ class TestPseudoLabels:
     def test_matches_naive_argmax_oracle(self, small_encoder, small_dataset, rng):
         head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=11)
         hs = forward_all(small_encoder, small_dataset.inputs[1])
-        labels = pseudo_labels(head, hs)
-        final = hs.layer(SMALL_ENCODER.num_layers)
+        final = hs[-1]
+        labels = pseudo_labels(head, final)
         for t in range(final.shape[0]):
             scores = [
                 float(head.weight[c].astype(np.float64) @ final[t].astype(np.float64))
@@ -126,23 +126,29 @@ class TestPseudoLabels:
             best = max(range(len(scores)), key=lambda c: (scores[c], -c))
             assert labels[t] == best
 
-    def test_requires_final_layer(self, small_encoder, small_dataset):
-        head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
-        partial = truncated_forward(small_encoder, small_dataset.inputs[0], 2)
-        with pytest.raises(ValueError):
-            pseudo_labels(head, partial)
-
     def test_depends_only_on_final_layer(self, small_encoder, small_dataset):
-        from adaexit.encoder import HiddenStates
-
+        # In a stacked call, a sample's labels ignore every other sample.
         head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
-        hs = forward_all(small_encoder, small_dataset.inputs[2])
-        baseline = pseudo_labels(head, hs)
-        perturbed_layers = list(hs.layers)
-        for k in range(len(perturbed_layers) - 1):
-            perturbed_layers[k] = perturbed_layers[k] + 123.0
-        perturbed = HiddenStates(layers=tuple(perturbed_layers), total_layers=hs.total_layers)
-        assert np.array_equal(pseudo_labels(head, perturbed), baseline)
+        finals = hidden_state_cache(
+            small_encoder, small_dataset.inputs[:3], (SMALL_ENCODER.num_layers,)
+        )[0]
+        baseline = pseudo_labels(head, finals[1])
+        perturbed = finals.copy()
+        perturbed[[0, 2]] += 123.0
+        assert np.array_equal(pseudo_labels(head, perturbed)[1], baseline)
+
+    def test_cache_wide_equals_per_sample_bitwise(self, small_encoder, small_dataset):
+        head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
+        cache = hidden_state_cache(
+            small_encoder, small_dataset.inputs, range(1, SMALL_ENCODER.num_layers + 1)
+        )
+        labels = pseudo_labels(head, cache[-1])
+        logits = teacher_logits(head, cache[-1])
+        assert labels.shape == small_dataset.labels.shape and labels.dtype == np.int32
+        for i in range(small_dataset.num_sequences):
+            final = forward_all(small_encoder, small_dataset.inputs[i])[-1]
+            assert np.array_equal(teacher_logits(head, final), logits[i])
+            assert np.array_equal(pseudo_labels(head, final), labels[i])
 
     def test_shift_invariance(self, small_encoder, small_dataset):
         from adaexit.teacher import TeacherHead
@@ -150,4 +156,4 @@ class TestPseudoLabels:
         head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
         hs = forward_all(small_encoder, small_dataset.inputs[3])
         shifted = TeacherHead(weight=head.weight, bias=head.bias + np.float32(7.5))
-        assert np.array_equal(pseudo_labels(head, hs), pseudo_labels(shifted, hs))
+        assert np.array_equal(pseudo_labels(head, hs[-1]), pseudo_labels(shifted, hs[-1]))
