@@ -6,6 +6,11 @@ trained together by `numeric.train_linear_heads`, one head per layer, the
 trainer whose one-head case is the teacher. The sequence-level
 entropy of branch k is the mean per-frame Shannon entropy of its softmax
 posterior; dataset-level per-layer means feed threshold calibration.
+
+A profile is the column running mean of per-sample entropy rows
+(`EntropyProfile.from_rows`), wherever those rows already exist: training
+profiles the training split from the hidden-state cache it trained on, and
+`entropy_profile` forwards a dataset for the rows.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ class BranchSet:
 class BranchTrainResult:
     branches: BranchSet
     loss_rows: list[tuple[int, int, float]]  # (step, layer, mean batch loss)
+    profile: EntropyProfile  # the training split under the trained branches
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,16 @@ class EntropyProfile:
             num_samples=num_samples,
         )
 
+    @classmethod
+    def from_rows(cls, rows) -> "EntropyProfile":
+        """Column running mean of per-sample entropy rows (N, L), taken in row order."""
+        means = num_samples = 0
+        for num_samples, row in enumerate(rows, start=1):
+            means = means + (row - means) / num_samples
+        if not num_samples:
+            raise ValueError("empty dataset")
+        return cls.from_layer_means(means, num_samples)
+
     @property
     def num_layers(self) -> int:
         return len(self.layer_means)
@@ -114,7 +130,8 @@ def train_branches(
 
     Per layer the loss is the frame-averaged cross-entropy between the
     branch posterior and the teacher's argmax at the deepest layer,
-    averaged over the batch.
+    averaged over the batch. The result's profile is read from the cached
+    layers, bit-identical to `entropy_profile` over `data`.
     """
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
@@ -128,9 +145,11 @@ def train_branches(
     loss_rows = [
         (step, k + 1, float(loss)) for step, row in enumerate(losses) for k, loss in enumerate(row)
     ]
-    return BranchTrainResult(
-        branches=BranchSet(weights=weights, biases=biases), loss_rows=loss_rows
+    trained = BranchSet(weights=weights, biases=biases)
+    profile = EntropyProfile.from_rows(
+        sample_entropies(trained, cache[:, i]) for i in range(data.num_sequences)
     )
+    return BranchTrainResult(branches=trained, loss_rows=loss_rows, profile=profile)
 
 
 def branch_logits(branches: BranchSet, hidden: np.ndarray, layer: int) -> np.ndarray:
@@ -165,10 +184,6 @@ def sample_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
 
 def entropy_profile(enc: Encoder, branches: BranchSet, data: FrameDataset) -> EntropyProfile:
     """Per-layer mean of branch entropies over all samples in a dataset."""
-    if data.num_sequences == 0:
-        raise ValueError("empty dataset")
-    means = np.zeros(enc.config.num_layers, dtype=np.float64)
-    for i in range(data.num_sequences):
-        hs = forward_all(enc, data.inputs[i])
-        means += (sample_entropies(branches, hs) - means) / (i + 1)
-    return EntropyProfile.from_layer_means(means, data.num_sequences)
+    return EntropyProfile.from_rows(
+        sample_entropies(branches, forward_all(enc, x)) for x in data.inputs
+    )

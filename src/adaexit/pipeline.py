@@ -1,18 +1,20 @@
 """End-to-end pipeline: dataset synthesis, three training stages, and reports.
 
-Stage 1 trains the teacher and the exit branches and profiles per-layer
-entropy. Stage 2 calibrates the exit threshold on the training split and
-trains the downstream head with exits active, recording span statistics.
-Stage 3 evaluates every requested span strategy at every requested
-inference ratio. The noise sweep and the static comparison reproduce the
-noise-adaptivity and mixed-noise analyses.
+Stage 1 trains the teacher and the exit branches; training the branches
+also profiles per-layer entropy on the training split, from the cache it
+trained on. Stage 2 calibrates the exit threshold from that profile, with
+no forward pass, and trains the downstream head with exits active,
+recording span statistics. Stage 3 evaluates every requested span strategy
+at every requested inference ratio. The noise sweep and the static
+comparison reproduce the noise-adaptivity and mixed-noise analyses.
 
 Eval and the static comparison forward each sample of their dataset (the
 held-out split, the noise mixture) once into a per-layer table and replay
-every policy over it. The noise sweep replays one policy, so it serves each
-noised sample through `run_exit` instead. All three reports calibrate from
-the training profile that 'calibrate' wrote (entropy_profile_train.csv)
-instead of re-profiling the training split.
+every policy over it; eval writes the held-out profile from its table. The
+noise sweep replays one policy, so it serves each noised sample through
+`run_exit` instead. Calibrate and all three reports read the training
+profile that 'train-branches' wrote (entropy_profile_train.csv) instead of
+re-profiling the training split.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branches import EntropyProfile, entropy_profile, train_branches
+from .branches import EntropyProfile, train_branches
 from .data import (
     MixtureSpec,
     NoiseSpec,
@@ -337,8 +339,8 @@ ARTIFACTS = {
     "checkpoint": ("checkpoint.bin", "train-teacher"),
     "teacher_loss": ("teacher_loss.csv", "train-teacher"),
     "branch_loss": ("branch_loss.csv", "train-branches"),
-    "profile_heldout": ("entropy_profile_heldout.csv", "train-branches"),
-    "profile_train": ("entropy_profile_train.csv", "calibrate"),
+    "profile_heldout": ("entropy_profile_heldout.csv", "eval"),
+    "profile_train": ("entropy_profile_train.csv", "train-branches"),
     "policy_file": ("policy.txt", "calibrate"),
     "span_stats": ("span_stats.json", "train-downstream"),
     "exit_traces": ("exit_traces_train.csv", "train-downstream"),
@@ -421,9 +423,9 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
 
 
 def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
+    """Train the exit branches and profile the training split from their cache."""
     train = load_dataset(_require(paths, "train_data", "train-branches"))
-    heldout = load_dataset(_require(paths, "eval_data", "train-branches"))
-    ck = load_checkpoint(_require(paths, "checkpoint", "train-branches"))
+    ck = _load_checkpoint(cfg, paths, "train-branches")
     if ck.teacher is None:
         raise DependencyError("stage 'train-branches' needs a teacher head; run 'train-teacher'")
     result = train_branches(
@@ -441,8 +443,7 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
         "step,layer,loss",
         [(step, layer, repr(loss)) for step, layer, loss in result.loss_rows],
     )
-    profile = entropy_profile(ck.encoder, result.branches, heldout)
-    _write_profile(paths.profile_heldout, profile)
+    _write_profile(paths.profile_train, result.profile)
 
 
 def _write_profile(path: Path, profile) -> None:
@@ -453,25 +454,28 @@ def _write_profile(path: Path, profile) -> None:
     )
 
 
-def _loaded_pipeline(cfg: RunConfig, paths: ArtifactPaths, stage: str):
+def _load_checkpoint(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> Checkpoint:
+    """The checkpoint, refused before any forward if its encoder is not the config's."""
     path = _require(paths, "checkpoint", stage)
     ck = load_checkpoint(path)
     if ck.encoder.config != cfg.encoder_config():
         raise DependencyError(
             f"{path.name} holds {ck.encoder.config}, the config asks for {cfg.encoder_config()}"
         )
+    return ck
+
+
+def _loaded_pipeline(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> Checkpoint:
+    ck = _load_checkpoint(cfg, paths, stage)
     if ck.branches is None:
         raise DependencyError(f"stage {stage!r} needs trained branches; run 'train-branches'")
     return ck
 
 
 def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
-    """Profile the training split and fix the threshold at the configured ratio."""
-    train = load_dataset(_require(paths, "train_data", "calibrate"))
-    ck = _loaded_pipeline(cfg, paths, "calibrate")
-    profile = entropy_profile(ck.encoder, ck.branches, train)
-    _write_profile(paths.profile_train, profile)
-    policy = calibrate(profile, cfg.ratio)
+    """Fix the threshold at the configured ratio from the training profile; no forward."""
+    _loaded_pipeline(cfg, paths, "calibrate")
+    policy = calibrate(_read_profile(cfg, paths, "calibrate"), cfg.ratio)
     save_policy(policy, paths.policy_file)
     return policy
 
@@ -479,7 +483,12 @@ def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
 def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     train = load_dataset(_require(paths, "train_data", "train-downstream"))
     ck = _loaded_pipeline(cfg, paths, "train-downstream")
-    policy = load_policy(_require(paths, "policy_file", "train-downstream"))
+    path = _require(paths, "policy_file", "train-downstream")
+    policy = load_policy(path)
+    if policy.num_layers != cfg.num_layers:
+        raise DependencyError(
+            f"{path.name} has {policy.num_layers} layers, the config has {cfg.num_layers}"
+        )
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
@@ -561,9 +570,25 @@ def load_span_stats(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> SpanSta
 
 
 def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyProfile:
-    """The training profile 'calibrate' wrote; its repr floats read back bit-exact."""
+    """The training profile 'train-branches' wrote; its repr floats read back bit-exact.
+
+    Row k (line k + 1, after the header) must be `k,mean` with a finite,
+    nonnegative mean.
+    """
     path = _require(paths, "profile_train", stage)
-    means = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:] if line]
+    means = []
+    for k, line in enumerate(path.read_text().splitlines()[1:], start=1):
+        layer, _, raw = line.partition(",")
+        try:
+            mean = float(raw)
+        except ValueError:
+            mean = math.nan
+        if layer != str(k) or not 0.0 <= mean < math.inf:
+            raise FormatError(
+                f"{path.name}: line {k + 1} must be '{k},<finite, nonnegative mean>', "
+                f"got {line!r}"
+            )
+        means.append(mean)
     if len(means) != cfg.num_layers:
         raise DependencyError(
             f"{path.name} has {len(means)} layers, the config has {cfg.num_layers}"
@@ -581,7 +606,8 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
 
     Span statistics always come from the training-time ratio; only the
     threshold is re-calibrated when the inference ratio differs. Every pair
-    is replayed over one per-layer table of the held-out split.
+    is replayed over one per-layer table of the held-out split, whose
+    entropy rows also give the held-out profile.
     """
     heldout = load_dataset(_require(paths, "eval_data", "eval"))
     ck = _loaded_pipeline(cfg, paths, "eval")
@@ -591,6 +617,7 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     table = build_layer_table(
         ck.encoder, ck.branches, heldout, ck.downstream, cfg.task, cfg.renormalize
     )
+    _write_profile(paths.profile_heldout, EntropyProfile.from_rows(table.entropies))
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     summary = {}

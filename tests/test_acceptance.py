@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from adaexit.branches import EntropyProfile, init_branches, sample_entropies
+from adaexit.branches import EntropyProfile, entropy_profile, init_branches, sample_entropies
 from adaexit.data import make_mixture
 from adaexit.encoder import EncoderConfig, IncrementalForward, forward_all, init_encoder
 from adaexit.pipeline import (
@@ -82,20 +82,15 @@ def stage1_runs(tmp_path_factory):
         stage_branches(cfg, paths)
         stage_calibrate(cfg, paths)
         ck = load_checkpoint(paths.checkpoint)
-        heldout_profile = _read_profile(paths.profile_heldout)
+        heldout = load_dataset(paths.eval_data)
         runs[family] = {
             "cfg": cfg,
             "paths": paths,
             "checkpoint": ck,
-            "heldout_profile": heldout_profile,
+            "heldout_profile": entropy_profile(ck.encoder, ck.branches, heldout).layer_means,
         }
     runs["stage1_seconds"] = time.perf_counter() - started
     return runs
-
-
-def _read_profile(path) -> tuple[float, ...]:
-    rows = path.read_text().strip().splitlines()[1:]
-    return tuple(float(row.split(",")[1]) for row in rows)
 
 
 @pytest.fixture(scope="module")

@@ -135,6 +135,14 @@ class TestTraining:
         steps, layers, _ = zip(*result.loss_rows)
         assert set(layers) == set(range(1, SMALL_ENCODER.num_layers + 1))
 
+    def test_profile_from_cache_equals_forwarded_profile(
+        self, small_encoder, teacher, small_dataset
+    ):
+        result = train_branches(
+            small_encoder, teacher, small_dataset, lr=0.05, batch_size=8, steps=20, seed=6
+        )
+        assert result.profile == entropy_profile(small_encoder, result.branches, small_dataset)
+
 
 class TestBranchEntropy:
     def test_zero_branches_give_log_c_exactly(self, small_encoder, small_dataset):
@@ -217,6 +225,15 @@ class TestEntropyProfile:
     def test_empty_dataset_rejected(self, small_encoder, trained, small_dataset):
         with pytest.raises(ValueError):
             entropy_profile(small_encoder, trained, small_dataset.subset([]))
+
+    def test_from_rows_is_the_column_running_mean(self, rng):
+        rows = rng.random((7, 3))
+        means = np.zeros(3)
+        for i, row in enumerate(rows):
+            means += (row - means) / (i + 1)
+        profile = EntropyProfile.from_rows(rows)
+        assert profile.layer_means == tuple(means)
+        assert profile.num_samples == 7
 
     def test_no_layers_rejected_by_name(self):
         with pytest.raises(ValueError, match="at least one layer"):

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,11 +252,15 @@ class TestStages:
             assert timings[name]["early_exit_seconds"] > 0
             assert timings[name]["full_pass_seconds"] > 0
 
-    def test_report_forwards_once_per_sequence(self, tiny_run, monkeypatch):
+    def test_report_forwards_once_per_sequence(self, tiny_run, tmp_path, monkeypatch):
         # Each report forwards each sequence of each dataset variant exactly
-        # once, and never touches the training split.
+        # once, and never touches the training split. train-branches forwards
+        # each training sequence once (its cache gives the training profile)
+        # and no held-out one; calibrate forwards nothing.
         cfg, paths = tiny_run
-        train = {x.tobytes() for x in load_dataset(paths.train_data).inputs}
+        paths = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        train_inputs = sorted(x.tobytes() for x in load_dataset(paths.train_data).inputs)
+        train = set(train_inputs)
         forwarded = []
         original = encoder.IncrementalForward.__init__
 
@@ -264,6 +269,11 @@ class TestStages:
             original(self, enc, frames)
 
         monkeypatch.setattr(encoder.IncrementalForward, "__init__", counting_init)
+        stage_branches(cfg, paths)
+        assert sorted(forwarded) == train_inputs
+        forwarded.clear()
+        stage_calibrate(cfg, paths)
+        assert forwarded == []
         n = cfg.num_eval
         for report, expected in (
             (stage_eval, n),
@@ -293,10 +303,13 @@ class TestStages:
         with pytest.raises(DependencyError, match="train-teacher"):
             stage_eval(tiny_cfg, paths)
         stage_teacher(tiny_cfg, paths)
+        with pytest.raises(DependencyError, match="train-branches"):
+            stage_calibrate(tiny_cfg, paths)
         stage_branches(tiny_cfg, paths)
-        for report in (stage_eval, noise_sweep, compare_static):
-            with pytest.raises(DependencyError, match="run 'calibrate' first"):
+        for report in (stage_eval, compare_static):
+            with pytest.raises(DependencyError, match="run 'train-downstream'"):
                 report(tiny_cfg, paths)
+        noise_sweep(tiny_cfg, paths)
 
     def test_downstream_requires_policy(self, tiny_cfg, tmp_path):
         paths = ArtifactPaths(tmp_path / "partial")
@@ -411,7 +424,7 @@ class TestStaleInputs:
         cfg, paths = copy
         lines = paths.profile_train.read_text().splitlines()
         paths.profile_train.write_text("\n".join(lines[: 1 + rows]) + "\n")
-        for report in self.REPORTS:
+        for report in (*self.REPORTS, stage_calibrate):
             with pytest.raises(
                 DependencyError,
                 match=rf"entropy_profile_train\.csv has {rows} layers, the config has 8",
@@ -422,13 +435,55 @@ class TestStaleInputs:
     def test_checkpoint_of_another_encoder_fails_before_any_forward(self, copy, forwarded):
         cfg, paths = copy
         four = apply_overrides(cfg, {"encoder.num_layers": "4"})
-        for report in (*self.REPORTS, stage_calibrate, stage_downstream):
+        for report in (*self.REPORTS, stage_branches, stage_calibrate, stage_downstream):
             with pytest.raises(
                 DependencyError,
                 match=r"checkpoint\.bin holds EncoderConfig\(num_layers=8, .*"
                 r"the config asks for EncoderConfig\(num_layers=4, ",
             ):
                 report(four, paths)
+        assert forwarded == []
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            pytest.param(1, "1", id="no-comma"),
+            pytest.param(2, "2,abc", id="mean-not-a-number"),
+            pytest.param(1, "1,nan", id="nan-row-1"),
+            pytest.param(3, "3,nan", id="nan-row-3"),
+            pytest.param(4, "4,inf", id="inf"),
+            pytest.param(5, "5,-0.5", id="negative"),
+            pytest.param(6, "7,1.0", id="wrong-layer"),
+            pytest.param(2, "2,1.0,3", id="extra-cell"),
+        ],
+    )
+    def test_malformed_profile_row_fails_before_any_forward(
+        self, copy, forwarded, capsys, row, line
+    ):
+        cfg, paths = copy
+        lines = paths.profile_train.read_text().splitlines()
+        lines[row] = line
+        paths.profile_train.write_text("\n".join(lines) + "\n")
+        message = rf"^entropy_profile_train\.csv: line {row + 1} must be '{row},"
+        for report in (*self.REPORTS, stage_calibrate):
+            with pytest.raises(FormatError, match=message):
+                report(cfg, paths)
+        assert forwarded == []
+        args = ["eval", "--artifacts", str(paths.root)]
+        for key, value in TINY.items():
+            args.extend(["--set", f"{key}={value}"])
+        assert main(args) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert re.search(message, record["message"])
+
+    def test_policy_of_another_depth_fails_before_any_forward(self, copy, forwarded):
+        cfg, paths = copy
+        text = paths.policy_file.read_text()
+        assert "num_layers = 8\n" in text
+        paths.policy_file.write_text(text.replace("num_layers = 8\n", "num_layers = 3\n"))
+        with pytest.raises(DependencyError, match=r"^policy\.txt has 3 layers, the config has 8"):
+            stage_downstream(cfg, paths)
         assert forwarded == []
 
 
@@ -540,14 +595,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "snr=clean" in out and "snr=5" in out
 
-    def test_stagewise_flow(self, tmp_path):
-        artifacts = str(tmp_path / "cli_stages")
-        args = ["--artifacts", artifacts]
+    def test_stagewise_flow(self, tiny_cfg, tmp_path):
+        # The stages run one by one write what run_pipeline writes, byte for
+        # byte; config.ini comes only from the 'pipeline' command.
+        artifacts = tmp_path / "cli_stages"
+        args = ["--artifacts", str(artifacts)]
         for key, value in TINY.items():
             args.extend(["--set", f"{key}={value}"])
         for command in ("synth", "train-teacher", "train-branches", "profile-entropy",
-                        "calibrate", "train-downstream", "eval", "compare-static"):
+                        "calibrate", "train-downstream", "eval", "noise-sweep",
+                        "compare-static"):
             assert main([command, *args]) == 0, command
+        reference = run_pipeline(tiny_cfg, tmp_path / "pipeline").root
+
+        def files(root):
+            return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+        written = files(artifacts)
+        assert written == files(reference) - {Path("config.ini")}
+        for name in sorted(written - {Path("timing.json")}):
+            assert (artifacts / name).read_bytes() == (reference / name).read_bytes(), name
+
+    @pytest.mark.parametrize("split, attr", [("train", "profile_train"), ("eval", "profile_heldout")])
+    def test_profile_entropy_rewrites_the_profiles(self, tiny_run, tmp_path, split, attr):
+        # profile-entropy forwards the split; train-branches (from its cache)
+        # and eval (from its table) wrote the same bytes.
+        cfg, paths = tiny_run
+        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        written = getattr(copy, attr).read_bytes()
+        getattr(copy, attr).unlink()
+        args = ["profile-entropy", "--split", split, "--artifacts", str(copy.root)]
+        for key, value in TINY.items():
+            args.extend(["--set", f"{key}={value}"])
+        assert main(args) == 0
+        assert getattr(copy, attr).read_bytes() == written
 
     def test_missing_dependency_gives_json_error_line(self, tmp_path, capsys):
         code = main(["train-branches", "--artifacts", str(tmp_path / "none")])
