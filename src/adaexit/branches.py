@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import FrameDataset
 from .encoder import Encoder, forward_all, hidden_state_cache
-from .numeric import DTYPE, entropy, matmul64, running_mean, softmax, train_linear_heads
+from .numeric import DTYPE, entropy64, matmul64, running_mean, softmax, train_linear_heads
 from .teacher import TeacherHead, pseudo_labels
 
 __all__ = [
@@ -162,9 +162,14 @@ def branch_logits(branches: BranchSet, hidden: np.ndarray, layer: int) -> np.nda
 
 
 def entropy_from_hidden(branches: BranchSet, hidden: np.ndarray, layer: int) -> float:
-    """Mean per-frame posterior entropy of one branch over one sample, in nats."""
+    """Mean per-frame posterior entropy of one branch over one sample, in nats.
+
+    softmax rows are normalized and nonnegative by construction, so their
+    entropy skips `numeric.entropy`'s checks; softmax still rejects
+    non-finite logits.
+    """
     probs = softmax(branch_logits(branches, hidden, layer))
-    return running_mean(entropy(probs))
+    return running_mean(entropy64(probs))
 
 
 def branch_entropy(branches: BranchSet, states: np.ndarray, layer: int) -> float:

@@ -9,6 +9,14 @@ Every head trains through `cross_entropy`, the one softmax cross-entropy
 and logit gradient, and the linear heads through `train_linear_heads`, the
 one minibatch-SGD loop: the teacher is its one-head call, the exit branches
 its one-head-per-layer call.
+
+Inputs are checked at the module boundary, not inside the hot loops.
+`layer_norm`, `entropy` and `softmax` validate what they are given, and
+softmax refuses non-finite logits. `layer_norm64` and `entropy64` are their
+unvalidated float64 cores: the encoder's blocks call `layer_norm64`, and
+branch entropies call `entropy64` on softmax rows, which cannot fail
+`entropy`'s checks. Each core keeps the arithmetic of the checked call bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ __all__ = [
     "cross_entropy",
     "train_linear_heads",
     "entropy",
+    "entropy64",
     "layer_norm",
     "layer_norm64",
     "sgd_step",
@@ -92,13 +101,16 @@ def train_linear_heads(
     heads, so a head's weights do not depend on the heads trained with it.
     Returns the final weights and biases and each step's loss, (steps, H).
     """
-    heads, num_sequences, _, dim = cache.shape
+    heads, num_sequences, frames, dim = cache.shape
     rng = new_rng(seed)
     losses = np.empty((steps, heads), dtype=np.float64)
+    # One float64 batch, gathered per sequence and read by both matmuls.
+    batch_feats = np.empty((heads, batch_size, frames, dim), dtype=np.float64)
+    feats = batch_feats.reshape(heads, -1, dim)  # (H, rows, d) with rows = batch * frames
     for step in range(steps):
         batch = rng.integers(0, num_sequences, size=batch_size)
-        # (H, rows, d) with rows = batch * frames.
-        feats = cache[:, batch].reshape(heads, -1, dim)
+        for j, i in enumerate(batch):
+            batch_feats[:, j] = cache[:, i]
         logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
             np.float64
         )
@@ -125,18 +137,31 @@ def entropy(p: np.ndarray) -> float | np.ndarray:
     sums = q.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-4, rtol=0.0):
         raise ValueError("probabilities do not sum to 1 within 1e-4")
-    terms = np.zeros_like(q)
-    mask = q > 0
-    terms[mask] = q[mask] * np.log(q[mask])
-    h = -terms.sum(axis=-1)
+    h = entropy64(q)
     return float(h) if q.ndim == 1 else h
+
+
+def entropy64(q: np.ndarray) -> np.ndarray:
+    """Unvalidated float64 core of `entropy`, per row; branch entropies call it on softmax rows."""
+    log_q = np.zeros_like(q)
+    np.log(q, out=log_q, where=q > 0)
+    log_q *= q
+    return -log_q.sum(axis=-1)
 
 
 def layer_norm64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
     """Unvalidated float64 core of `layer_norm`; the encoder's blocks call it directly."""
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    return (x64 - mean) / np.sqrt(var + eps) * gain.astype(np.float64) + bias.astype(np.float64)
+    # np.mean and np.var's own arithmetic (sum, then divide by the width), with
+    # the centred rows computed once: the same bits as x64.var().
+    width = x64.shape[-1]
+    c = x64 - x64.sum(axis=-1, keepdims=True) / width
+    scale = (c * c).sum(axis=-1, keepdims=True) / width
+    scale += eps
+    np.sqrt(scale, out=scale)
+    c /= scale
+    c *= gain.astype(np.float64)
+    c += bias.astype(np.float64)
+    return c
 
 
 def layer_norm(

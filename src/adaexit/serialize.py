@@ -16,7 +16,10 @@ fields, then flat float32 arrays in the declared order:
 
 Datasets use the same framing with their own magic. Both formats
 round-trip bit-exactly and reject foreign magic, version mismatches, and
-truncation with the byte offset of the failure.
+truncation with the byte offset of the failure. A checkpoint array holding
+NaN or inf is refused by section and array name: a NaN probe bias would
+otherwise serve class 0 to every sample without a word. `load_checkpoint`
+puts the file's name in front of every such error.
 """
 
 from __future__ import annotations
@@ -93,10 +96,11 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes, base_offset: int = 0):
+    def __init__(self, data: bytes, base_offset: int = 0, section: str = ""):
         self.data = data
         self.pos = 0
         self.base = base_offset
+        self.section = section
 
     @property
     def offset(self) -> int:
@@ -127,6 +131,17 @@ class _Reader:
         count = int(np.prod(shape)) if shape else 1
         buf = self.take(count * dtype.itemsize)
         return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+
+    def param(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A float32 parameter array of this section, refused by name if not finite."""
+        start = self.offset
+        arr = self.array(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(
+                f"section {self.section!r} array {name!r} holds a non-finite value",
+                offset=start,
+            )
+        return arr
 
 
 def _write_header(w: _Writer, magic: bytes):
@@ -173,12 +188,13 @@ def _read_encoder(r: _Reader) -> Encoder:
         seed=seed,
     )
     template = init_encoder(cfg)
-    input_weight = r.array(template.input_weight.shape)
-    input_bias = r.array(template.input_bias.shape)
+    input_weight = r.param("input_weight", template.input_weight.shape)
+    input_bias = r.param("input_bias", template.input_bias.shape)
     blocks = []
-    for block in template.blocks:
+    for i, block in enumerate(template.blocks):
         fields = {
-            name: r.array(getattr(block, name).shape) for name in BlockParams.FIELD_ORDER
+            name: r.param(f"blocks[{i}].{name}", getattr(block, name).shape)
+            for name in BlockParams.FIELD_ORDER
         }
         blocks.append(BlockParams(**fields))
     return Encoder(
@@ -201,8 +217,8 @@ def _teacher_payload(head: TeacherHead) -> bytes:
 def _read_teacher(r: _Reader) -> TeacherHead:
     num_classes, model_dim = r.u32(2)
     return TeacherHead(
-        weight=r.array((num_classes, model_dim)),
-        bias=r.array((num_classes,)),
+        weight=r.param("weight", (num_classes, model_dim)),
+        bias=r.param("bias", (num_classes,)),
     )
 
 
@@ -217,8 +233,8 @@ def _branches_payload(branches: BranchSet) -> bytes:
 def _read_branches(r: _Reader) -> BranchSet:
     num_layers, num_classes, model_dim = r.u32(3)
     return BranchSet(
-        weights=r.array((num_layers, num_classes, model_dim)),
-        biases=r.array((num_layers, num_classes)),
+        weights=r.param("weights", (num_layers, num_classes, model_dim)),
+        biases=r.param("biases", (num_layers, num_classes)),
     )
 
 
@@ -234,9 +250,9 @@ def _downstream_payload(head: DownstreamHead) -> bytes:
 def _read_downstream(r: _Reader) -> DownstreamHead:
     num_layers, num_labels, model_dim = r.u32(3)
     return DownstreamHead(
-        layer_weights=r.array((num_layers,)),
-        probe_weight=r.array((num_labels, model_dim)),
-        probe_bias=r.array((num_labels,)),
+        layer_weights=r.param("layer_weights", (num_layers,)),
+        probe_weight=r.param("probe_weight", (num_labels, model_dim)),
+        probe_bias=r.param("probe_bias", (num_labels,)),
     )
 
 
@@ -280,7 +296,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         length_at = r.offset
         length = r.u64()
         payload = r.take(length)
-        section = _Reader(payload, base_offset=r.offset - length)
+        section = _Reader(payload, base_offset=r.offset - length, section=name)
         parts[name] = reader(section)
         if not section.exhausted():
             raise FormatError(
@@ -303,7 +319,14 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    return checkpoint_from_bytes(Path(path).read_bytes())
+    """The checkpoint in `path`; every FormatError starts with the file's name."""
+    path = Path(path)
+    try:
+        return checkpoint_from_bytes(path.read_bytes())
+    except FormatError as err:
+        named = FormatError(f"{path.name}: {err}")
+        named.offset = err.offset
+        raise named from err
 
 
 def dataset_to_bytes(data: FrameDataset) -> bytes:

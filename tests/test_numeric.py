@@ -11,7 +11,10 @@ from hypothesis.extra.numpy import arrays
 from adaexit.numeric import (
     cross_entropy,
     entropy,
+    entropy64,
     layer_norm,
+    layer_norm64,
+    matmul64,
     new_rng,
     sgd_step,
     softmax,
@@ -97,6 +100,50 @@ class TestEntropy:
         out = entropy(np.array([[0.5, 0.5], [1.0, 0.0]]))
         assert np.allclose(out, [math.log(2), 0.0])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.5], [1.1, -0.1]], "negative probability entry"),
+            ([[0.5, 0.5], [0.4, 0.4]], "do not sum to 1"),
+            ([[0.5, 0.5], [np.nan, 1.0]], "do not sum to 1"),
+        ],
+        ids=["negative", "unnormalized", "nan"],
+    )
+    def test_stack_with_one_bad_row_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            entropy(np.array(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            elements=st.floats(min_value=-900, max_value=900, allow_nan=False),
+        )
+    )
+    def test_core_equals_validated_entropy_bitwise(self, logits):
+        # Logits hundreds apart underflow to exact zeros, e.g. [0, -800].
+        probs = softmax(logits)
+        core = entropy64(probs)
+        assert np.array_equal(core, entropy(probs))
+        assert np.array_equal(core, masked_entropy(probs))
+        for r in range(len(probs)):
+            assert core[r] == entropy(probs[r])
+
+    def test_core_on_exact_zeros(self):
+        probs = softmax(np.array([[0.0, -800.0], [0.0, 0.0], [5.0, -800.0]]))
+        assert probs[0, 1] == 0.0
+        assert np.array_equal(entropy64(probs), masked_entropy(probs))
+        assert entropy64(probs)[0] == 0.0
+
+
+def masked_entropy(q):
+    """Reference: the masked sum of q·log q that `entropy` computed inline."""
+    terms = np.zeros_like(q)
+    mask = q > 0
+    terms[mask] = q[mask] * np.log(q[mask])
+    return -terms.sum(axis=-1)
+
 
 class TestLayerNorm:
     def test_constant_vector_goes_to_zero(self):
@@ -141,6 +188,36 @@ class TestLayerNorm:
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
             layer_norm(np.float32(1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 70)),
+            elements=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        ),
+        scale=st.floats(min_value=-30, max_value=30),
+        offset=st.floats(min_value=-1e6, max_value=1e6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_core_equals_var_formula_bitwise(self, rows, scale, offset, seed):
+        x = rows * 10.0**scale + offset
+        gain, bias = np.random.default_rng(seed).standard_normal((2, x.shape[-1]))
+        gain, bias = gain.astype(np.float32), bias.astype(np.float32)
+        assert np.array_equal(layer_norm64(x, gain, bias), var_layer_norm(x, gain, bias))
+
+    @pytest.mark.parametrize("width", [1, 2, 64])
+    def test_constant_and_width_one_rows_bitwise(self, rng, width):
+        x = np.concatenate([np.full((2, width), 3.7), rng.standard_normal((3, width)) * 1e3])
+        gain, bias = rng.standard_normal((2, width)).astype(np.float32)
+        assert np.array_equal(layer_norm64(x, gain, bias), var_layer_norm(x, gain, bias))
+
+
+def var_layer_norm(x64, gain, bias, eps=1e-5):
+    """Reference: layer norm with np.mean and np.var, which centres each row twice."""
+    mean = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    return (x64 - mean) / np.sqrt(var + eps) * gain.astype(np.float64) + bias.astype(np.float64)
 
 
 def probe_loss(logits, target):
@@ -267,12 +344,42 @@ class TestTrainLinearHeads:
         assert np.array_equal(w, weights) and np.array_equal(b, biases)
         assert loss.shape == (0, self.HEADS)
 
+    @pytest.mark.parametrize("heads", [1, 8])
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_equals_per_step_cast_loop_bitwise(self, rng, heads, batch_size):
+        # N = 5 sequences, so a batch of 32 repeats indices and a batch of 1
+        # repeats across steps.
+        cache = rng.standard_normal((heads, 5, self.T, self.DIM)).astype(np.float32)
+        labels = rng.integers(0, self.C, size=(5, self.T)).astype(np.int32)
+        weights = (rng.standard_normal((heads, self.C, self.DIM)) * 0.1).astype(np.float32)
+        biases = (rng.standard_normal((heads, self.C)) * 0.1).astype(np.float32)
+        args = (cache, labels, weights, biases, 0.3, 12, batch_size, 11)
+        for got, expect in zip(train_linear_heads(*args), cast_per_step_heads(*args)):
+            assert np.array_equal(got, expect)
+
     def test_empty_batch_rejected(self, rng):
         cache, labels, weights, biases = self._problem(rng)
         with pytest.raises(ValueError, match="empty input"):
             train_linear_heads(
                 cache, labels, weights, biases, lr=0.5, steps=5, batch_size=0, seed=7
             )
+
+
+def cast_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, seed):
+    """Reference trainer: each matmul casts a fresh float32 gather of the batch."""
+    heads, num_sequences, _, dim = cache.shape
+    rng = new_rng(seed)
+    losses = np.empty((steps, heads), dtype=np.float64)
+    for step in range(steps):
+        batch = rng.integers(0, num_sequences, size=batch_size)
+        feats = cache[:, batch].reshape(heads, -1, dim)
+        logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
+            np.float64
+        )
+        losses[step], dlogits = cross_entropy(logits, labels[batch].reshape(-1))
+        weights = sgd_step(weights, matmul64(dlogits.transpose(0, 2, 1), feats), lr)
+        biases = sgd_step(biases, dlogits.sum(axis=1), lr)
+    return weights, biases, losses
 
 
 class TestSgdStep:

@@ -43,7 +43,7 @@ from adaexit.probe import (
     replay_exits,
     replay_static,
 )
-from adaexit.serialize import load_checkpoint, load_dataset
+from adaexit.serialize import load_checkpoint, load_dataset, save_checkpoint
 
 TINY = {
     "data.num_train": "60",
@@ -235,12 +235,15 @@ class TestStages:
                 assert (strategy, level) in combos
         assert any(r["strategy"].startswith("static-") for r in rows)
 
-    def test_duplicate_snr_levels_give_identical_rows(self, tiny_run):
-        from adaexit.pipeline import noise_sweep
-
+    def test_duplicate_snr_levels_give_identical_rows(self, tiny_run, tmp_path):
+        # On a copy: the sweep rewrites exit_distribution.csv and
+        # exit_summary.csv, which later tests read from the shared run.
         cfg, paths = tiny_run
-        rows = noise_sweep(cfg, paths, snr_levels=(5.0, 5.0))
+        shared = {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()}
+        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        rows = noise_sweep(cfg, copy, snr_levels=(5.0, 5.0))
         assert rows[1] == rows[2]
+        assert {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()} == shared
 
     def test_timing_present(self, tiny_run):
         cfg, paths = tiny_run
@@ -472,6 +475,38 @@ class TestStaleInputs:
         args = ["eval", "--artifacts", str(paths.root)]
         for key, value in TINY.items():
             args.extend(["--set", f"{key}={value}"])
+        assert main(args) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert re.search(message, record["message"])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "section, array, pick",
+        [
+            ("encoder", "blocks[5].q_bias", lambda ck: ck.encoder.blocks[5].q_bias),
+            ("teacher", "bias", lambda ck: ck.teacher.bias),
+            ("branches", "weights", lambda ck: ck.branches.weights),
+            ("downstream", "probe_bias", lambda ck: ck.downstream.probe_bias),
+        ],
+        ids=["encoder", "teacher", "branches", "downstream"],
+    )
+    def test_non_finite_checkpoint_fails_before_any_forward(
+        self, copy, forwarded, capsys, section, array, pick, value
+    ):
+        cfg, paths = copy
+        ck = load_checkpoint(paths.checkpoint)
+        pick(ck).flat[0] = value
+        save_checkpoint(ck, paths.checkpoint)
+        message = rf"^checkpoint\.bin: section '{section}' array '{re.escape(array)}' holds a "
+        for stage in (stage_branches, stage_calibrate, stage_downstream, *self.REPORTS):
+            with pytest.raises(FormatError, match=message):
+                stage(cfg, paths)
+        assert forwarded == []
+        # A NaN probe bias used to let 'eval' exit 0 and serve class 0 to every sample.
+        args = ["eval", "--artifacts", str(paths.root)]
+        for key, setting in TINY.items():
+            args.extend(["--set", f"{key}={setting}"])
         assert main(args) == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "FormatError"

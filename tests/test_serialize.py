@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,38 @@ class TestCheckpointErrors:
         data = CHECKPOINT_MAGIC + (1).to_bytes(4, "little")
         with pytest.raises(FormatError, match="no encoder"):
             checkpoint_from_bytes(data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "section, array, pick",
+        [
+            ("encoder", "input_weight", lambda ck: ck.encoder.input_weight),
+            ("encoder", "blocks[2].ffn_out_bias", lambda ck: ck.encoder.blocks[2].ffn_out_bias),
+            ("teacher", "weight", lambda ck: ck.teacher.weight),
+            ("branches", "biases", lambda ck: ck.branches.biases),
+            ("downstream", "layer_weights", lambda ck: ck.downstream.layer_weights),
+            ("downstream", "probe_bias", lambda ck: ck.downstream.probe_bias),
+        ],
+    )
+    def test_non_finite_array_rejected_by_name(self, full_checkpoint, section, array, pick, value):
+        ck = checkpoint_from_bytes(checkpoint_to_bytes(full_checkpoint))  # a private copy
+        target = pick(ck)
+        target.flat[target.size // 2] = value
+        data = checkpoint_to_bytes(ck)
+        with pytest.raises(FormatError, match=rf"^section '{section}' array '{re.escape(array)}' "
+                           r"holds a non-finite value \(at byte offset \d+\)$") as err:
+            checkpoint_from_bytes(data)
+        # The offset is where the array's bytes start.
+        width = target.dtype.itemsize
+        start = err.value.offset
+        assert data[start : start + target.size * width] == target.astype("<f4").tobytes()
+
+    def test_load_names_the_file(self, full_checkpoint, tmp_path):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(checkpoint_to_bytes(full_checkpoint)[:100])
+        with pytest.raises(FormatError, match=r"^ck\.bin: truncated stream") as err:
+            load_checkpoint(path)
+        assert err.value.offset is not None
 
 
 class TestDatasetBytes:
