@@ -194,15 +194,17 @@ def layer_norm(
 
 
 def running_mean(values) -> float:
-    """Streaming mean in float64.
+    """Streaming mean in float64, returned as a Python float.
 
     Unlike sum-then-divide, a constant sequence averages to exactly that
     constant (the increment is exactly zero), which keeps degenerate cases
-    like uniform-posterior entropies bit-exact.
+    like uniform-posterior entropies bit-exact. The loop runs over Python
+    floats: the same IEEE recurrence as over numpy scalars, a few times
+    faster per element.
     """
     mean = 0.0
     count = 0
-    for value in np.asarray(values, dtype=np.float64).ravel():
+    for value in np.asarray(values, dtype=np.float64).ravel().tolist():
         count += 1
         mean += (value - mean) / count
     if count == 0:

@@ -1,18 +1,21 @@
 """Exit threshold calibration, per-sample exit decisions, and span constraints.
 
-The threshold is the midpoint of the dataset's per-layer mean-entropy
-extremes scaled by a user ratio in [0,1]; a smaller ratio lowers the
-threshold and pushes exits deeper. A decision scans the allowed layers in
-increasing order and exits at the first one whose sequence entropy falls
-below the threshold, else is forced out at the deepest allowed layer.
-Spans (mean / threshold / min-max) restrict the allowed set at inference
-time from statistics gathered while the downstream head trained.
+A policy is a threshold plus the layers it may exit at. The threshold is
+the midpoint of the dataset's per-layer mean-entropy extremes scaled by a
+user ratio in [0,1]; a smaller ratio lowers the threshold and pushes exits
+deeper. A decision scans the allowed layers in increasing order and exits
+at the first one whose sequence entropy falls below the threshold, else is
+forced out at the deepest allowed layer. `calibrate` allows every layer;
+`constrain` is the one place a span (mean / threshold / min-max) is
+decided, restricting the allowed layers at inference time from statistics
+gathered while the downstream head trained. Only calibrated policies are
+written to disk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,26 +42,14 @@ __all__ = [
 
 SPAN_KINDS = ("unconstrained", "mean", "threshold", "minmax")
 
-# The ExitPolicy fields each span kind sets; every other span field is None.
-_SPAN_FIELDS = {
-    "unconstrained": (),
-    "mean": ("mean_exit",),
-    "threshold": ("exit_rates", "rate_cutoff"),
-    "minmax": ("min_exit", "max_exit"),
-}
-
 
 @dataclass(frozen=True)
 class ExitPolicy:
     threshold: float  # entropy cutoff; exit fires when E < threshold
     ratio: float  # the scaling ratio the threshold was calibrated with
     num_layers: int
-    span_kind: str = "unconstrained"
-    mean_exit: float | None = None  # mean span
-    exit_rates: tuple[float, ...] | None = None  # threshold span
-    rate_cutoff: float | None = None
-    min_exit: int | None = None  # minmax span
-    max_exit: int | None = None
+    span_kind: str = "unconstrained"  # the span's label in reports; `allowed` decides
+    allowed: tuple[int, ...] | None = None  # layers that may exit, increasing; None: 1..L
 
     def __post_init__(self):
         if self.span_kind not in SPAN_KINDS:
@@ -69,40 +60,16 @@ class ExitPolicy:
             raise ConfigError(f"ratio must be in [0,1], got {self.ratio}")
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be positive, got {self.num_layers}")
-        if self.span_kind == "mean":
-            if self.mean_exit is None or not 1.0 <= self.mean_exit <= self.num_layers:
-                raise ConfigError(f"mean span needs mean_exit in [1, L], got {self.mean_exit}")
-        elif self.span_kind == "threshold":
-            if self.exit_rates is None or len(self.exit_rates) != self.num_layers:
-                raise ConfigError("threshold span needs one exit rate per layer")
-            if self.rate_cutoff is None or not 0.0 < self.rate_cutoff < 1.0:
-                raise ConfigError(f"rate_cutoff must be in (0,1), got {self.rate_cutoff}")
-        elif self.span_kind == "minmax":
-            if (
-                self.min_exit is None
-                or self.max_exit is None
-                or not 1 <= self.min_exit <= self.max_exit <= self.num_layers
-            ):
-                raise ConfigError(
-                    f"minmax span needs 1 <= min <= max <= L, got "
-                    f"({self.min_exit}, {self.max_exit})"
-                )
-        if not self.allowed_layers():
+        if self.allowed is None:
+            object.__setattr__(self, "allowed", tuple(range(1, self.num_layers + 1)))
+        if not self.allowed:
             raise ConfigError("policy allows no exit layers")
-
-    def allowed_layers(self) -> tuple[int, ...]:
-        """Layers that may exit, in increasing order. Never empty after construction."""
-        if self.span_kind == "unconstrained":
-            return tuple(range(1, self.num_layers + 1))
-        if self.span_kind == "mean":
-            lo = int(math.floor(self.mean_exit))
-            hi = int(math.ceil(self.mean_exit))
-            return tuple(range(lo, hi + 1))
-        if self.span_kind == "threshold":
-            return tuple(
-                k for k, rate in enumerate(self.exit_rates, start=1) if rate > self.rate_cutoff
+        bounds = (0, *self.allowed, self.num_layers + 1)
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ConfigError(
+                f"allowed layers must be strictly increasing within 1..{self.num_layers}, "
+                f"got {self.allowed}"
             )
-        return tuple(range(self.min_exit, self.max_exit + 1))
 
 
 @dataclass(frozen=True)
@@ -146,7 +113,7 @@ def decide_exit(
     layer. entropy_at is only called for allowed layers, and never for a
     layer deeper than the returned exit.
     """
-    allowed = policy.allowed_layers()
+    allowed = policy.allowed
     entropies: dict[int, float] = {}
     for k in allowed:
         e = float(entropy_at(k))
@@ -221,42 +188,50 @@ def constrain(
 ) -> ExitPolicy:
     """Restrict where the policy may exit, from downstream-training statistics.
 
-    The threshold and ratio are unchanged; changing the ratio is done by
-    re-calibrating before constraining. "unconstrained" clears every span field.
+    The span decides the allowed layers: mean allows floor(mean)..ceil(mean),
+    threshold every layer whose exit rate exceeds rate_cutoff, minmax
+    min..max, and unconstrained every layer. The threshold and ratio are
+    unchanged; changing the ratio is done by re-calibrating before
+    constraining.
     """
-    if span_kind not in SPAN_KINDS:
-        raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {span_kind!r}")
-    if span_kind == "threshold":
-        if len(stats.exit_rates) != policy.num_layers:
+    num_layers = policy.num_layers
+    if span_kind == "unconstrained":
+        allowed = tuple(range(1, num_layers + 1))
+    elif span_kind == "mean":
+        if not 1.0 <= stats.mean_exit <= num_layers:
+            raise ConfigError(f"mean span needs mean_exit in [1, L], got {stats.mean_exit}")
+        allowed = tuple(range(math.floor(stats.mean_exit), math.ceil(stats.mean_exit) + 1))
+    elif span_kind == "threshold":
+        if len(stats.exit_rates) != num_layers:
             raise ConfigError(
-                f"stats cover {len(stats.exit_rates)} layers, policy has {policy.num_layers}"
+                f"stats cover {len(stats.exit_rates)} layers, policy has {num_layers}"
             )
-        if not any(rate > rate_cutoff for rate in stats.exit_rates):
+        allowed = tuple(
+            k for k, rate in enumerate(stats.exit_rates, start=1) if rate > rate_cutoff
+        )
+        if not allowed:
             raise ConfigError(
                 f"no layer's exit rate exceeds the cutoff {rate_cutoff}; "
                 "threshold span would be empty"
             )
-    values = {**asdict(stats), "rate_cutoff": rate_cutoff}
-    return replace(
-        policy,
-        span_kind=span_kind,
-        **{
-            name: values[name] if name in _SPAN_FIELDS[span_kind] else None
-            for names in _SPAN_FIELDS.values()
-            for name in names
-        },
-    )
+        if not 0.0 < rate_cutoff < 1.0:
+            raise ConfigError(f"rate_cutoff must be in (0,1), got {rate_cutoff}")
+    elif span_kind == "minmax":
+        if not 1 <= stats.min_exit <= stats.max_exit <= num_layers:
+            raise ConfigError(
+                f"minmax span needs 1 <= min <= max <= L, got "
+                f"({stats.min_exit}, {stats.max_exit})"
+            )
+        allowed = tuple(range(stats.min_exit, stats.max_exit + 1))
+    else:
+        raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {span_kind!r}")
+    return replace(policy, span_kind=span_kind, allowed=allowed)
 
 
 def fixed_exit_policy(layer: int, num_layers: int) -> ExitPolicy:
     """A policy that always exits at one layer; the static-truncation twin."""
     return ExitPolicy(
-        threshold=0.0,
-        ratio=0.0,
-        num_layers=num_layers,
-        span_kind="minmax",
-        min_exit=layer,
-        max_exit=layer,
+        threshold=0.0, ratio=0.0, num_layers=num_layers, span_kind="minmax", allowed=(layer,)
     )
 
 
@@ -265,21 +240,22 @@ def _format_float(x: float) -> str:
 
 
 def save_policy(policy: ExitPolicy, path: str | Path) -> None:
-    """Write the policy as a human-readable key-value file."""
+    """Write a calibrated policy as a human-readable key-value file.
+
+    Spans are decided at inference by `constrain`, so a constrained policy
+    is refused rather than stored.
+    """
+    if policy != ExitPolicy(policy.threshold, policy.ratio, policy.num_layers):
+        raise ConfigError(
+            f"only a calibrated policy is saved, got span {policy.span_kind!r} "
+            f"allowing layers {policy.allowed}"
+        )
     lines = [
         f"threshold = {_format_float(policy.threshold)}",
         f"ratio = {_format_float(policy.ratio)}",
         f"num_layers = {policy.num_layers}",
         f"span = {policy.span_kind}",
     ]
-    if policy.span_kind == "mean":
-        lines.append(f"mean_exit = {_format_float(policy.mean_exit)}")
-    elif policy.span_kind == "threshold":
-        lines.append("exit_rates = " + ",".join(_format_float(r) for r in policy.exit_rates))
-        lines.append(f"rate_cutoff = {_format_float(policy.rate_cutoff)}")
-    elif policy.span_kind == "minmax":
-        lines.append(f"min_exit = {policy.min_exit}")
-        lines.append(f"max_exit = {policy.max_exit}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -293,23 +269,17 @@ def load_policy(path: str | Path) -> ExitPolicy:
             raise FormatError(f"policy file line {lineno} is not 'key = value': {line!r}")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+    span_kind = fields.get("span", "unconstrained")
+    if span_kind != "unconstrained":
+        raise FormatError(
+            f"policy file span must be 'unconstrained' (spans are applied at inference), "
+            f"got {span_kind!r}"
+        )
     try:
-        span_kind = fields.get("span", "unconstrained")
-        policy = ExitPolicy(
+        return ExitPolicy(
             threshold=float(fields["threshold"]),
             ratio=float(fields["ratio"]),
             num_layers=int(fields["num_layers"]),
-            span_kind=span_kind,
-            mean_exit=float(fields["mean_exit"]) if span_kind == "mean" else None,
-            exit_rates=(
-                tuple(float(r) for r in fields["exit_rates"].split(","))
-                if span_kind == "threshold"
-                else None
-            ),
-            rate_cutoff=float(fields["rate_cutoff"]) if span_kind == "threshold" else None,
-            min_exit=int(fields["min_exit"]) if span_kind == "minmax" else None,
-            max_exit=int(fields["max_exit"]) if span_kind == "minmax" else None,
         )
     except KeyError as err:
         raise FormatError(f"policy file missing key {err.args[0]!r}") from err
-    return policy

@@ -219,10 +219,7 @@ def train_downstream(
     traces (one per sample) are the span statistics used by inference-time
     constraints.
     """
-    if data.num_sequences == 0:
-        raise ValueError("empty dataset")
-    if task not in TASKS:
-        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+    _check_dataset(data, task)
     prefixes, traces = [], []
     for i in range(data.num_sequences):
         states, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
@@ -359,8 +356,7 @@ def evaluate_static(
     renormalize: bool = True,
 ) -> dict:
     """The fixed-depth baseline: truncate every forward at `layer`, no exit machinery."""
-    if data.num_sequences == 0:
-        raise ValueError("empty dataset")
+    _check_dataset(data, task)
     num_layers = enc.config.num_layers
     if not 1 <= layer <= num_layers:
         raise ValueError(f"layer {layer} out of range 1..{num_layers}")

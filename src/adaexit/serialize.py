@@ -19,7 +19,7 @@ round-trip bit-exactly and reject foreign magic, version mismatches, and
 truncation with the byte offset of the failure. A checkpoint array holding
 NaN or inf is refused by section and array name: a NaN probe bias would
 otherwise serve class 0 to every sample without a word. `load_checkpoint`
-puts the file's name in front of every such error.
+and `load_dataset` put the file's name in front of every such error.
 """
 
 from __future__ import annotations
@@ -318,15 +318,20 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
     Path(path).write_bytes(checkpoint_to_bytes(ck))
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """The checkpoint in `path`; every FormatError starts with the file's name."""
+def _load_named(path: str | Path, from_bytes):
+    """`from_bytes` of the file's contents, with the file's name put in front of a FormatError."""
     path = Path(path)
     try:
-        return checkpoint_from_bytes(path.read_bytes())
+        return from_bytes(path.read_bytes())
     except FormatError as err:
         named = FormatError(f"{path.name}: {err}")
         named.offset = err.offset
         raise named from err
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """The checkpoint in `path`; every FormatError starts with the file's name."""
+    return _load_named(path, checkpoint_from_bytes)
 
 
 def dataset_to_bytes(data: FrameDataset) -> bytes:
@@ -365,4 +370,5 @@ def save_dataset(data: FrameDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> FrameDataset:
-    return dataset_from_bytes(Path(path).read_bytes())
+    """The dataset in `path`; every FormatError starts with the file's name."""
+    return _load_named(path, dataset_from_bytes)

@@ -33,7 +33,9 @@ from adaexit.pipeline import (
     stage_teacher,
 )
 from adaexit.policy import (
+    SPAN_KINDS,
     ExitPolicy,
+    SpanStats,
     calibrate,
     constrain,
     decide_exit,
@@ -110,27 +112,18 @@ def full_run(stage1_runs):
 
 
 def _random_policy(rng, num_layers, threshold):
-    kind = rng.choice(["unconstrained", "mean", "threshold", "minmax"])
-    if kind == "unconstrained":
-        return ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers)
-    if kind == "mean":
-        return ExitPolicy(
-            threshold=threshold, ratio=1.0, num_layers=num_layers,
-            span_kind="mean", mean_exit=float(rng.uniform(1, num_layers)),
-        )
-    if kind == "threshold":
-        rates = rng.dirichlet(np.ones(num_layers))
-        cutoff = float(rng.uniform(0.01, float(rates.max()) * 0.99))
-        return ExitPolicy(
-            threshold=threshold, ratio=1.0, num_layers=num_layers,
-            span_kind="threshold",
-            exit_rates=tuple(float(r) for r in rates), rate_cutoff=cutoff,
-        )
+    """A random span kind, constrained by random span statistics."""
+    rates = rng.dirichlet(np.ones(num_layers))
     lo = int(rng.integers(1, num_layers + 1))
     hi = int(rng.integers(lo, num_layers + 1))
-    return ExitPolicy(
-        threshold=threshold, ratio=1.0, num_layers=num_layers,
-        span_kind="minmax", min_exit=lo, max_exit=hi,
+    stats = SpanStats(
+        mean_exit=float(rng.uniform(lo, hi)), exit_rates=tuple(float(r) for r in rates),
+        min_exit=lo, max_exit=hi, num_traces=1,
+    )
+    return constrain(
+        ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers),
+        str(rng.choice(SPAN_KINDS)), stats,
+        rate_cutoff=float(rng.uniform(0.01, float(rates.max()) * 0.99)),
     )
 
 
@@ -144,7 +137,7 @@ def test_criterion_1_oracle_equivalence():
         entropies = rng.uniform(0.0, 3.5, size=num_layers)
         policy = _random_policy(rng, num_layers, float(rng.uniform(0.0, 3.5)))
         trace = decide_exit(policy, lambda k: entropies[k - 1])
-        allowed = policy.allowed_layers()
+        allowed = policy.allowed
         expected = next((k for k in allowed if entropies[k - 1] < policy.threshold), None)
         forced = expected is None
         expected = allowed[-1] if forced else expected

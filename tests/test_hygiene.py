@@ -1,0 +1,89 @@
+"""Static checks on the package source: no unused import, no dangling `__all__` entry.
+
+A module's imports must each be read somewhere in that module (or re-exported
+through its `__all__`), and every name its `__all__` lists must be bound at
+module level. `__init__.py` only re-exports, so it is left out.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adaexit"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> line number; `from __future__` binds nothing."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    bound = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(_dunder_all(tree))
+    return sorted(
+        f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in read
+    )
+
+
+def undefined_exports(tree: ast.Module) -> list[str]:
+    return sorted(set(_dunder_all(tree)) - _module_bindings(tree))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    unused = unused_imports(_parse(path))
+    assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_dunder_all_entry_is_defined(path):
+    missing = undefined_exports(_parse(path))
+    assert not missing, f"{path.name} lists in __all__ but never defines: {missing}"
+
+
+def test_catches_a_leftover_import_and_export():
+    tree = ast.parse(
+        "from dataclasses import asdict, dataclass\n"
+        "__all__ = ['Thing', 'gone']\n"
+        "@dataclass\n"
+        "class Thing:\n"
+        "    x: int\n"
+    )
+    assert unused_imports(tree) == ["asdict (line 1)"]
+    assert undefined_exports(tree) == ["gone"]

@@ -16,6 +16,7 @@ from adaexit.numeric import (
     layer_norm64,
     matmul64,
     new_rng,
+    running_mean,
     sgd_step,
     softmax,
     train_linear_heads,
@@ -380,6 +381,35 @@ def cast_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, s
         weights = sgd_step(weights, matmul64(dlogits.transpose(0, 2, 1), feats), lr)
         biases = sgd_step(biases, dlogits.sum(axis=1), lr)
     return weights, biases, losses
+
+
+def numpy_scalar_running_mean(values):
+    """Reference: the recurrence over numpy float64 scalars that `running_mean` ran."""
+    mean = 0.0
+    count = 0
+    for value in np.asarray(values, dtype=np.float64).ravel():
+        count += 1
+        mean += (value - mean) / count
+    return mean
+
+
+class TestRunningMean:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 64),
+            elements=st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+        )
+    )
+    def test_equals_numpy_scalar_loop_bitwise(self, values):
+        got = running_mean(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == numpy_scalar_running_mean(values).tobytes()
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty input"):
+            running_mean([])
 
 
 class TestSgdStep:

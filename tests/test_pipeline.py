@@ -512,6 +512,19 @@ class TestStaleInputs:
         assert record["error"] == "FormatError"
         assert re.search(message, record["message"])
 
+    def test_truncated_dataset_named_by_the_eval_cli(self, copy, forwarded, capsys):
+        cfg, paths = copy
+        raw = paths.eval_data.read_bytes()
+        paths.eval_data.write_bytes(raw[: len(raw) // 2])
+        args = ["eval", "--artifacts", str(paths.root)]
+        for key, value in TINY.items():
+            args.extend(["--set", f"{key}={value}"])
+        assert main(args) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "FormatError"
+        assert record["message"].startswith("eval_data.bin: truncated stream")
+        assert forwarded == []
+
     def test_policy_of_another_depth_fails_before_any_forward(self, copy, forwarded):
         cfg, paths = copy
         text = paths.policy_file.read_text()

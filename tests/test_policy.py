@@ -7,10 +7,12 @@ import pytest
 
 from adaexit.branches import EntropyProfile, train_branches
 from adaexit.encoder import forward_all
-from adaexit.errors import ConfigError
+from adaexit.errors import ConfigError, FormatError
 from adaexit.policy import (
+    SPAN_KINDS,
     ExitPolicy,
     ExitTrace,
+    SpanStats,
     calibrate,
     collect_span_stats,
     constrain,
@@ -29,6 +31,10 @@ def _profile(means):
 
 def _entropy_seq(values):
     return lambda k: values[k - 1]
+
+
+def _stats(mean=4.0, rates=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), lo=4, hi=4):
+    return SpanStats(mean_exit=mean, exit_rates=rates, min_exit=lo, max_exit=hi, num_traces=1)
 
 
 def oracle_exit(values, threshold, allowed):
@@ -107,7 +113,7 @@ class TestDecideExit:
             return 5.0
 
         policy = ExitPolicy(
-            threshold=1.0, ratio=1.0, num_layers=8, span_kind="minmax", min_exit=3, max_exit=5
+            threshold=1.0, ratio=1.0, num_layers=8, span_kind="minmax", allowed=(3, 4, 5)
         )
         trace = decide_exit(policy, probe)
         assert calls == [3, 4, 5]
@@ -118,33 +124,18 @@ class TestDecideExit:
             num_layers = int(rng.integers(2, 10))
             values = rng.uniform(0, 3.5, size=num_layers)
             threshold = float(rng.uniform(0, 3.5))
-            kind = rng.choice(["unconstrained", "mean", "threshold", "minmax"])
-            if kind == "unconstrained":
-                policy = ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers)
-            elif kind == "mean":
-                policy = ExitPolicy(
-                    threshold=threshold, ratio=1.0, num_layers=num_layers,
-                    span_kind="mean",
-                    mean_exit=float(rng.uniform(1, num_layers)),
-                )
-            elif kind == "threshold":
-                rates = rng.dirichlet(np.ones(num_layers))
-                cutoff = float(rng.uniform(0.01, float(rates.max()) * 0.99))
-                policy = ExitPolicy(
-                    threshold=threshold, ratio=1.0, num_layers=num_layers,
-                    span_kind="threshold",
-                    exit_rates=tuple(float(r) for r in rates), rate_cutoff=cutoff,
-                )
-            else:
-                lo = int(rng.integers(1, num_layers + 1))
-                hi = int(rng.integers(lo, num_layers + 1))
-                policy = ExitPolicy(
-                    threshold=threshold, ratio=1.0, num_layers=num_layers,
-                    span_kind="minmax", min_exit=lo, max_exit=hi,
-                )
+            rates = rng.dirichlet(np.ones(num_layers))
+            lo = int(rng.integers(1, num_layers + 1))
+            hi = int(rng.integers(lo, num_layers + 1))
+            stats = _stats(float(rng.uniform(lo, hi)), tuple(float(r) for r in rates), lo, hi)
+            cutoff = float(rng.uniform(0.01, float(rates.max()) * 0.99))
+            policy = constrain(
+                ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers),
+                str(rng.choice(SPAN_KINDS)), stats, rate_cutoff=cutoff,
+            )
             trace = decide_exit(policy, _entropy_seq(values))
             expect_layer, expect_forced = oracle_exit(
-                values, threshold, policy.allowed_layers()
+                values, threshold, policy.allowed
             )
             assert (trace.exit_layer, trace.forced) == (expect_layer, expect_forced)
 
@@ -162,46 +153,54 @@ class TestDecideExit:
 
 
 class TestSpans:
+    BASE = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=8)
+
     def test_mean_span_integral(self):
-        policy = ExitPolicy(
-            threshold=1.0, ratio=1.0, num_layers=8, span_kind="mean", mean_exit=4.0
-        )
-        assert policy.allowed_layers() == (4,)
+        assert constrain(self.BASE, "mean", _stats(mean=4.0)).allowed == (4,)
 
     def test_mean_span_fractional(self):
-        policy = ExitPolicy(
-            threshold=1.0, ratio=1.0, num_layers=8, span_kind="mean", mean_exit=3.4
-        )
-        assert policy.allowed_layers() == (3, 4)
+        assert constrain(self.BASE, "mean", _stats(mean=3.4)).allowed == (3, 4)
 
     def test_threshold_span_filter_oracle(self):
         rates = (0.0, 0.05, 0.40, 0.35, 0.10, 0.10, 0.0, 0.0)
-        policy = ExitPolicy(
-            threshold=1.0, ratio=1.0, num_layers=8,
-            span_kind="threshold", exit_rates=rates, rate_cutoff=0.15,
-        )
-        assert policy.allowed_layers() == (3, 4)
+        policy = constrain(self.BASE, "threshold", _stats(rates=rates), rate_cutoff=0.15)
+        assert policy.allowed == (3, 4)
+
+    def test_rate_equal_to_cutoff_excluded(self):
+        rates = (0.0, 0.25, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0)
+        policy = constrain(self.BASE, "threshold", _stats(rates=rates), rate_cutoff=0.25)
+        assert policy.allowed == (3,)
 
     def test_minmax_span(self):
-        policy = ExitPolicy(
-            threshold=1.0, ratio=1.0, num_layers=8,
-            span_kind="minmax", min_exit=2, max_exit=6,
-        )
-        assert policy.allowed_layers() == (2, 3, 4, 5, 6)
+        assert constrain(self.BASE, "minmax", _stats(lo=2, hi=6)).allowed == (2, 3, 4, 5, 6)
 
     def test_empty_threshold_span_rejected_at_construction(self):
-        with pytest.raises(ConfigError):
-            ExitPolicy(
-                threshold=1.0, ratio=1.0, num_layers=4,
-                span_kind="threshold", exit_rates=(0.1, 0.1, 0.1, 0.1), rate_cutoff=0.5,
-            )
+        base = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=4)
+        with pytest.raises(ConfigError, match="threshold span would be empty"):
+            constrain(base, "threshold", _stats(rates=(0.1, 0.1, 0.1, 0.1)), rate_cutoff=0.5)
 
     def test_invalid_minmax_rejected(self):
-        with pytest.raises(ConfigError):
-            ExitPolicy(
-                threshold=1.0, ratio=1.0, num_layers=4,
-                span_kind="minmax", min_exit=3, max_exit=2,
-            )
+        base = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=4)
+        with pytest.raises(ConfigError, match=r"minmax span needs 1 <= min <= max <= L"):
+            constrain(base, "minmax", _stats(lo=3, hi=2))
+
+    @pytest.mark.parametrize("mean", [0.5, 8.5, float("nan"), float("inf")])
+    def test_mean_outside_layers_rejected(self, mean):
+        with pytest.raises(ConfigError, match=r"mean span needs mean_exit in \[1, L\]"):
+            constrain(self.BASE, "mean", _stats(mean=mean))
+
+    @pytest.mark.parametrize("cutoff", [0.0, -0.5])
+    def test_cutoff_outside_unit_interval_rejected(self, cutoff):
+        with pytest.raises(ConfigError, match=r"rate_cutoff must be in \(0,1\)"):
+            constrain(self.BASE, "threshold", _stats(), rate_cutoff=cutoff)
+
+    @pytest.mark.parametrize("allowed", [(), (0,), (9,), (3, 2), (2, 2)])
+    def test_bad_allowed_tuple_rejected(self, allowed):
+        with pytest.raises(ConfigError, match="allow"):
+            ExitPolicy(threshold=1.0, ratio=1.0, num_layers=8, allowed=allowed)
+
+    def test_default_allows_every_layer(self):
+        assert self.BASE.allowed == tuple(range(1, 9))
 
 
 class TestSpanStats:
@@ -257,13 +256,13 @@ class TestConstrain:
 
     def test_minmax_uses_observed_extremes(self):
         policy = constrain(calibrate(_profile([2.0] * 8), 0.6), "minmax", self._stats())
-        assert policy.allowed_layers() == (2, 3, 4, 5, 6, 7, 8)
+        assert policy.allowed == (2, 3, 4, 5, 6, 7, 8)
 
     def test_threshold_cutoff_flag(self):
         stats = self._stats()
         policy = constrain(calibrate(_profile([2.0] * 8), 0.6), "threshold", stats,
                            rate_cutoff=0.3)
-        assert policy.allowed_layers() == (4,)
+        assert policy.allowed == (4,)
 
     def test_no_layer_above_cutoff_rejected(self):
         with pytest.raises(ConfigError):
@@ -273,7 +272,7 @@ class TestConstrain:
     def test_back_to_unconstrained(self):
         policy = constrain(calibrate(_profile([2.0] * 8), 0.6), "minmax", self._stats())
         again = constrain(policy, "unconstrained", self._stats())
-        assert again.allowed_layers() == tuple(range(1, 9))
+        assert again.allowed == tuple(range(1, 9))
 
 
 @pytest.fixture(scope="module")
@@ -319,22 +318,24 @@ class TestRunExit:
 
 
 class TestPolicyFile:
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8),
-            ExitPolicy(threshold=0.5, ratio=1.0, num_layers=8, span_kind="mean",
-                       mean_exit=4.375),
-            ExitPolicy(threshold=0.5, ratio=1.0, num_layers=4, span_kind="threshold",
-                       exit_rates=(0.1, 0.5, 0.3, 0.1), rate_cutoff=0.15),
-            ExitPolicy(threshold=0.5, ratio=1.0, num_layers=8, span_kind="minmax",
-                       min_exit=2, max_exit=7),
-        ],
-    )
-    def test_round_trip(self, policy, tmp_path):
+    def test_round_trip(self, tmp_path):
+        policy = ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8)
         path = tmp_path / "policy.txt"
         save_policy(policy, path)
         assert load_policy(path) == policy
+
+    def test_constrained_policy_not_saved(self, tmp_path):
+        policy = constrain(ExitPolicy(threshold=0.5, ratio=1.0, num_layers=8), "mean", _stats())
+        path = tmp_path / "policy.txt"
+        with pytest.raises(ConfigError, match="only a calibrated policy is saved"):
+            save_policy(policy, path)
+        assert not path.exists()
+
+    def test_span_file_refused(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("threshold = 0.5\nratio = 1.0\nnum_layers = 8\nspan = mean\n")
+        with pytest.raises(FormatError, match="got 'mean'"):
+            load_policy(path)
 
     def test_file_is_human_readable(self, tmp_path):
         path = tmp_path / "policy.txt"
@@ -345,8 +346,6 @@ class TestPolicyFile:
         assert "span = unconstrained" in text
 
     def test_missing_key_reports_format_error(self, tmp_path):
-        from adaexit.errors import FormatError
-
         path = tmp_path / "policy.txt"
         path.write_text("threshold = 1.0\n")
         with pytest.raises(FormatError):

@@ -304,6 +304,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_static(enc, head, small_dataset, SMALL_ENCODER.num_layers + 1)
 
+    def test_unknown_task_rejected_by_every_entry_point(self, stack, small_dataset, rng):
+        enc, branches = stack
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        policy = fixed_exit_policy(2, SMALL_ENCODER.num_layers)
+        calls = [
+            lambda: evaluate_static(enc, head, small_dataset, 2, task="frames"),
+            lambda: evaluate(enc, branches, policy, head, small_dataset, task="frames"),
+            lambda: build_layer_table(enc, branches, small_dataset, head, task="frames"),
+            lambda: train_downstream(
+                enc, branches, policy, head, small_dataset, lr=0.1, steps=1, seed=0,
+                task="frames",
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="task must be one of"):
+                call()
+
 
 class TestLayerTable:
     def test_replay_matches_reference_on_random_head(self, stack, small_dataset, rng):
