@@ -71,28 +71,18 @@ class BranchTrainResult:
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Per-layer mean branch entropy over a dataset, with its extremes."""
+    """Per-layer mean branch entropy over a dataset."""
 
     layer_means: tuple[float, ...]
-    max_mean: float
-    min_mean: float
     num_samples: int
 
     def __post_init__(self):
         if not self.layer_means:
             raise ValueError("profile needs at least one layer")
-        if self.max_mean != max(self.layer_means) or self.min_mean != min(self.layer_means):
-            raise ValueError("max_mean/min_mean inconsistent with layer_means")
 
     @classmethod
     def from_layer_means(cls, means, num_samples: int) -> "EntropyProfile":
-        means = tuple(float(m) for m in means)
-        return cls(  # __post_init__ refuses an empty profile by name
-            layer_means=means,
-            max_mean=max(means, default=0.0),
-            min_mean=min(means, default=0.0),
-            num_samples=num_samples,
-        )
+        return cls(tuple(float(m) for m in means), num_samples)
 
     @classmethod
     def from_rows(cls, rows) -> "EntropyProfile":
@@ -107,6 +97,14 @@ class EntropyProfile:
     @property
     def num_layers(self) -> int:
         return len(self.layer_means)
+
+    @property
+    def max_mean(self) -> float:
+        return max(self.layer_means)
+
+    @property
+    def min_mean(self) -> float:
+        return min(self.layer_means)
 
 
 def init_branches(num_layers: int, num_classes: int, model_dim: int) -> BranchSet:

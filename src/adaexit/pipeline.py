@@ -1,5 +1,10 @@
 """End-to-end pipeline: dataset synthesis, three training stages, and reports.
 
+`stages()` is the one list of stages, in run order, keyed by the command
+that runs each; every stage is `stage(cfg, paths)` and reads all its
+settings from the config. `run_pipeline` saves the config and runs them
+all, and the CLI builds one subcommand per entry.
+
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
 trained on. Stage 2 calibrates the exit threshold from that profile, with
@@ -29,6 +34,7 @@ import configparser
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -89,6 +95,7 @@ __all__ = [
     "stage_eval",
     "noise_sweep",
     "compare_static",
+    "stages",
     "run_pipeline",
 ]
 
@@ -263,10 +270,6 @@ def default_config() -> RunConfig:
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -275,10 +278,18 @@ def _parse_value(name: str, raw: str):
         raise ConfigError(f"cannot parse boolean {name} from {raw!r}")
     if kind == "str":
         return raw
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
     if kind == "tuple[str, ...]":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if kind == "tuple[float, ...]":
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+        return tuple(parts)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+        if kind == "tuple[float, ...]":
+            return tuple(float(part) for part in parts)
+    except ValueError:
+        raise ConfigError(f"cannot parse {kind} {name} from {raw!r}") from None
     raise ConfigError(f"unhandled config field type for {name}: {kind}")
 
 
@@ -295,7 +306,10 @@ def _format_value(value) -> str:
 def load_config(path: str | Path) -> RunConfig:
     """Read an INI config; keys absent from the file keep their defaults."""
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as err:  # no section header, a repeated key, ...
+        raise ConfigError(str(err)) from err
     if not read:
         raise ConfigError(f"config file not found: {path}")
     values = {}
@@ -404,6 +418,7 @@ def stage_synth(cfg: RunConfig, paths: ArtifactPaths) -> None:
 
 
 def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
+    """Train the final-layer teacher head on the ground-truth labels (stage 1a)."""
     train = load_dataset(_require(paths, "train_data", "train-teacher"))
     enc = init_encoder(cfg.encoder_config())
     result = train_teacher(
@@ -423,11 +438,9 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
 
 
 def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
-    """Train the exit branches and profile the training split from their cache."""
+    """Train the exit branches on pseudo-labels and profile the training split (stage 1b)."""
     train = load_dataset(_require(paths, "train_data", "train-branches"))
-    ck = _load_checkpoint(cfg, paths, "train-branches")
-    if ck.teacher is None:
-        raise DependencyError("stage 'train-branches' needs a teacher head; run 'train-teacher'")
+    ck = _load_checkpoint(cfg, paths, "train-branches", "teacher")
     result = train_branches(
         ck.encoder,
         ck.teacher,
@@ -454,35 +467,45 @@ def _write_profile(path: Path, profile) -> None:
     )
 
 
-def _load_checkpoint(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> Checkpoint:
-    """The checkpoint, refused before any forward if its encoder is not the config's."""
+# Checkpoint section -> what a stage that reads it lacks without it, and the command to run.
+_SECTION_NEEDS = {
+    "teacher": "a teacher head; run 'train-teacher'",
+    "branches": "trained branches; run 'train-branches'",
+    "downstream": "a downstream head; run 'train-downstream'",
+}
+
+
+def _load_checkpoint(
+    cfg: RunConfig, paths: ArtifactPaths, stage: str, *sections: str
+) -> Checkpoint:
+    """The checkpoint, refused before any forward if its encoder is not the config's.
+
+    It must also hold each of `sections` ("teacher", "branches", "downstream").
+    """
     path = _require(paths, "checkpoint", stage)
     ck = load_checkpoint(path)
     if ck.encoder.config != cfg.encoder_config():
         raise DependencyError(
             f"{path.name} holds {ck.encoder.config}, the config asks for {cfg.encoder_config()}"
         )
-    return ck
-
-
-def _loaded_pipeline(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> Checkpoint:
-    ck = _load_checkpoint(cfg, paths, stage)
-    if ck.branches is None:
-        raise DependencyError(f"stage {stage!r} needs trained branches; run 'train-branches'")
+    for section in sections:
+        if getattr(ck, section) is None:
+            raise DependencyError(f"stage {stage!r} needs {_SECTION_NEEDS[section]}")
     return ck
 
 
 def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
-    """Fix the threshold at the configured ratio from the training profile; no forward."""
-    _loaded_pipeline(cfg, paths, "calibrate")
+    """Fix the threshold at the configured ratio from the training profile (stage 2a)."""
+    _load_checkpoint(cfg, paths, "calibrate", "branches")
     policy = calibrate(_read_profile(cfg, paths, "calibrate"), cfg.ratio)
     save_policy(policy, paths.policy_file)
     return policy
 
 
 def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
+    """Train the downstream head with exits active, recording span statistics (stage 2b)."""
     train = load_dataset(_require(paths, "train_data", "train-downstream"))
-    ck = _loaded_pipeline(cfg, paths, "train-downstream")
+    ck = _load_checkpoint(cfg, paths, "train-downstream", "branches")
     path = _require(paths, "policy_file", "train-downstream")
     policy = load_policy(path)
     if policy.num_layers != cfg.num_layers:
@@ -596,13 +619,8 @@ def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyPr
     return EntropyProfile.from_layer_means(means, cfg.num_train)
 
 
-def _require_head(ck: Checkpoint, stage: str) -> None:
-    if ck.downstream is None:
-        raise DependencyError(f"stage {stage!r} needs a downstream head; run 'train-downstream'")
-
-
 def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
-    """Evaluate every (strategy, inference ratio) pair on the held-out split.
+    """Evaluate every (strategy, inference ratio) pair on the held-out split (stage 3).
 
     Span statistics always come from the training-time ratio; only the
     threshold is re-calibrated when the inference ratio differs. Every pair
@@ -610,9 +628,8 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     entropy rows also give the held-out profile.
     """
     heldout = load_dataset(_require(paths, "eval_data", "eval"))
-    ck = _loaded_pipeline(cfg, paths, "eval")
+    ck = _load_checkpoint(cfg, paths, "eval", "branches", "downstream")
     profile = _read_profile(cfg, paths, "eval")
-    _require_head(ck, "eval")
     stats = load_span_stats(cfg, paths, "eval")
     table = build_layer_table(
         ck.encoder, ck.branches, heldout, ck.downstream, cfg.task, cfg.renormalize
@@ -649,27 +666,21 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     return summary
 
 
-def noise_sweep(
-    cfg: RunConfig,
-    paths: ArtifactPaths,
-    snr_levels: tuple[float, ...] | None = None,
-    ratio: float | None = None,
-) -> list[dict]:
-    """Exit-layer distribution per noise level (clean first), at one inference ratio.
+def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
+    """Exit-layer distribution per noise level (clean first), at the sweep ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
     Each noised sequence is served through `run_exit`, so only the layers up
     to its exit are computed.
     """
     heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
-    ck = _loaded_pipeline(cfg, paths, "noise-sweep")
+    ck = _load_checkpoint(cfg, paths, "noise-sweep", "branches")
     profile = _read_profile(cfg, paths, "noise-sweep")
-    levels = cfg.snr_levels if snr_levels is None else snr_levels
     specs = [
         NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
-        for level in (None, *levels)
+        for level in (None, *cfg.snr_levels)
     ]
-    policy = calibrate(profile, cfg.sweep_ratio if ratio is None else ratio)
+    policy = calibrate(profile, cfg.sweep_ratio)
     dist_rows = []
     summary_rows = []
     results = []
@@ -703,9 +714,7 @@ def noise_sweep(
     return results
 
 
-def compare_static(
-    cfg: RunConfig, paths: ArtifactPaths, static_layer: int | None = None
-) -> list[dict]:
+def compare_static(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     """Accuracy of each span strategy vs. a fixed-depth truncation on the noise mixture.
 
     One row per (strategy, noise level), plus "all" rows over the whole
@@ -714,13 +723,9 @@ def compare_static(
     per-layer table of the mixture.
     """
     heldout = load_dataset(_require(paths, "eval_data", "compare-static"))
-    ck = _loaded_pipeline(cfg, paths, "compare-static")
+    ck = _load_checkpoint(cfg, paths, "compare-static", "branches", "downstream")
     profile = _read_profile(cfg, paths, "compare-static")
-    _require_head(ck, "compare-static")
     stats = load_span_stats(cfg, paths, "compare-static")
-    layer = cfg.static_layer if static_layer is None else static_layer
-    if not 1 <= layer <= cfg.num_layers:
-        raise ValueError(f"static layer {layer} out of range 1..{cfg.num_layers}")
     base = calibrate(profile, cfg.ratio)
     mixed = make_mixture(heldout, cfg.mixture_spec(), cfg.noise_seed + 1)
     table = build_layer_table(
@@ -758,13 +763,13 @@ def compare_static(
                 }
             )
     for label, idx in groups:
-        record = replay_static(table, layer, idx)
+        record = replay_static(table, cfg.static_layer, idx)
         rows.append(
             {
-                "strategy": f"static-{layer}",
+                "strategy": f"static-{cfg.static_layer}",
                 "noise_level": label,
                 "accuracy": record["accuracy"],
-                "mean_exit": float(layer),
+                "mean_exit": float(cfg.static_layer),
                 "compute_saved": record["layer_compute_saved"],
             }
         )
@@ -787,24 +792,33 @@ def compare_static(
     return rows
 
 
+def stages() -> dict[str, Callable[[RunConfig, ArtifactPaths], object]]:
+    """Command name -> stage, in run order.
+
+    Built on each call from this module's attributes, so a stage patched
+    onto the module (a tracer's wrapper, a test's counter) is the one run.
+    """
+    return {
+        "synth": stage_synth,
+        "train-teacher": stage_teacher,
+        "train-branches": stage_branches,
+        "calibrate": stage_calibrate,
+        "train-downstream": stage_downstream,
+        "eval": stage_eval,
+        "noise-sweep": noise_sweep,
+        "compare-static": compare_static,
+    }
+
+
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> ArtifactPaths:
-    """All three stages plus the noise-adaptivity and static-comparison reports."""
+    """Save the config, then run every stage in order, printing each one's wall time."""
     paths = ArtifactPaths(Path(out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, paths.config_file)
     started = time.perf_counter()
-    for name, stage in (
-        ("synth", stage_synth),
-        ("train-teacher", stage_teacher),
-        ("train-branches", stage_branches),
-        ("calibrate", stage_calibrate),
-        ("train-downstream", stage_downstream),
-        ("eval", stage_eval),
-    ):
+    for name, stage in stages().items():
         t0 = time.perf_counter()
         stage(cfg, paths)
         print(f"[pipeline] {name}: {time.perf_counter() - t0:.1f}s")
-    noise_sweep(cfg, paths)
-    compare_static(cfg, paths)
-    print(f"[pipeline] reports done, total {time.perf_counter() - started:.1f}s")
+    print(f"[pipeline] total {time.perf_counter() - started:.1f}s")
     return paths

@@ -259,27 +259,46 @@ def save_policy(policy: ExitPolicy, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# policy.txt key -> parser of its value; `save_policy` writes each of them once.
+_POLICY_KEYS = {"threshold": float, "ratio": float, "num_layers": int, "span": str}
+
+
 def load_policy(path: str | Path) -> ExitPolicy:
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    """The calibrated policy in `path`; every error starts with the file's name.
+
+    Each line is `key = value` for one of the keys `save_policy` writes,
+    each key at most once; `span` may be left out.
+    """
+    path = Path(path)
+    try:
+        return _policy_from_lines(path.read_text().splitlines())
+    except (ConfigError, FormatError) as err:
+        raise type(err)(f"{path.name}: {err}") from err
+
+
+def _policy_from_lines(lines: list[str]) -> ExitPolicy:
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise FormatError(f"policy file line {lineno} is not 'key = value': {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    span_kind = fields.get("span", "unconstrained")
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise FormatError(f"line {lineno} is not 'key = value': {line!r}")
+        if key not in _POLICY_KEYS:
+            raise FormatError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise FormatError(f"line {lineno}: repeated key {key!r}")
+        try:
+            values[key] = _POLICY_KEYS[key](value)
+        except ValueError:
+            raise FormatError(f"line {lineno}: cannot parse {key} from {value!r}") from None
+    for key in ("threshold", "ratio", "num_layers"):
+        if key not in values:
+            raise FormatError(f"missing key {key!r}")
+    span_kind = values.pop("span", "unconstrained")
     if span_kind != "unconstrained":
         raise FormatError(
-            f"policy file span must be 'unconstrained' (spans are applied at inference), "
-            f"got {span_kind!r}"
+            f"span must be 'unconstrained' (spans are applied at inference), got {span_kind!r}"
         )
-    try:
-        return ExitPolicy(
-            threshold=float(fields["threshold"]),
-            ratio=float(fields["ratio"]),
-            num_layers=int(fields["num_layers"]),
-        )
-    except KeyError as err:
-        raise FormatError(f"policy file missing key {err.args[0]!r}") from err
+    return ExitPolicy(**values)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_criterion_7_noise_adaptivity(stage1_runs):
     for family in SEED_FAMILIES:
         cfg = stage1_runs[family]["cfg"]
         paths = stage1_runs[family]["paths"]
-        rows = noise_sweep(cfg, paths, ratio=0.7)
+        rows = noise_sweep(replace(cfg, sweep_ratio=0.7), paths)
         means = [row["mean_exit_layer"] for row in rows]  # clean, 10, 5, 0
         monotone = all(a <= b for a, b in zip(means, means[1:]))
         delta = means[-1] - means[0]

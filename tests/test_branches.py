@@ -238,7 +238,3 @@ class TestEntropyProfile:
     def test_no_layers_rejected_by_name(self):
         with pytest.raises(ValueError, match="at least one layer"):
             EntropyProfile.from_layer_means([], 1)
-
-    def test_inconsistent_extremes_rejected(self):
-        with pytest.raises(ValueError):
-            EntropyProfile(layer_means=(1.0, 2.0), max_mean=3.0, min_mean=1.0, num_samples=1)

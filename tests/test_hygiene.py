@@ -1,8 +1,10 @@
-"""Static checks on the package source: no unused import, no dangling `__all__` entry.
+"""Static checks on the package source: no unused import, no dangling `__all__`
+entry, no private name borrowed from another module.
 
 A module's imports must each be read somewhere in that module (or re-exported
-through its `__all__`), and every name its `__all__` lists must be bound at
-module level. `__init__.py` only re-exports, so it is left out.
+through its `__all__`), every name its `__all__` lists must be bound at
+module level, and no name it imports from another adaexit module may start
+with an underscore. `__init__.py` only re-exports, so it is left out.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ def undefined_exports(tree: ast.Module) -> list[str]:
     return sorted(set(_dunder_all(tree)) - _module_bindings(tree))
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from adaexit modules, relatively or by package name."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "adaexit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -75,6 +89,26 @@ def test_every_import_is_used(path):
 def test_every_dunder_all_entry_is_defined(path):
     missing = undefined_exports(_parse(path))
     assert not missing, f"{path.name} lists in __all__ but never defines: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_name_imported_from_another_module(path):
+    private = private_imports(_parse(path))
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+def test_catches_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .pipeline import ArtifactPaths, _require\n"
+        "from adaexit.policy import _format_float\n"
+        "from os.path import _joinrealpath\n"
+        "def f():\n"
+        "    from . import _helpers\n"
+    )
+    assert private_imports(tree) == [
+        "_format_float (line 3)", "_helpers (line 6)", "_require (line 2)"
+    ]
 
 
 def test_catches_a_leftover_import_and_export():

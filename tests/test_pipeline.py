@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaexit import encoder
+from adaexit import encoder, pipeline
 from adaexit.branches import entropy_profile
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
@@ -18,6 +18,7 @@ from adaexit.pipeline import (
     ARTIFACTS,
     ArtifactPaths,
     _read_profile,
+    _write_profile,
     apply_overrides,
     compare_static,
     default_config,
@@ -32,6 +33,7 @@ from adaexit.pipeline import (
     stage_eval,
     stage_synth,
     stage_teacher,
+    stages,
 )
 from adaexit.policy import calibrate, constrain, run_exit
 from adaexit.probe import (
@@ -161,6 +163,48 @@ class TestConfig:
         # Used to pass the config check and fail in train-teacher, after synth.
         _assert_rejected(tmp_path, capsys, "encoder.num_heads", "3", 3, "num_heads 3")
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("data.num_train", "abc", "cannot parse int num_train from 'abc'"),
+            ("encoder.num_layers", "8.0", "cannot parse int num_layers from '8.0'"),
+            ("data.jitter_std", "wide", "cannot parse float jitter_std from 'wide'"),
+            ("eval.snr_levels", "10,x,0",
+             "cannot parse tuple[float, ...] snr_levels from '10,x,0'"),
+            ("downstream.renormalize", "maybe", "cannot parse boolean renormalize from 'maybe'"),
+        ],
+    )
+    def test_unparsable_value_named_by_key(self, tmp_path, capsys, key, raw, message):
+        section, _, name = key.partition(".")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{name} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        code = main(["synth", "--artifacts", str(tmp_path / "run"), "--set", f"{key}={raw}"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[data]\nnum_train = 10\nnum_train = 20\n",
+             r"bad\.ini'.*option 'num_train' in section 'data' already exists"),
+            ("num_train = 10\n", r"no section headers.*bad\.ini'"),
+        ],
+        ids=["repeated-key", "no-section"],
+    )
+    def test_malformed_ini_gives_json_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        code = main(["synth", "--config", str(path), "--artifacts", str(tmp_path / "run")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert re.search(message, record["message"], re.S)
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "typo.ini"
         path.write_text("[dta]\nnum_train = 10\n")
@@ -241,7 +285,8 @@ class TestStages:
         cfg, paths = tiny_run
         shared = {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()}
         copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
-        rows = noise_sweep(cfg, copy, snr_levels=(5.0, 5.0))
+        twice = replace(cfg, snr_levels=(5.0, 5.0), mixture_fractions=(0.4, 0.3, 0.3))
+        rows = noise_sweep(twice, copy)
         assert rows[1] == rows[2]
         assert {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()} == shared
 
@@ -534,6 +579,21 @@ class TestStaleInputs:
             stage_downstream(cfg, paths)
         assert forwarded == []
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("bogus = 3\n", r"^policy\.txt: line 5: unknown key 'bogus'$"),
+            ("threshold = 0.5\n", r"^policy\.txt: line 5: repeated key 'threshold'$"),
+        ],
+        ids=["unknown-key", "repeated-key"],
+    )
+    def test_malformed_policy_fails_before_any_forward(self, copy, forwarded, extra, message):
+        cfg, paths = copy
+        paths.policy_file.write_text(paths.policy_file.read_text() + extra)
+        with pytest.raises(FormatError, match=message):
+            stage_downstream(cfg, paths)
+        assert forwarded == []
+
 
 class TestReplay:
     """Policies replayed over the per-layer table equal the reference forwards."""
@@ -639,7 +699,8 @@ class TestCli:
         for key, value in TINY.items():
             args.extend(["--set", f"{key}={value}"])
         assert main(["pipeline", *args]) == 0
-        assert main(["noise-sweep", *args, "--snrs", "5"]) == 0
+        snr = ["--set", "eval.snr_levels=5", "--set", "eval.mixture_fractions=0.5,0.5"]
+        assert main(["noise-sweep", *args, *snr]) == 0
         out = capsys.readouterr().out
         assert "snr=clean" in out and "snr=5" in out
 
@@ -650,9 +711,8 @@ class TestCli:
         args = ["--artifacts", str(artifacts)]
         for key, value in TINY.items():
             args.extend(["--set", f"{key}={value}"])
-        for command in ("synth", "train-teacher", "train-branches", "profile-entropy",
-                        "calibrate", "train-downstream", "eval", "noise-sweep",
-                        "compare-static"):
+        for command in ("synth", "train-teacher", "train-branches", "calibrate",
+                        "train-downstream", "eval", "noise-sweep", "compare-static"):
             assert main([command, *args]) == 0, command
         reference = run_pipeline(tiny_cfg, tmp_path / "pipeline").root
 
@@ -664,19 +724,45 @@ class TestCli:
         for name in sorted(written - {Path("timing.json")}):
             assert (artifacts / name).read_bytes() == (reference / name).read_bytes(), name
 
-    @pytest.mark.parametrize("split, attr", [("train", "profile_train"), ("eval", "profile_heldout")])
-    def test_profile_entropy_rewrites_the_profiles(self, tiny_run, tmp_path, split, attr):
-        # profile-entropy forwards the split; train-branches (from its cache)
-        # and eval (from its table) wrote the same bytes.
-        cfg, paths = tiny_run
-        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
-        written = getattr(copy, attr).read_bytes()
-        getattr(copy, attr).unlink()
-        args = ["profile-entropy", "--split", split, "--artifacts", str(copy.root)]
-        for key, value in TINY.items():
-            args.extend(["--set", f"{key}={value}"])
-        assert main(args) == 0
-        assert getattr(copy, attr).read_bytes() == written
+    @pytest.mark.parametrize(
+        "split, attr", [("train_data", "profile_train"), ("eval_data", "profile_heldout")]
+    )
+    def test_written_profiles_equal_a_fresh_profile(self, tiny_run, tmp_path, split, attr):
+        # train-branches (from its cache) and eval (from its table) write the
+        # bytes a fresh forward of the split gives.
+        _, paths = tiny_run
+        ck = load_checkpoint(paths.checkpoint)
+        fresh = entropy_profile(ck.encoder, ck.branches, load_dataset(getattr(paths, split)))
+        _write_profile(tmp_path / "fresh.csv", fresh)
+        assert getattr(paths, attr).read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_subcommands_are_the_stages_and_pipeline(self):
+        # Each named as in the table, with the first line of its docstring as help.
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        commands = {**stages(), "pipeline": run_pipeline}
+        assert list(sub.choices) == list(commands)
+        assert {a.dest: a.help for a in sub._choices_actions} == {
+            name: command.__doc__.partition("\n")[0] for name, command in commands.items()
+        }
+
+    def test_every_artifact_writer_is_a_command(self):
+        assert {writer for _, writer in ARTIFACTS.values()} <= {*stages(), "pipeline"}
+
+    def test_run_pipeline_runs_the_stages_patched_onto_the_module(
+        self, tiny_cfg, tmp_path, monkeypatch
+    ):
+        # A table built once at import would keep the original functions, so a
+        # tracer patching the module's attributes would see no stage run.
+        calls = []
+        for name, stage in stages().items():
+            monkeypatch.setattr(
+                pipeline,
+                stage.__name__,
+                lambda cfg, paths, name=name: calls.append((name, cfg, paths.root)),
+            )
+        paths = run_pipeline(tiny_cfg, tmp_path / "run")
+        assert calls == [(name, tiny_cfg, paths.root) for name in stages()]
+        assert load_config(paths.config_file) == tiny_cfg
 
     def test_missing_dependency_gives_json_error_line(self, tmp_path, capsys):
         code = main(["train-branches", "--artifacts", str(tmp_path / "none")])
@@ -699,7 +785,7 @@ class TestCli:
         assert main(["synth", *args]) == 0
         assert main(["train-teacher", *args]) == 0
         assert main(["train-branches", *args]) == 0
-        assert main(["calibrate", *args, "--ratio", "0.25"]) == 0
+        assert main(["calibrate", *args, "--set", "policy.ratio=0.25"]) == 0
         from adaexit.policy import load_policy
 
         assert load_policy(ArtifactPaths(artifacts).policy_file).ratio == 0.25

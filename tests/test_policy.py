@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,5 +358,33 @@ class TestPolicyFile:
         path = tmp_path / "policy.txt"
         save_policy(ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8), path)
         path.write_text(path.read_text().replace("threshold = 1.25", "threshold = nan"))
-        with pytest.raises(ConfigError, match="^threshold must"):
+        with pytest.raises(ConfigError, match=r"^policy\.txt: threshold must"):
+            load_policy(path)
+
+    @pytest.mark.parametrize(
+        "old, new, error, message",
+        [
+            ("threshold = 1.25", "threshold = abc", FormatError,
+             "line 1: cannot parse threshold from 'abc'"),
+            ("num_layers = 8", "num_layers = 8.0", FormatError,
+             "line 3: cannot parse num_layers from '8.0'"),
+            ("threshold = 1.25", "threshold = -1", ConfigError,
+             "threshold must be nonnegative, got -1.0"),
+            ("span = unconstrained", "span = unconstrained\nbogus = 3", FormatError,
+             "line 5: unknown key 'bogus'"),
+            ("ratio = 0.7", "ratio = 0.7\nthreshold = 2.0", FormatError,
+             "line 3: repeated key 'threshold'"),
+            ("ratio = 0.7", "ratio 0.7", FormatError, "line 2 is not 'key = value'"),
+            ("ratio = 0.7\n", "", FormatError, "missing key 'ratio'"),
+        ],
+        ids=["threshold-text", "layers-float", "threshold-negative", "unknown-key",
+             "repeated-key", "no-equals", "missing-key"],
+    )
+    def test_bad_file_named_with_its_key(self, tmp_path, old, new, error, message):
+        path = tmp_path / "policy.txt"
+        save_policy(ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(error, match="^policy\\.txt: " + re.escape(message)):
             load_policy(path)
