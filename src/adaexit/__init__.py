@@ -26,11 +26,10 @@ from .encoder import (
 )
 from .errors import ConfigError, DependencyError, FormatError
 from .policy import (
+    ExitCounts,
     ExitPolicy,
     ExitTrace,
-    SpanStats,
     calibrate,
-    collect_span_stats,
     constrain,
     decide_exit,
     fixed_exit_policy,

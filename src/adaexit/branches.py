@@ -74,15 +74,14 @@ class EntropyProfile:
     """Per-layer mean branch entropy over a dataset."""
 
     layer_means: tuple[float, ...]
-    num_samples: int
 
     def __post_init__(self):
         if not self.layer_means:
             raise ValueError("profile needs at least one layer")
 
     @classmethod
-    def from_layer_means(cls, means, num_samples: int) -> "EntropyProfile":
-        return cls(tuple(float(m) for m in means), num_samples)
+    def from_layer_means(cls, means) -> "EntropyProfile":
+        return cls(tuple(float(m) for m in means))
 
     @classmethod
     def from_rows(cls, rows) -> "EntropyProfile":
@@ -92,7 +91,7 @@ class EntropyProfile:
             means = means + (row - means) / num_samples
         if not num_samples:
             raise ValueError("empty dataset")
-        return cls.from_layer_means(means, num_samples)
+        return cls.from_layer_means(means)
 
     @property
     def num_layers(self) -> int:

@@ -7,11 +7,12 @@ all, and the CLI builds one subcommand per entry.
 
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
-trained on. Stage 2 calibrates the exit threshold from that profile, with
-no forward pass, and trains the downstream head with exits active,
-recording span statistics. Stage 3 evaluates every requested span strategy
-at every requested inference ratio. The noise sweep and the static
-comparison reproduce the noise-adaptivity and mixed-noise analyses.
+trained on. Stage 2 calibrates the exit threshold at the configured ratio
+from that profile, with no forward pass, and trains the downstream head
+with exits active under that policy and no other, recording its exit
+counts per layer as the span statistics. Stage 3 evaluates every requested
+span strategy at every requested inference ratio. The noise sweep and the
+static comparison reproduce the noise-adaptivity and mixed-noise analyses.
 
 Eval and the static comparison forward each sample of their dataset (the
 held-out split, the noise mixture) once into a per-layer table and replay
@@ -35,7 +36,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,8 @@ from .encoder import EncoderConfig, init_encoder
 from .errors import ConfigError, DependencyError, FormatError
 from .policy import (
     SPAN_KINDS,
+    ExitCounts,
     ExitPolicy,
-    SpanStats,
     calibrate,
     constrain,
     load_policy,
@@ -508,9 +509,13 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     ck = _load_checkpoint(cfg, paths, "train-downstream", "branches")
     path = _require(paths, "policy_file", "train-downstream")
     policy = load_policy(path)
-    if policy.num_layers != cfg.num_layers:
+    expected = calibrate(_read_profile(cfg, paths, "train-downstream"), cfg.ratio)
+    if policy != expected:
         raise DependencyError(
-            f"{path.name} has {policy.num_layers} layers, the config has {cfg.num_layers}"
+            f"{path.name} has {policy.num_layers} layers, the config has {cfg.num_layers}; "
+            f"{path.name} holds ratio {policy.ratio} and threshold {policy.threshold}, and "
+            f"the config's ratio {cfg.ratio} calibrates threshold {expected.threshold} "
+            "from the training profile; run 'calibrate'"
         )
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
@@ -529,7 +534,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
         renormalize=cfg.renormalize,
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
-    _write_json(paths.span_stats, asdict(result.span_stats))
+    _write_json(paths.span_stats, {"exit_counts": list(result.span_stats.counts)})
     num_layers = cfg.num_layers
     entropy_cols = ",".join(f"e{k}" for k in range(1, num_layers + 1))
     rows = []
@@ -549,47 +554,25 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     )
 
 
-def _unit_rates(rates, num_layers: int) -> bool:
-    x = np.asarray(rates, dtype=np.float64)  # NaN fails >= 0, inf fails the sum
-    return x.shape == (num_layers,) and (x >= 0).all() and abs(x.sum() - 1.0) <= 1e-9
-
-
-# span_stats.json fields in check order: (name, test of record s for n layers, valid value).
-# type(v) is int refuses JSON's true and 2.0 as layer indices.
-_SPAN_STATS_RULES = (
-    ("exit_rates", lambda s, n: _unit_rates(s["exit_rates"], n),
-     "one finite, nonnegative rate per layer, summing to 1 within 1e-9"),
-    ("min_exit", lambda s, n: type(s["min_exit"]) is int and s["min_exit"] >= 1, "an integer >= 1"),
-    ("max_exit", lambda s, n: type(s["max_exit"]) is int and s["min_exit"] <= s["max_exit"] <= n,
-     "an integer in [min_exit, num_layers]"),
-    ("mean_exit", lambda s, n: type(s["mean_exit"]) in (int, float)
-     and s["min_exit"] <= s["mean_exit"] <= s["max_exit"], "a number in [min_exit, max_exit]"),
-    ("num_traces", lambda s, n: type(s["num_traces"]) is int and s["num_traces"] >= 1,
-     "an integer >= 1"),
-)
-
-
-def load_span_stats(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> SpanStats:
-    """The span statistics 'train-downstream' wrote, checked field by field for this run."""
+def load_span_stats(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> ExitCounts:
+    """The exit counts 'train-downstream' wrote, one per layer of this run."""
     path = _require(paths, "span_stats", stage)
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise FormatError(f"{path.name}: not JSON ({err})") from err
-    names = {f.name for f in fields(SpanStats)}
-    keys = set(raw) if isinstance(raw, dict) else set()
-    if keys != names:
-        raise FormatError(
-            f"{path.name}: missing keys {sorted(names - keys)}, unknown keys {sorted(keys - names)}"
+    values = raw.get("exit_counts") if isinstance(raw, dict) and len(raw) == 1 else None
+    if not isinstance(values, list):
+        raise FormatError(f'{path.name}: must be {{"exit_counts": [one count per layer]}}')
+    try:
+        counts = ExitCounts(tuple(values))
+    except ConfigError as err:
+        raise FormatError(f"{path.name}: {err}") from err
+    if len(counts.counts) != cfg.num_layers:
+        raise DependencyError(
+            f"{path.name} has {len(counts.counts)} layers, the config has {cfg.num_layers}"
         )
-    for name, valid, what in _SPAN_STATS_RULES:
-        try:
-            ok = valid(raw, cfg.num_layers)
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise FormatError(f"{path.name}: {name} must be {what}, got {raw[name]!r}")
-    return SpanStats(**{**raw, "exit_rates": tuple(raw["exit_rates"])})
+    return counts
 
 
 def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyProfile:
@@ -616,7 +599,7 @@ def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyPr
         raise DependencyError(
             f"{path.name} has {len(means)} layers, the config has {cfg.num_layers}"
         )
-    return EntropyProfile.from_layer_means(means, cfg.num_train)
+    return EntropyProfile.from_layer_means(means)
 
 
 def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
@@ -654,7 +637,7 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
             _write_csv(
                 paths.metrics_dir / f"exit_hist_{name}.csv",
                 "layer,count,fraction",
-                [(layer, count, repr(frac)) for layer, count, frac in record["exit_histogram"]],
+                record["exit_histogram"],
             )
             summary[name] = {
                 "accuracy": record["accuracy"],
@@ -685,28 +668,23 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     summary_rows = []
     results = []
     for spec in specs:
-        exits = np.array(
+        counts = ExitCounts.of(
             [
                 run_exit(ck.encoder, ck.branches, policy, frames)[1].exit_layer
                 for frames in add_noise(heldout, spec).inputs
             ],
-            dtype=np.int64,
+            cfg.num_layers,
         )
-        counts = np.bincount(exits, minlength=cfg.num_layers + 1)[1:]
-        fractions = counts / exits.shape[0]
         label = _snr_label(spec.snr_db)
-        for k in range(cfg.num_layers):
-            dist_rows.append((label, k + 1, repr(float(fractions[k]))))
-        summary_rows.append(
-            (label, int(exits.min()), repr(float(exits.mean())), int(exits.max()))
-        )
+        dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))
+        summary_rows.append((label, counts.first, repr(counts.mean), counts.last))
         results.append(
             {
                 "snr": label,
-                "mean_exit_layer": float(exits.mean()),
-                "min_exit_layer": int(exits.min()),
-                "max_exit_layer": int(exits.max()),
-                "fractions": [float(f) for f in fractions],
+                "mean_exit_layer": counts.mean,
+                "min_exit_layer": counts.first,
+                "max_exit_layer": counts.last,
+                "fractions": list(counts.fractions),
             }
         )
     _write_csv(paths.exit_distribution, "snr,layer,fraction", dist_rows)

@@ -7,9 +7,12 @@ deeper. A decision scans the allowed layers in increasing order and exits
 at the first one whose sequence entropy falls below the threshold, else is
 forced out at the deepest allowed layer. `calibrate` allows every layer;
 `constrain` is the one place a span (mean / threshold / min-max) is
-decided, restricting the allowed layers at inference time from statistics
-gathered while the downstream head trained. Only calibrated policies are
-written to disk.
+decided, restricting the allowed layers at inference time from the exit
+counts gathered while the downstream head trained. Only calibrated
+policies are written to disk.
+
+`ExitCounts`, checked once when built, is the one histogram of exit
+layers; span statistics, eval records and the noise sweep derive from it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,12 +31,11 @@ from .errors import ConfigError, FormatError
 __all__ = [
     "SPAN_KINDS",
     "ExitPolicy",
-    "SpanStats",
+    "ExitCounts",
     "ExitTrace",
     "calibrate",
     "decide_exit",
     "run_exit",
-    "collect_span_stats",
     "constrain",
     "fixed_exit_policy",
     "save_policy",
@@ -73,14 +75,62 @@ class ExitPolicy:
 
 
 @dataclass(frozen=True)
-class SpanStats:
-    """Exit statistics collected while the downstream head trained."""
+class ExitCounts:
+    """How many samples exited at each layer; counts[k-1] is layer k.
 
-    mean_exit: float
-    exit_rates: tuple[float, ...]  # fraction of samples exiting at each layer, length L
-    min_exit: int
-    max_exit: int
-    num_traces: int
+    Every statistic is derived from the counts in exact integer arithmetic
+    up to one final division, so it has the bits numpy gives from the exit
+    vector itself.
+    """
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.counts:
+            raise ConfigError("exit counts cover no layers")
+        for count in self.counts:
+            if type(count) is not int or count < 0:  # refuses True and 2.0
+                raise ConfigError(f"exit counts must be nonnegative integers, got {count!r}")
+        if not any(self.counts):
+            raise ConfigError("exit counts hold no samples")
+
+    @classmethod
+    def of(cls, exits, num_layers: int) -> ExitCounts:
+        """Bin exit layers, each in 1..num_layers."""
+        exits = np.asarray(exits, dtype=np.int64)
+        if exits.size and not 1 <= exits.min() <= exits.max() <= num_layers:
+            raise ConfigError(
+                f"exit layers must be in 1..{num_layers}, got {exits.min()}..{exits.max()}"
+            )
+        return cls(tuple(np.bincount(exits, minlength=num_layers + 1)[1:].tolist()))
+
+    @property
+    def num_samples(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def layer_sum(self) -> int:
+        """The sum of every sample's exit layer."""
+        return sum(k * c for k, c in enumerate(self.counts, start=1))
+
+    @property
+    def fractions(self) -> tuple[float, ...]:
+        n = self.num_samples
+        return tuple(c / n for c in self.counts)
+
+    @property
+    def mean(self) -> float:
+        return self.layer_sum / self.num_samples
+
+    @property
+    def first(self) -> int:
+        """The shallowest layer any sample exited at."""
+        return min(k for k, c in enumerate(self.counts, start=1) if c)
+
+    @property
+    def last(self) -> int:
+        """The deepest layer any sample exited at."""
+        return max(k for k, c in enumerate(self.counts, start=1) if c)
 
 
 @dataclass(frozen=True)
@@ -162,52 +212,30 @@ def run_exit(
     return inc.states(), trace
 
 
-def collect_span_stats(traces: Sequence[ExitTrace], num_layers: int) -> SpanStats:
-    """Mean / per-layer frequency / extremes of the exit layer over a set of traces."""
-    if not traces:
-        raise ValueError("no traces")
-    exits = np.array([t.exit_layer for t in traces], dtype=np.int64)
-    if exits.min() < 1 or exits.max() > num_layers:
-        raise ValueError("trace exit layer out of range")
-    counts = np.bincount(exits, minlength=num_layers + 1)[1:]
-    rates = counts / len(traces)
-    return SpanStats(
-        mean_exit=float(exits.mean()),
-        exit_rates=tuple(float(r) for r in rates),
-        min_exit=int(exits.min()),
-        max_exit=int(exits.max()),
-        num_traces=len(traces),
-    )
-
-
 def constrain(
     policy: ExitPolicy,
     span_kind: str,
-    stats: SpanStats,
+    stats: ExitCounts,
     rate_cutoff: float = 0.15,
 ) -> ExitPolicy:
-    """Restrict where the policy may exit, from downstream-training statistics.
+    """Restrict where the policy may exit, from the downstream-training exit counts.
 
     The span decides the allowed layers: mean allows floor(mean)..ceil(mean),
-    threshold every layer whose exit rate exceeds rate_cutoff, minmax
-    min..max, and unconstrained every layer. The threshold and ratio are
+    threshold every layer whose exit fraction exceeds rate_cutoff, minmax
+    first..last, and unconstrained every layer. The threshold and ratio are
     unchanged; changing the ratio is done by re-calibrating before
     constraining.
     """
     num_layers = policy.num_layers
+    if len(stats.counts) != num_layers:
+        raise ConfigError(f"exit counts cover {len(stats.counts)} layers, policy has {num_layers}")
     if span_kind == "unconstrained":
         allowed = tuple(range(1, num_layers + 1))
     elif span_kind == "mean":
-        if not 1.0 <= stats.mean_exit <= num_layers:
-            raise ConfigError(f"mean span needs mean_exit in [1, L], got {stats.mean_exit}")
-        allowed = tuple(range(math.floor(stats.mean_exit), math.ceil(stats.mean_exit) + 1))
+        allowed = tuple(range(math.floor(stats.mean), math.ceil(stats.mean) + 1))
     elif span_kind == "threshold":
-        if len(stats.exit_rates) != num_layers:
-            raise ConfigError(
-                f"stats cover {len(stats.exit_rates)} layers, policy has {num_layers}"
-            )
         allowed = tuple(
-            k for k, rate in enumerate(stats.exit_rates, start=1) if rate > rate_cutoff
+            k for k, rate in enumerate(stats.fractions, start=1) if rate > rate_cutoff
         )
         if not allowed:
             raise ConfigError(
@@ -217,12 +245,7 @@ def constrain(
         if not 0.0 < rate_cutoff < 1.0:
             raise ConfigError(f"rate_cutoff must be in (0,1), got {rate_cutoff}")
     elif span_kind == "minmax":
-        if not 1 <= stats.min_exit <= stats.max_exit <= num_layers:
-            raise ConfigError(
-                f"minmax span needs 1 <= min <= max <= L, got "
-                f"({stats.min_exit}, {stats.max_exit})"
-            )
-        allowed = tuple(range(stats.min_exit, stats.max_exit + 1))
+        allowed = tuple(range(stats.first, stats.last + 1))
     else:
         raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {span_kind!r}")
     return replace(policy, span_kind=span_kind, allowed=allowed)

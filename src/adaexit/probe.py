@@ -7,7 +7,8 @@ model_dim) array, and `normalize_prefix` normalizes its first k rows in one
 trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
 once. Evaluation reports accuracy alongside exit depth and compute-saved
-accounting, with a statically truncated twin for baseline comparisons.
+accounting (all read from one `policy.ExitCounts`), with a statically
+truncated twin for baseline comparisons.
 
 `evaluate` and `evaluate_static` forward every sample under one policy and
 are the reference paths. The eval and static-comparison reports instead
@@ -30,14 +31,7 @@ from .data import FrameDataset
 from .encoder import Encoder, IncrementalForward
 from .errors import ConfigError
 from .numeric import DTYPE, cross_entropy, layer_norm, matmul64, new_rng, sgd_step, softmax
-from .policy import (
-    ExitPolicy,
-    ExitTrace,
-    SpanStats,
-    collect_span_stats,
-    decide_exit,
-    run_exit,
-)
+from .policy import ExitCounts, ExitPolicy, ExitTrace, decide_exit, run_exit
 
 __all__ = [
     "DownstreamHead",
@@ -106,7 +100,7 @@ class LayerTable:
 @dataclass(frozen=True)
 class DownstreamTrainResult:
     head: DownstreamHead
-    span_stats: SpanStats
+    span_stats: ExitCounts
     losses: list[float]
     traces: list[ExitTrace]  # one per training sample, in dataset order
 
@@ -215,9 +209,9 @@ def train_downstream(
     """Train the probe and layer weights with early exit active on every sample.
 
     Exit decisions depend only on frozen components, so each sample's exit
-    layer and normalized prefix are computed once up front; the recorded
-    traces (one per sample) are the span statistics used by inference-time
-    constraints.
+    layer and normalized prefix are computed once up front; the exit counts
+    of the recorded traces (one per sample) are the span statistics used by
+    inference-time constraints.
     """
     _check_dataset(data, task)
     prefixes, traces = [], []
@@ -225,7 +219,7 @@ def train_downstream(
         states, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
         prefixes.append(normalize_prefix(states, trace.exit_layer))
         traces.append(trace)
-    span_stats = collect_span_stats(traces, policy.num_layers)
+    span_stats = ExitCounts.of([t.exit_layer for t in traces], policy.num_layers)
     if task == "sequence":
         sample_labels = [
             _sequence_label(data.labels[i], data.num_classes)
@@ -284,20 +278,21 @@ def _check_dataset(data: FrameDataset, task: str) -> None:
 def _exit_record(task, policy, exits, forced_count, correct, scored) -> dict:
     """The evaluation record of one policy from its per-sample exits and summed scores."""
     num_layers = policy.num_layers
-    exits = np.array(exits, dtype=np.int64)
-    hist = np.bincount(exits, minlength=num_layers + 1)[1:]
-    n = exits.shape[0]
+    counts = ExitCounts.of(exits, num_layers)
+    n = counts.num_samples
     return {
         "task": task,
         "num_samples": n,
         "accuracy": correct / scored,
-        "mean_exit_layer": float(exits.mean()),
-        "min_exit_layer": int(exits.min()),
-        "max_exit_layer": int(exits.max()),
+        "mean_exit_layer": counts.mean,
+        "min_exit_layer": counts.first,
+        "max_exit_layer": counts.last,
         "forced_fraction": forced_count / n,
-        "layer_compute_saved": 1.0 - float(exits.sum()) / (n * num_layers),
+        # From the integer sum: 1 - mean / L divides an already rounded mean.
+        "layer_compute_saved": 1.0 - counts.layer_sum / (n * num_layers),
         "exit_histogram": [
-            [k + 1, int(hist[k]), hist[k] / n] for k in range(num_layers)
+            [k, c, f]
+            for k, (c, f) in enumerate(zip(counts.counts, counts.fractions), start=1)
         ],
         "policy": {
             "threshold": policy.threshold,

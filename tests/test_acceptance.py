@@ -35,8 +35,8 @@ from adaexit.pipeline import (
 )
 from adaexit.policy import (
     SPAN_KINDS,
+    ExitCounts,
     ExitPolicy,
-    SpanStats,
     calibrate,
     constrain,
     decide_exit,
@@ -113,18 +113,14 @@ def full_run(stage1_runs):
 
 
 def _random_policy(rng, num_layers, threshold):
-    """A random span kind, constrained by random span statistics."""
-    rates = rng.dirichlet(np.ones(num_layers))
-    lo = int(rng.integers(1, num_layers + 1))
-    hi = int(rng.integers(lo, num_layers + 1))
-    stats = SpanStats(
-        mean_exit=float(rng.uniform(lo, hi)), exit_rates=tuple(float(r) for r in rates),
-        min_exit=lo, max_exit=hi, num_traces=1,
-    )
+    """A random span kind, constrained by random exit counts."""
+    counts = rng.integers(0, 6, size=num_layers)
+    counts[rng.integers(num_layers)] += 1
+    stats = ExitCounts(tuple(counts.tolist()))
     return constrain(
         ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers),
         str(rng.choice(SPAN_KINDS)), stats,
-        rate_cutoff=float(rng.uniform(0.01, float(rates.max()) * 0.99)),
+        rate_cutoff=float(rng.uniform(0.01, max(stats.fractions) * 0.99)),
     )
 
 
@@ -162,7 +158,7 @@ def test_criterion_2_ratio_monotonicity():
         num_layers = 8
         entropies = rng.uniform(0.0, 3.5, size=num_layers)
         means = rng.uniform(0.3, 3.4, size=num_layers)
-        profile = EntropyProfile.from_layer_means(means, num_samples=1)
+        profile = EntropyProfile.from_layer_means(means)
         exits = []
         for ratio in grid:
             policy = calibrate(profile, ratio)
@@ -223,7 +219,7 @@ def test_criterion_4_entropy_bounds_and_calibration(stage1_runs):
     worst = 0.0
     for e_max, e_min, ratio in triples:
         means = np.linspace(e_max, e_min, 8)
-        policy = calibrate(EntropyProfile.from_layer_means(means, 1), ratio)
+        policy = calibrate(EntropyProfile.from_layer_means(means), ratio)
         worst = max(worst, abs(policy.threshold - (e_max + e_min) / 2.0 * ratio))
     _report(
         4,

@@ -207,7 +207,6 @@ class TestEntropyProfile:
         hs = forward_all(small_encoder, small_dataset.inputs[0])
         expect = sample_entropies(trained, hs)
         assert np.allclose(profile.layer_means, expect, atol=1e-12)
-        assert profile.num_samples == 1
 
     def test_untrained_profile_is_flat_log_c(self, small_encoder, small_dataset):
         # Exactness needs 1/C representable, hence a power-of-two class count.
@@ -233,8 +232,7 @@ class TestEntropyProfile:
             means += (row - means) / (i + 1)
         profile = EntropyProfile.from_rows(rows)
         assert profile.layer_means == tuple(means)
-        assert profile.num_samples == 7
 
     def test_no_layers_rejected_by_name(self):
         with pytest.raises(ValueError, match="at least one layer"):
-            EntropyProfile.from_layer_means([], 1)
+            EntropyProfile.from_layer_means([])

@@ -250,6 +250,25 @@ class TestStages:
             for ratio in cfg.eval_ratios:
                 assert f"{strategy}_ratio{ratio:g}" in summary
 
+    def test_exit_hist_fractions_are_the_eval_record_numbers(self, tiny_run):
+        # Each histogram row is the eval JSON's [layer, count, fraction], the
+        # fraction written as a plain float, and no artifact holds a numpy repr.
+        _, paths = tiny_run
+        hists = sorted(paths.metrics_dir.glob("exit_hist_*.csv"))
+        assert hists
+        for hist in hists:
+            record = json.loads(
+                hist.with_name(hist.name.replace("exit_hist_", "eval_", 1))
+                .with_suffix(".json").read_text()
+            )
+            lines = hist.read_text().splitlines()
+            assert lines[0] == "layer,count,fraction"
+            rows = [line.split(",") for line in lines[1:]]
+            assert [[int(k), int(c), float(f)] for k, c, f in rows] == record["exit_histogram"]
+        for path in paths.root.rglob("*"):
+            if path.suffix in (".csv", ".json", ".txt", ".ini"):
+                assert "np." not in path.read_text(), path.name
+
     def test_profile_csv_schema(self, tiny_run):
         _, paths = tiny_run
         lines = paths.profile_heldout.read_text().strip().splitlines()
@@ -378,8 +397,8 @@ def _set(**values):
 
 
 # The run has 8 layers.
-THREE_RATES = _set(mean_exit=42, exit_rates=[0.5, 0.25, 0.25])
-RATES = "exit_rates must be one finite, nonnegative rate per layer, summing to 1 within 1e-9"
+COUNTS = r'must be \{"exit_counts": \[one count per layer\]\}'
+NOT_A_COUNT = "exit counts must be nonnegative integers, got "
 
 
 class TestStaleInputs:
@@ -408,27 +427,16 @@ class TestStaleInputs:
     @pytest.mark.parametrize(
         "change, message",
         [
-            pytest.param(_drop("num_traces"), r"missing keys \['num_traces'\]", id="no-num_traces"),
-            pytest.param(_set(extra=1), r"unknown keys \['extra'\]", id="unknown-key"),
-            pytest.param(THREE_RATES, RATES, id="three-rates"),
-            pytest.param(
-                _set(mean_exit=42), r"mean_exit must be a number in \[min_exit, max_exit\]",
-                id="mean-above-max",
-            ),
-            pytest.param(_set(mean_exit=float("nan")), "mean_exit must be", id="mean-nan"),
-            pytest.param(_set(mean_exit="3"), "mean_exit must be", id="mean-str"),
-            pytest.param(_set(min_exit=0), "min_exit must be an integer >= 1", id="min-zero"),
-            pytest.param(
-                _set(max_exit=9), r"max_exit must be an integer in \[min_exit, num_layers\]",
-                id="max-above-L",
-            ),
-            pytest.param(_set(min_exit=1.5), "min_exit must be an integer", id="min-float"),
-            pytest.param(_set(num_traces=0), "num_traces must be an integer >= 1", id="no-traces"),
-            pytest.param(_set(num_traces=True), "num_traces must be an integer", id="traces-bool"),
-            pytest.param(_set(exit_rates=[1.5] + [0.0] * 7), RATES, id="rates-sum"),
-            pytest.param(_set(exit_rates=[-0.5, 1.5] + [0.0] * 6), RATES, id="rate-negative"),
-            pytest.param(_set(exit_rates=[float("nan")] * 8), RATES, id="rates-nan"),
-            pytest.param(_set(exit_rates=[float("inf")] + [0.0] * 7), RATES, id="rates-inf"),
+            pytest.param(_drop("exit_counts"), COUNTS, id="missing-key"),
+            pytest.param(_set(extra=1), COUNTS, id="unknown-key"),
+            pytest.param(_set(exit_counts=3), COUNTS, id="not-a-list"),
+            pytest.param(_set(exit_counts=[]), "exit counts cover no layers", id="no-layers"),
+            pytest.param(_set(exit_counts=[-1] + [1] * 7), NOT_A_COUNT + "-1", id="negative"),
+            pytest.param(_set(exit_counts=[1.5] + [1] * 7), NOT_A_COUNT + "1.5", id="fraction"),
+            pytest.param(_set(exit_counts=[2.0] + [1] * 7), NOT_A_COUNT + "2.0", id="float"),
+            pytest.param(_set(exit_counts=[True] + [1] * 7), NOT_A_COUNT + "True", id="bool"),
+            pytest.param(_set(exit_counts=["3"] + [1] * 7), NOT_A_COUNT + "'3'", id="str"),
+            pytest.param(_set(exit_counts=[0] * 8), "exit counts hold no samples", id="all-zero"),
         ],
     )
     def test_malformed_span_stats_rejected_by_name(self, copy, change, message):
@@ -436,12 +444,20 @@ class TestStaleInputs:
         raw = json.loads(paths.span_stats.read_text())
         change(raw)
         paths.span_stats.write_text(json.dumps(raw))
-        with pytest.raises(FormatError, match=r"^span_stats\.json: .*" + message):
+        with pytest.raises(FormatError, match=r"^span_stats\.json: " + message):
+            load_span_stats(cfg, paths, "test")
+
+    def test_span_stats_of_another_depth_rejected_by_name(self, copy):
+        cfg, paths = copy
+        paths.span_stats.write_text(json.dumps({"exit_counts": [1, 2, 3]}))
+        with pytest.raises(
+            DependencyError, match=r"^span_stats\.json has 3 layers, the config has 8$"
+        ):
             load_span_stats(cfg, paths, "test")
 
     @pytest.mark.parametrize("text, message", [
         ("{", "not JSON"),
-        ("[1, 2]", r"missing keys \['exit_rates', 'max_exit', 'mean_exit', 'min_exit'"),
+        ("[1, 2]", COUNTS),
     ], ids=["truncated", "list"])
     def test_span_stats_that_is_no_record_rejected(self, copy, text, message):
         cfg, paths = copy
@@ -450,29 +466,30 @@ class TestStaleInputs:
             load_span_stats(cfg, paths, "test")
 
     @pytest.mark.parametrize(
-        "change, field",
-        [(_drop("num_traces"), "num_traces"), (THREE_RATES, "exit_rates")],
-        ids=["no-num_traces", "three-rates"],
+        "counts, error, detail",
+        [
+            ({}, "FormatError", "exit_counts"),
+            ({"exit_counts": [1, 2, 3]}, "DependencyError", "has 3 layers, the config has 8"),
+        ],
+        ids=["missing-key", "three-counts"],
     )
-    def test_eval_reports_malformed_span_stats(self, copy, capsys, change, field):
+    def test_eval_reports_malformed_span_stats(self, copy, capsys, counts, error, detail):
         cfg, paths = copy
-        raw = json.loads(paths.span_stats.read_text())
-        change(raw)
-        paths.span_stats.write_text(json.dumps(raw))
+        paths.span_stats.write_text(json.dumps(counts))
         args = ["eval", "--artifacts", str(paths.root)]
         for key, value in TINY.items():
             args.extend(["--set", f"{key}={value}"])
         assert main(args) == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == "FormatError"
-        assert record["message"].startswith("span_stats.json: ") and field in record["message"]
+        assert record["error"] == error
+        assert record["message"].startswith("span_stats.json") and detail in record["message"]
 
     @pytest.mark.parametrize("rows", [3, 0])
     def test_stale_profile_fails_before_any_forward(self, copy, forwarded, rows):
         cfg, paths = copy
         lines = paths.profile_train.read_text().splitlines()
         paths.profile_train.write_text("\n".join(lines[: 1 + rows]) + "\n")
-        for report in (*self.REPORTS, stage_calibrate):
+        for report in (*self.REPORTS, stage_calibrate, stage_downstream):
             with pytest.raises(
                 DependencyError,
                 match=rf"entropy_profile_train\.csv has {rows} layers, the config has 8",
@@ -579,6 +596,30 @@ class TestStaleInputs:
             stage_downstream(cfg, paths)
         assert forwarded == []
 
+    @pytest.mark.parametrize("stale", ["ratio", "profile"])
+    def test_policy_calibrated_otherwise_fails_before_any_forward(self, copy, forwarded, stale):
+        # A policy.txt from another ratio, or from the training profile before
+        # 'train-branches' rewrote it, is not the one the config calibrates.
+        cfg, paths = copy
+        if stale == "ratio":
+            stage_calibrate(replace(cfg, ratio=0.25), paths)
+            held = r"ratio 0\.25 and threshold "
+        else:
+            profile = _read_profile(cfg, paths, "test")
+            _write_profile(paths.profile_train, replace(
+                profile, layer_means=tuple(2.0 * m for m in profile.layer_means)
+            ))
+            held = r"ratio 1\.0 and threshold "
+        span_stats = paths.span_stats.read_bytes()
+        with pytest.raises(
+            DependencyError,
+            match=r"^policy\.txt has 8 layers, the config has 8; policy\.txt holds " + held
+            + r".*, and the config's ratio 1\.0 calibrates threshold .*; run 'calibrate'$",
+        ):
+            stage_downstream(cfg, paths)
+        assert forwarded == []
+        assert paths.span_stats.read_bytes() == span_stats
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -676,20 +717,17 @@ class TestReplay:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tiny_cfg, tmp_path):
+        # Every file both runs write, but the wall-clock timing.json.
         a = run_pipeline(tiny_cfg, tmp_path / "a")
         b = run_pipeline(tiny_cfg, tmp_path / "b")
-        deterministic = [
-            "train_data.bin", "eval_data.bin", "checkpoint.bin", "teacher_loss.csv",
-            "branch_loss.csv", "entropy_profile_heldout.csv", "entropy_profile_train.csv",
-            "policy.txt", "span_stats.json", "exit_traces_train.csv", "downstream_loss.csv",
-            "exit_distribution.csv", "exit_summary.csv", "comparison.csv",
-            "comparison.json", "config.ini",
-        ]
-        for name in deterministic:
-            assert (a.root / name).read_bytes() == (b.root / name).read_bytes(), name
-        for metric in sorted((a.metrics_dir).glob("*.json")):
-            twin = b.metrics_dir / metric.name
-            assert metric.read_bytes() == twin.read_bytes(), metric.name
+
+        def files(root):
+            return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+        assert files(a.root) == files(b.root)
+        for name in files(a.root):
+            if name != Path("timing.json"):
+                assert (a.root / name).read_bytes() == (b.root / name).read_bytes(), name
 
 
 class TestCli:

@@ -5,17 +5,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaexit.branches import EntropyProfile, train_branches
 from adaexit.encoder import forward_all
 from adaexit.errors import ConfigError, FormatError
 from adaexit.policy import (
     SPAN_KINDS,
+    ExitCounts,
     ExitPolicy,
-    ExitTrace,
-    SpanStats,
     calibrate,
-    collect_span_stats,
     constrain,
     decide_exit,
     fixed_exit_policy,
@@ -27,15 +27,15 @@ from adaexit.teacher import train_teacher
 
 
 def _profile(means):
-    return EntropyProfile.from_layer_means(means, num_samples=10)
+    return EntropyProfile.from_layer_means(means)
 
 
 def _entropy_seq(values):
     return lambda k: values[k - 1]
 
 
-def _stats(mean=4.0, rates=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), lo=4, hi=4):
-    return SpanStats(mean_exit=mean, exit_rates=rates, min_exit=lo, max_exit=hi, num_traces=1)
+def _stats(counts=(0, 0, 0, 1, 0, 0, 0, 0)):
+    return ExitCounts(counts)
 
 
 def oracle_exit(values, threshold, allowed):
@@ -125,11 +125,10 @@ class TestDecideExit:
             num_layers = int(rng.integers(2, 10))
             values = rng.uniform(0, 3.5, size=num_layers)
             threshold = float(rng.uniform(0, 3.5))
-            rates = rng.dirichlet(np.ones(num_layers))
-            lo = int(rng.integers(1, num_layers + 1))
-            hi = int(rng.integers(lo, num_layers + 1))
-            stats = _stats(float(rng.uniform(lo, hi)), tuple(float(r) for r in rates), lo, hi)
-            cutoff = float(rng.uniform(0.01, float(rates.max()) * 0.99))
+            counts = rng.integers(0, 6, size=num_layers)
+            counts[rng.integers(num_layers)] += 1
+            stats = ExitCounts(tuple(counts.tolist()))
+            cutoff = float(rng.uniform(0.01, max(stats.fractions) * 0.99))
             policy = constrain(
                 ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers),
                 str(rng.choice(SPAN_KINDS)), stats, rate_cutoff=cutoff,
@@ -157,38 +156,37 @@ class TestSpans:
     BASE = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=8)
 
     def test_mean_span_integral(self):
-        assert constrain(self.BASE, "mean", _stats(mean=4.0)).allowed == (4,)
+        assert constrain(self.BASE, "mean", _stats()).allowed == (4,)
 
     def test_mean_span_fractional(self):
-        assert constrain(self.BASE, "mean", _stats(mean=3.4)).allowed == (3, 4)
+        # Mean 17 / 5 = 3.4.
+        assert constrain(self.BASE, "mean", _stats((0, 0, 3, 2, 0, 0, 0, 0))).allowed == (3, 4)
 
     def test_threshold_span_filter_oracle(self):
-        rates = (0.0, 0.05, 0.40, 0.35, 0.10, 0.10, 0.0, 0.0)
-        policy = constrain(self.BASE, "threshold", _stats(rates=rates), rate_cutoff=0.15)
+        # Fractions 0, .05, .40, .35, .10, .10, 0, 0.
+        counts = (0, 1, 8, 7, 2, 2, 0, 0)
+        policy = constrain(self.BASE, "threshold", _stats(counts), rate_cutoff=0.15)
         assert policy.allowed == (3, 4)
 
     def test_rate_equal_to_cutoff_excluded(self):
-        rates = (0.0, 0.25, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0)
-        policy = constrain(self.BASE, "threshold", _stats(rates=rates), rate_cutoff=0.25)
+        # Fractions 0, .25, .5, .25, 0, 0, 0, 0.
+        counts = (0, 1, 2, 1, 0, 0, 0, 0)
+        policy = constrain(self.BASE, "threshold", _stats(counts), rate_cutoff=0.25)
         assert policy.allowed == (3,)
 
     def test_minmax_span(self):
-        assert constrain(self.BASE, "minmax", _stats(lo=2, hi=6)).allowed == (2, 3, 4, 5, 6)
+        counts = (0, 1, 0, 0, 0, 1, 0, 0)
+        assert constrain(self.BASE, "minmax", _stats(counts)).allowed == (2, 3, 4, 5, 6)
 
     def test_empty_threshold_span_rejected_at_construction(self):
         base = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=4)
         with pytest.raises(ConfigError, match="threshold span would be empty"):
-            constrain(base, "threshold", _stats(rates=(0.1, 0.1, 0.1, 0.1)), rate_cutoff=0.5)
+            constrain(base, "threshold", _stats((1, 1, 1, 1)), rate_cutoff=0.5)
 
-    def test_invalid_minmax_rejected(self):
-        base = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=4)
-        with pytest.raises(ConfigError, match=r"minmax span needs 1 <= min <= max <= L"):
-            constrain(base, "minmax", _stats(lo=3, hi=2))
-
-    @pytest.mark.parametrize("mean", [0.5, 8.5, float("nan"), float("inf")])
-    def test_mean_outside_layers_rejected(self, mean):
-        with pytest.raises(ConfigError, match=r"mean span needs mean_exit in \[1, L\]"):
-            constrain(self.BASE, "mean", _stats(mean=mean))
+    @pytest.mark.parametrize("kind", SPAN_KINDS)
+    def test_counts_of_another_depth_rejected(self, kind):
+        with pytest.raises(ConfigError, match="exit counts cover 4 layers, policy has 8"):
+            constrain(self.BASE, kind, _stats((0, 1, 0, 0)))
 
     @pytest.mark.parametrize("cutoff", [0.0, -0.5])
     def test_cutoff_outside_unit_interval_rejected(self, cutoff):
@@ -204,47 +202,82 @@ class TestSpans:
         assert self.BASE.allowed == tuple(range(1, 9))
 
 
-class TestSpanStats:
-    def _trace(self, sample_id, exit_layer, forced=False):
-        return ExitTrace(
-            sample_id=sample_id, exit_layer=exit_layer,
-            entropies={exit_layer: 0.5}, layers_computed=exit_layer, forced=forced,
-        )
-
+class TestExitCounts:
     def test_all_same_layer(self):
-        stats = collect_span_stats([self._trace(i, 4) for i in range(5)], num_layers=8)
-        assert stats.mean_exit == 4.0
-        assert stats.exit_rates[3] == 1.0
-        assert stats.min_exit == stats.max_exit == 4
+        stats = ExitCounts.of([4] * 5, num_layers=8)
+        assert stats.counts == (0, 0, 0, 5, 0, 0, 0, 0)
+        assert stats.mean == 4.0
+        assert stats.fractions[3] == 1.0
+        assert stats.first == stats.last == 4
 
     def test_two_layer_split(self):
-        traces = [self._trace(0, 2), self._trace(1, 4)]
-        stats = collect_span_stats(traces, num_layers=8)
-        assert stats.mean_exit == 3.0
-        assert stats.exit_rates[1] == 0.5 and stats.exit_rates[3] == 0.5
+        stats = ExitCounts.of([2, 4], num_layers=8)
+        assert stats.mean == 3.0
+        assert stats.fractions[1] == 0.5 and stats.fractions[3] == 0.5
 
     def test_counting_oracle(self, rng):
         exits = rng.integers(1, 9, size=10)
-        traces = [self._trace(i, int(k)) for i, k in enumerate(exits)]
-        stats = collect_span_stats(traces, num_layers=8)
+        stats = ExitCounts.of(exits, num_layers=8)
         for k in range(1, 9):
-            assert stats.exit_rates[k - 1] == pytest.approx((exits == k).mean())
-        assert stats.mean_exit == pytest.approx(exits.mean())
-        assert stats.min_exit == exits.min() and stats.max_exit == exits.max()
-        assert sum(stats.exit_rates) == pytest.approx(1.0, abs=1e-6)
+            assert stats.fractions[k - 1] == pytest.approx((exits == k).mean())
+        assert stats.mean == pytest.approx(exits.mean())
+        assert stats.first == exits.min() and stats.last == exits.max()
+        assert stats.num_samples == 10 and stats.layer_sum == exits.sum()
+        assert sum(stats.fractions) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            collect_span_stats([], num_layers=8)
+        with pytest.raises(ConfigError, match="exit counts hold no samples"):
+            ExitCounts.of([], num_layers=8)
+
+    @pytest.mark.parametrize("exits", [[0, 3], [3, 9]], ids=["zero", "beyond-L"])
+    def test_exit_outside_layers_rejected(self, exits):
+        with pytest.raises(ConfigError, match=r"exit layers must be in 1\.\.8"):
+            ExitCounts.of(exits, num_layers=8)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((), "exit counts cover no layers"),
+            ((0, 0, 0), "exit counts hold no samples"),
+            ((2, -1), "nonnegative integers, got -1"),
+            ((1.5, 1), "nonnegative integers, got 1.5"),
+            ((2.0, 1), "nonnegative integers, got 2.0"),
+            ((True, 1), "nonnegative integers, got True"),
+            (("3", 1), "nonnegative integers, got '3'"),
+            ((np.int64(3), 1), "nonnegative integers, got "),
+        ],
+        ids=["no-layers", "all-zero", "negative", "fraction", "float", "bool", "str",
+             "numpy-int"],
+    )
+    def test_bad_counts_rejected(self, counts, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExitCounts(counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda layers: st.tuples(
+                st.just(layers), st.lists(st.integers(1, layers), min_size=1, max_size=400)
+            )
+        )
+    )
+    def test_statistics_equal_numpy_from_exits_bitwise(self, case):
+        num_layers, exits = case
+        exits = np.array(exits, dtype=np.int64)
+        n = exits.shape[0]
+        stats = ExitCounts.of(exits, num_layers)
+        hist = np.bincount(exits, minlength=num_layers + 1)[1:]
+        assert stats.mean == float(exits.mean())
+        assert stats.fractions == tuple(float(f) for f in hist / n)
+        assert {type(x) for x in (stats.mean, *stats.fractions)} == {float}
+        assert (stats.first, stats.last) == (int(exits.min()), int(exits.max()))
+        saved = 1.0 - stats.layer_sum / (n * num_layers)
+        assert saved == 1.0 - float(exits.sum()) / (n * num_layers)
 
 
 class TestConstrain:
     def _stats(self):
-        traces = [
-            ExitTrace(i, k, {k: 0.1}, k, False)
-            for i, k in enumerate([2, 3, 3, 4, 4, 4, 5, 8])
-        ]
-        return collect_span_stats(traces, num_layers=8)
+        return ExitCounts.of([2, 3, 3, 4, 4, 4, 5, 8], num_layers=8)
 
     def test_threshold_and_ratio_preserved(self):
         base = calibrate(_profile([2.0] * 8), 0.6)

@@ -172,7 +172,7 @@ class TestTrainDownstream:
             enc, branches, always_first, head, small_dataset, lr=0.5, steps=10, seed=8
         )
         assert all(t.exit_layer == 1 for t in result.traces)
-        assert result.span_stats.mean_exit == 1.0
+        assert result.span_stats.mean == 1.0
 
     def test_span_stats_one_trace_per_sample(self, stack, policy, small_dataset):
         enc, branches = stack
@@ -184,7 +184,7 @@ class TestTrainDownstream:
         )
         assert len(result.traces) == small_dataset.num_sequences
         assert [t.sample_id for t in result.traces] == list(range(small_dataset.num_sequences))
-        assert result.span_stats.num_traces == small_dataset.num_sequences
+        assert result.span_stats.num_samples == small_dataset.num_sequences
 
     def test_gradients_match_finite_differences(self, stack, small_dataset):
         # Two-sample toy batch; checks probe weight and raw layer weight grads.
