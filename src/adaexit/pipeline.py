@@ -8,19 +8,21 @@ all, and the CLI builds one subcommand per entry.
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
 trained on. Stage 2 calibrates the exit threshold at the configured ratio
-from that profile, with no forward pass, and trains the downstream head
-with exits active under that policy and no other, recording its exit
-counts per layer as the span statistics. Stage 3 evaluates every requested
-span strategy at every requested inference ratio. The noise sweep and the
-static comparison reproduce the noise-adaptivity and mixed-noise analyses.
+from that profile, with no forward pass, and writes it to policy.txt for
+serving; it then trains the downstream head with exits active under that
+policy and no other, recording its exit counts per layer as the span
+statistics. Stage 3 evaluates every requested span strategy at every
+requested inference ratio. The noise sweep and the static comparison
+reproduce the noise-adaptivity and mixed-noise analyses.
 
-Eval and the static comparison forward each sample of their dataset (the
-held-out split, the noise mixture) once into a per-layer table and replay
-every policy over it; eval writes the held-out profile from its table. The
-noise sweep replays one policy, so it serves each noised sample through
-`run_exit` instead. Calibrate and all three reports read the training
-profile that 'train-branches' wrote (entropy_profile_train.csv) instead of
-re-profiling the training split.
+Every stage that needs a policy calibrates it in process from the training
+profile that 'train-branches' wrote (entropy_profile_train.csv); no stage
+reads policy.txt back, and none re-profiles the training split. Eval and
+the static comparison forward each sample of their dataset (the held-out
+split, the noise mixture) once into a per-layer table and replay every
+policy over it, the static baseline as the policy pinned to one layer;
+eval writes the held-out profile from its table. The noise sweep replays
+one policy, so it serves each noised sample through `run_exit` instead.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
@@ -58,7 +60,7 @@ from .policy import (
     ExitPolicy,
     calibrate,
     constrain,
-    load_policy,
+    fixed_exit_policy,
     run_exit,
     save_policy,
 )
@@ -67,7 +69,6 @@ from .probe import (
     build_layer_table,
     init_downstream_head,
     replay_evaluate,
-    replay_static,
     replay_timing,
     train_downstream,
 )
@@ -173,8 +174,9 @@ class RunConfig:
         self.dataset_spec()
         if len(self.mixture_fractions) != len(self.snr_levels) + 1:
             raise ConfigError(
-                "mixture needs one fraction for clean plus one per SNR level: "
-                f"{len(self.mixture_fractions)} fractions, {len(self.snr_levels)} levels"
+                "mixture_fractions must hold one fraction for clean plus one per "
+                f"snr_levels entry, got {len(self.mixture_fractions)} fractions for "
+                f"{len(self.snr_levels)} snr_levels"
             )
         if not 1 <= self.static_layer <= self.num_layers:
             raise ConfigError(
@@ -507,16 +509,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     """Train the downstream head with exits active, recording span statistics (stage 2b)."""
     train = load_dataset(_require(paths, "train_data", "train-downstream"))
     ck = _load_checkpoint(cfg, paths, "train-downstream", "branches")
-    path = _require(paths, "policy_file", "train-downstream")
-    policy = load_policy(path)
-    expected = calibrate(_read_profile(cfg, paths, "train-downstream"), cfg.ratio)
-    if policy != expected:
-        raise DependencyError(
-            f"{path.name} has {policy.num_layers} layers, the config has {cfg.num_layers}; "
-            f"{path.name} holds ratio {policy.ratio} and threshold {policy.threshold}, and "
-            f"the config's ratio {cfg.ratio} calibrates threshold {expected.threshold} "
-            "from the training profile; run 'calibrate'"
-        )
+    policy = calibrate(_read_profile(cfg, paths, "train-downstream"), cfg.ratio)
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
@@ -696,61 +689,53 @@ def compare_static(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     """Accuracy of each span strategy vs. a fixed-depth truncation on the noise mixture.
 
     One row per (strategy, noise level), plus "all" rows over the whole
-    mixture; the static baseline is matched on mean compute by reporting
-    its depth and compute saved alongside. Every row is replayed over one
-    per-layer table of the mixture.
+    mixture. The static baseline is the policy pinned to `static_layer`,
+    scored like the strategies, so its depth and compute saved sit
+    alongside theirs. Every row is one policy replayed over one per-layer
+    table of the mixture.
     """
     heldout = load_dataset(_require(paths, "eval_data", "compare-static"))
     ck = _load_checkpoint(cfg, paths, "compare-static", "branches", "downstream")
     profile = _read_profile(cfg, paths, "compare-static")
     stats = load_span_stats(cfg, paths, "compare-static")
     base = calibrate(profile, cfg.ratio)
-    mixed = make_mixture(heldout, cfg.mixture_spec(), cfg.noise_seed + 1)
+    mixture = cfg.mixture_spec()
+    mixed = make_mixture(heldout, mixture, cfg.noise_seed + 1)
     table = build_layer_table(
         ck.encoder, ck.branches, mixed, ck.downstream, cfg.task, cfg.renormalize
     )
     tags = np.array(mixed.tags)
     groups: list[tuple[str, np.ndarray | None]] = [("all", None)]
-    for level in [None, *cfg.snr_levels]:
-        label = _snr_label(level)
-        idx = np.where(tags == ("clean" if level is None else f"snr{level:g}"))[0]
+    for spec, _ in mixture.parts:
+        idx = np.where(tags == spec.label())[0]
         if idx.size:
-            groups.append((label, idx))
-    rows = []
+            groups.append((_snr_label(spec.snr_db), idx))
+    policies: list[tuple[str, ExitPolicy | ConfigError]] = []
     for strategy in cfg.strategies:
         try:
-            policy = constrain(base, strategy, stats, rate_cutoff=cfg.rate_cutoff)
-        except ConfigError as err:
-            rows.append(
-                {
-                    "strategy": strategy,
-                    "noise_level": "all",
-                    "error": str(err),
-                }
+            policies.append(
+                (strategy, constrain(base, strategy, stats, rate_cutoff=cfg.rate_cutoff))
             )
+        except ConfigError as err:
+            policies.append((strategy, err))
+    static = cfg.static_layer
+    policies.append((f"static-{static}", fixed_exit_policy(static, cfg.num_layers)))
+    rows = []
+    for name, policy in policies:
+        if isinstance(policy, ConfigError):
+            rows.append({"strategy": name, "noise_level": "all", "error": str(policy)})
             continue
         for label, idx in groups:
             record = replay_evaluate(table, policy, idx)
             rows.append(
                 {
-                    "strategy": strategy,
+                    "strategy": name,
                     "noise_level": label,
                     "accuracy": record["accuracy"],
                     "mean_exit": record["mean_exit_layer"],
                     "compute_saved": record["layer_compute_saved"],
                 }
             )
-    for label, idx in groups:
-        record = replay_static(table, cfg.static_layer, idx)
-        rows.append(
-            {
-                "strategy": f"static-{cfg.static_layer}",
-                "noise_level": label,
-                "accuracy": record["accuracy"],
-                "mean_exit": float(cfg.static_layer),
-                "compute_saved": record["layer_compute_saved"],
-            }
-        )
     _write_csv(
         paths.comparison_csv,
         "strategy,noise_level,accuracy,mean_exit,compute_saved",

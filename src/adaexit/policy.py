@@ -234,6 +234,8 @@ def constrain(
     elif span_kind == "mean":
         allowed = tuple(range(math.floor(stats.mean), math.ceil(stats.mean) + 1))
     elif span_kind == "threshold":
+        if not 0.0 < rate_cutoff < 1.0:
+            raise ConfigError(f"rate_cutoff must be in (0,1), got {rate_cutoff}")
         allowed = tuple(
             k for k, rate in enumerate(stats.fractions, start=1) if rate > rate_cutoff
         )
@@ -242,8 +244,6 @@ def constrain(
                 f"no layer's exit rate exceeds the cutoff {rate_cutoff}; "
                 "threshold span would be empty"
             )
-        if not 0.0 < rate_cutoff < 1.0:
-            raise ConfigError(f"rate_cutoff must be in (0,1), got {rate_cutoff}")
     elif span_kind == "minmax":
         allowed = tuple(range(stats.first, stats.last + 1))
     else:

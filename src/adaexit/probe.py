@@ -10,13 +10,15 @@ once. Evaluation reports accuracy alongside exit depth and compute-saved
 accounting (all read from one `policy.ExitCounts`), with a statically
 truncated twin for baseline comparisons.
 
-`evaluate` and `evaluate_static` forward every sample under one policy and
-are the reference paths. The eval and static-comparison reports instead
-build one `LayerTable` per dataset from one full forward per sample: the
-branch entropy at every layer and, by the prefix property, the probe's
-correct count at every exit depth.
-The `replay_*` functions are pure functions of that table and give the same
-records as the reference paths for any policy.
+`evaluate` forwards every sample under one policy and `evaluate_static`
+truncates every forward at one layer, with no exit machinery; they are the
+reference paths. The eval and static-comparison reports instead build one
+`LayerTable` per dataset from one full forward per sample: the branch
+entropy at every layer and, by the prefix property, the probe's correct
+count at every exit depth. The `replay_*` functions are pure functions of
+that table and give `evaluate`'s records for any policy; replaying the
+policy pinned to layer k (`policy.fixed_exit_policy`) gives every number of
+`evaluate_static`'s record at k.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "build_layer_table",
     "replay_exits",
     "replay_evaluate",
-    "replay_static",
     "replay_timing",
 ]
 
@@ -302,16 +303,6 @@ def _exit_record(task, policy, exits, forced_count, correct, scored) -> dict:
     }
 
 
-def _static_record(task, num_samples, layer, num_layers, correct, scored) -> dict:
-    return {
-        "task": task,
-        "num_samples": num_samples,
-        "accuracy": correct / scored,
-        "mean_exit_layer": float(layer),
-        "layer_compute_saved": 1.0 - layer / num_layers,
-    }
-
-
 def evaluate(
     enc: Encoder,
     branches: BranchSet,
@@ -364,7 +355,13 @@ def evaluate_static(
         c, s = _predictions(head, feats, data.labels[i], task, data.num_classes)
         correct += c
         scored += s
-    return _static_record(task, data.num_sequences, layer, num_layers, correct, scored)
+    return {
+        "task": task,
+        "num_samples": data.num_sequences,
+        "accuracy": correct / scored,
+        "mean_exit_layer": float(layer),
+        "layer_compute_saved": 1.0 - layer / num_layers,
+    }
 
 
 def build_layer_table(
@@ -423,13 +420,6 @@ def build_layer_table(
     )
 
 
-def _table_rows(table: LayerTable, rows) -> np.ndarray:
-    idx = np.arange(table.num_samples) if rows is None else np.asarray(rows, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("empty dataset")
-    return idx
-
-
 def replay_exits(
     table: LayerTable, policy: ExitPolicy, rows=None
 ) -> list[ExitTrace]:
@@ -438,8 +428,11 @@ def replay_exits(
         raise ConfigError(
             f"policy is for {policy.num_layers} layers, table has {table.num_layers}"
         )
+    idx = np.arange(table.num_samples) if rows is None else np.asarray(rows, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("empty dataset")
     traces = []
-    for i in _table_rows(table, rows):
+    for i in idx:
         row = table.entropies[i]
         traces.append(decide_exit(policy, lambda k: row[k - 1], sample_id=int(i)))
     return traces
@@ -456,21 +449,6 @@ def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
         exits,
         sum(int(t.forced) for t in traces),
         int(table.correct[idx, exits - 1].sum()),
-        int(table.scored[idx].sum()),
-    )
-
-
-def replay_static(table: LayerTable, layer: int, rows=None) -> dict:
-    """`evaluate_static`'s record for the table's dataset, or for `data.subset(rows)`."""
-    if not 1 <= layer <= table.num_layers:
-        raise ValueError(f"layer {layer} out of range 1..{table.num_layers}")
-    idx = _table_rows(table, rows)
-    return _static_record(
-        table.task,
-        int(idx.size),
-        layer,
-        table.num_layers,
-        int(table.correct[idx, layer - 1].sum()),
         int(table.scored[idx].sum()),
     )
 

@@ -35,7 +35,7 @@ from adaexit.pipeline import (
     stage_teacher,
     stages,
 )
-from adaexit.policy import calibrate, constrain, run_exit
+from adaexit.policy import ExitCounts, calibrate, constrain, fixed_exit_policy, run_exit
 from adaexit.probe import (
     TASKS,
     build_layer_table,
@@ -43,7 +43,6 @@ from adaexit.probe import (
     evaluate_static,
     replay_evaluate,
     replay_exits,
-    replay_static,
 )
 from adaexit.serialize import load_checkpoint, load_dataset, save_checkpoint
 
@@ -114,8 +113,14 @@ class TestConfig:
         assert cfg.snr_levels == (15.0, 7.5, 0.0)
 
     def test_mixture_fraction_count_validated(self):
-        with pytest.raises(ConfigError):
+        message = (
+            r"^mixture_fractions must hold one fraction for clean plus one per snr_levels "
+            r"entry, got {} fractions for {} snr_levels$"
+        )
+        with pytest.raises(ConfigError, match=message.format(2, 3)):
             apply_overrides(default_config(), {"eval.mixture_fractions": "0.5,0.5"})
+        with pytest.raises(ConfigError, match=message.format(4, 1)):
+            apply_overrides(default_config(), {"eval.snr_levels": "5"})
 
     @pytest.mark.parametrize(
         "key, raw, value, field",
@@ -323,7 +328,8 @@ class TestStages:
         # Each report forwards each sequence of each dataset variant exactly
         # once, and never touches the training split. train-branches forwards
         # each training sequence once (its cache gives the training profile)
-        # and no held-out one; calibrate forwards nothing.
+        # and no held-out one; calibrate forwards nothing; train-downstream
+        # forwards each training sequence once and no held-out one.
         cfg, paths = tiny_run
         paths = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
         train_inputs = sorted(x.tobytes() for x in load_dataset(paths.train_data).inputs)
@@ -341,6 +347,9 @@ class TestStages:
         forwarded.clear()
         stage_calibrate(cfg, paths)
         assert forwarded == []
+        stage_downstream(cfg, paths)
+        assert sorted(forwarded) == train_inputs
+        forwarded.clear()
         n = cfg.num_eval
         for report, expected in (
             (stage_eval, n),
@@ -351,6 +360,30 @@ class TestStages:
             report(cfg, paths)
             assert len(forwarded) == expected, report.__name__
             assert not train.intersection(forwarded), report.__name__
+
+    @pytest.mark.parametrize("policy_file", ["missing", "other-ratio"])
+    def test_downstream_needs_no_policy_file(self, tiny_run, tmp_path, policy_file):
+        # train-downstream calibrates its policy from the training profile;
+        # policy.txt is an output for serving, not one of its inputs.
+        cfg, paths = tiny_run
+        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        if policy_file == "missing":
+            copy.policy_file.unlink()
+        else:
+            stage_calibrate(replace(cfg, ratio=0.25), copy)
+        stage_downstream(cfg, copy)
+        for name in ("checkpoint", "span_stats", "exit_traces", "downstream_loss"):
+            assert getattr(copy, name).read_bytes() == getattr(paths, name).read_bytes(), name
+
+    def test_span_stats_are_the_histogram_of_the_traces(self, tiny_run):
+        cfg, paths = tiny_run
+        lines = paths.exit_traces.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == cfg.num_train
+        exits = [int(row["exit_layer"]) for row in rows]
+        assert load_span_stats(cfg, paths, "test") == ExitCounts.of(exits, cfg.num_layers)
+        assert all(row["layers_computed"] == row["exit_layer"] for row in rows)
 
     def test_policy_file_matches_config_ratio(self, tiny_run):
         cfg, paths = tiny_run
@@ -377,15 +410,6 @@ class TestStages:
             with pytest.raises(DependencyError, match="run 'train-downstream'"):
                 report(tiny_cfg, paths)
         noise_sweep(tiny_cfg, paths)
-
-    def test_downstream_requires_policy(self, tiny_cfg, tmp_path):
-        paths = ArtifactPaths(tmp_path / "partial")
-        paths.root.mkdir()
-        stage_synth(tiny_cfg, paths)
-        stage_teacher(tiny_cfg, paths)
-        stage_branches(tiny_cfg, paths)
-        with pytest.raises(DependencyError, match="calibrate"):
-            stage_downstream(tiny_cfg, paths)
 
 
 def _drop(key):
@@ -587,54 +611,6 @@ class TestStaleInputs:
         assert record["message"].startswith("eval_data.bin: truncated stream")
         assert forwarded == []
 
-    def test_policy_of_another_depth_fails_before_any_forward(self, copy, forwarded):
-        cfg, paths = copy
-        text = paths.policy_file.read_text()
-        assert "num_layers = 8\n" in text
-        paths.policy_file.write_text(text.replace("num_layers = 8\n", "num_layers = 3\n"))
-        with pytest.raises(DependencyError, match=r"^policy\.txt has 3 layers, the config has 8"):
-            stage_downstream(cfg, paths)
-        assert forwarded == []
-
-    @pytest.mark.parametrize("stale", ["ratio", "profile"])
-    def test_policy_calibrated_otherwise_fails_before_any_forward(self, copy, forwarded, stale):
-        # A policy.txt from another ratio, or from the training profile before
-        # 'train-branches' rewrote it, is not the one the config calibrates.
-        cfg, paths = copy
-        if stale == "ratio":
-            stage_calibrate(replace(cfg, ratio=0.25), paths)
-            held = r"ratio 0\.25 and threshold "
-        else:
-            profile = _read_profile(cfg, paths, "test")
-            _write_profile(paths.profile_train, replace(
-                profile, layer_means=tuple(2.0 * m for m in profile.layer_means)
-            ))
-            held = r"ratio 1\.0 and threshold "
-        span_stats = paths.span_stats.read_bytes()
-        with pytest.raises(
-            DependencyError,
-            match=r"^policy\.txt has 8 layers, the config has 8; policy\.txt holds " + held
-            + r".*, and the config's ratio 1\.0 calibrates threshold .*; run 'calibrate'$",
-        ):
-            stage_downstream(cfg, paths)
-        assert forwarded == []
-        assert paths.span_stats.read_bytes() == span_stats
-
-    @pytest.mark.parametrize(
-        "extra, message",
-        [
-            ("bogus = 3\n", r"^policy\.txt: line 5: unknown key 'bogus'$"),
-            ("threshold = 0.5\n", r"^policy\.txt: line 5: repeated key 'threshold'$"),
-        ],
-        ids=["unknown-key", "repeated-key"],
-    )
-    def test_malformed_policy_fails_before_any_forward(self, copy, forwarded, extra, message):
-        cfg, paths = copy
-        paths.policy_file.write_text(paths.policy_file.read_text() + extra)
-        with pytest.raises(FormatError, match=message):
-            stage_downstream(cfg, paths)
-        assert forwarded == []
-
 
 class TestReplay:
     """Policies replayed over the per-layer table equal the reference forwards."""
@@ -686,7 +662,8 @@ class TestReplay:
             reference = evaluate_static(
                 ck.encoder, ck.downstream, heldout, layer, task, renormalize
             )
-            assert replay_static(table, layer) == reference, layer
+            pinned = replay_evaluate(table, fixed_exit_policy(layer, cfg.num_layers))
+            assert {key: pinned[key] for key in reference} == reference, layer
 
     def test_row_subset_equals_subset_dataset(self, loaded):
         cfg, paths, ck, heldout = loaded
@@ -696,9 +673,10 @@ class TestReplay:
         for policy in self._policies(cfg, paths, ck):
             reference = evaluate(ck.encoder, ck.branches, policy, ck.downstream, subset)
             assert replay_evaluate(table, policy, rows) == reference, policy
-        for layer in (1, cfg.static_layer, cfg.num_layers):
+        for layer in range(1, cfg.num_layers + 1):
             reference = evaluate_static(ck.encoder, ck.downstream, subset, layer)
-            assert replay_static(table, layer, rows) == reference, layer
+            pinned = replay_evaluate(table, fixed_exit_policy(layer, cfg.num_layers), rows)
+            assert {key: pinned[key] for key in reference} == reference, layer
 
     def test_noise_sweep_exits_equal_served_exits(self, loaded):
         cfg, paths, ck, heldout = loaded

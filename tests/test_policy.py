@@ -188,7 +188,7 @@ class TestSpans:
         with pytest.raises(ConfigError, match="exit counts cover 4 layers, policy has 8"):
             constrain(self.BASE, kind, _stats((0, 1, 0, 0)))
 
-    @pytest.mark.parametrize("cutoff", [0.0, -0.5])
+    @pytest.mark.parametrize("cutoff", [0.0, -0.5, 1.0, 1.5, math.nan])
     def test_cutoff_outside_unit_interval_rejected(self, cutoff):
         with pytest.raises(ConfigError, match=r"rate_cutoff must be in \(0,1\)"):
             constrain(self.BASE, "threshold", _stats(), rate_cutoff=cutoff)

@@ -20,7 +20,6 @@ from adaexit.probe import (
     prefix_weights,
     replay_evaluate,
     replay_exits,
-    replay_static,
     replay_timing,
     train_downstream,
     weighted_features,
@@ -370,7 +369,9 @@ class TestLayerTable:
         assert [t.exit_layer for t in replay_exits(table, policy)] == [2] * len(
             small_dataset.inputs
         )
-        assert replay_evaluate(table, policy)["accuracy"] == replay_static(table, 2)["accuracy"]
+        reference = evaluate_static(enc, head, small_dataset, 2)
+        replayed = replay_evaluate(table, policy)
+        assert {key: replayed[key] for key in reference} == reference
 
     def test_mismatched_policy_and_empty_rows_rejected(self, stack, small_dataset, rng):
         enc, branches = stack
