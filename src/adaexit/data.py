@@ -119,7 +119,8 @@ class NoiseSpec:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def label(self) -> str:
-        return "clean" if self.snr_db is None else f"snr{self.snr_db:g}"
+        """The name reports and mixture tags give this noise level: `clean` or the SNR."""
+        return "clean" if self.snr_db is None else f"{self.snr_db:g}"
 
 
 @dataclass(frozen=True)

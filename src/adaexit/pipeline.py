@@ -27,8 +27,9 @@ one policy, so it serves each noised sample through `run_exit` instead.
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
 artifact excluded from that guarantee. Its early-exit and full-pass times
-are summed from the per-layer times measured while the eval table was
-built, and the early-exit time includes the branches each policy evaluated.
+are priced from the three wall-time totals measured while the eval table
+was built (input projections, blocks, branch entropies): a policy pays for
+the blocks it ran and the branches it evaluated.
 """
 
 from __future__ import annotations
@@ -188,6 +189,14 @@ class RunConfig:
         bad = [r for r in self.eval_ratios if not 0.0 <= r <= 1.0]
         if bad:
             raise ConfigError(f"eval_ratios must be in [0,1], got {bad}")
+        # Eval records are named `<strategy>_ratio<ratio:g>`; a shared name overwrites.
+        clash = sorted({k for k in self.strategies if self.strategies.count(k) > 1})
+        if clash:
+            raise ConfigError(f"strategies must be distinct, got {clash} more than once")
+        names = [f"{r:g}" for r in self.eval_ratios]
+        clash = [r for r, name in zip(self.eval_ratios, names) if names.count(name) > 1]
+        if clash:
+            raise ConfigError(f"eval_ratios must differ in 6 significant digits, got {clash}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         self.mixture_spec()
@@ -404,10 +413,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(str(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _snr_label(level: float | None) -> str:
-    return "clean" if level is None else f"{level:g}"
 
 
 def stage_synth(cfg: RunConfig, paths: ArtifactPaths) -> None:
@@ -643,7 +648,7 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
 
 
 def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
-    """Exit-layer distribution per noise level (clean first), at the sweep ratio.
+    """Exit-layer distribution per noise level of the mixture (clean first), at the sweep ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
     Each noised sequence is served through `run_exit`, so only the layers up
@@ -652,15 +657,11 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
     ck = _load_checkpoint(cfg, paths, "noise-sweep", "branches")
     profile = _read_profile(cfg, paths, "noise-sweep")
-    specs = [
-        NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
-        for level in (None, *cfg.snr_levels)
-    ]
     policy = calibrate(profile, cfg.sweep_ratio)
     dist_rows = []
     summary_rows = []
     results = []
-    for spec in specs:
+    for spec, _ in cfg.mixture_spec().parts:
         counts = ExitCounts.of(
             [
                 run_exit(ck.encoder, ck.branches, policy, frames)[1].exit_layer
@@ -668,7 +669,7 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
             ],
             cfg.num_layers,
         )
-        label = _snr_label(spec.snr_db)
+        label = spec.label()
         dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))
         summary_rows.append((label, counts.first, repr(counts.mean), counts.last))
         results.append(
@@ -709,7 +710,7 @@ def compare_static(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     for spec, _ in mixture.parts:
         idx = np.where(tags == spec.label())[0]
         if idx.size:
-            groups.append((_snr_label(spec.snr_db), idx))
+            groups.append((spec.label(), idx))
     policies: list[tuple[str, ExitPolicy | ConfigError]] = []
     for strategy in cfg.strategies:
         try:

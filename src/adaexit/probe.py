@@ -18,7 +18,8 @@ entropy at every layer and, by the prefix property, the probe's correct
 count at every exit depth. The `replay_*` functions are pure functions of
 that table and give `evaluate`'s records for any policy; replaying the
 policy pinned to layer k (`policy.fixed_exit_policy`) gives every number of
-`evaluate_static`'s record at k.
+`evaluate_static`'s record at k. `replay_timing` prices a policy from the
+table's three measured wall-time totals.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import BranchSet, entropy_from_hidden
+from .branches import BranchSet, sample_entropies
 from .data import FrameDataset
 from .encoder import Encoder, IncrementalForward
 from .errors import ConfigError
@@ -78,16 +79,17 @@ class DownstreamHead:
 class LayerTable:
     """Per-sample, per-layer facts of one full forward over a dataset.
 
-    Row i is sample i; column k-1 is layer k.
+    Row i is sample i; column k-1 is layer k. The build's three wall-time
+    totals are the table's only non-deterministic fields.
     """
 
     entropies: np.ndarray  # (N, L) float64 branch entropy of layer k
     correct: np.ndarray  # (N, L) int64 probe correct count when exiting at k
     scored: np.ndarray  # (N,) int64 predictions scored per sample
     task: str
-    embed_seconds: np.ndarray  # (N,) wall time of the input projection
-    block_seconds: np.ndarray  # (N, L) wall time of block k
-    branch_seconds: np.ndarray  # (N, L) wall time of branch k's entropy
+    embed_seconds: float  # summed wall time of the N input projections
+    block_seconds: float  # of all N·L blocks
+    branch_seconds: float  # of all N·L branch entropies
 
     @property
     def num_samples(self) -> int:
@@ -374,35 +376,32 @@ def build_layer_table(
 ) -> LayerTable:
     """One full forward per sample, recording what every exit layer would see and score.
 
-    Entropies come from `entropy_from_hidden` on the same hidden matrices a
-    lazy forward computes (prefix property), so replayed exits equal those
-    of `run_exit`. The prefix is normalized once at depth L and the
-    features for exit depth k weight its first k layers, bit-identical to
-    the features of a pass truncated at k. Embed, block and branch wall
-    times are recorded per sample so any policy's early-exit cost can be
-    charged. Samples stream into (N, L) arrays; no hidden states are kept.
+    Each entropy row is `sample_entropies` of the sample's L hidden layers,
+    the same hidden matrices a lazy forward computes (prefix property), so
+    replayed exits equal those of `run_exit`. The prefix is normalized once
+    at depth L and the features for exit depth k weight its first k layers,
+    bit-identical to the features of a pass truncated at k. The projection,
+    the blocks and the entropies are timed once per sample and summed.
+    Samples stream into (N, L) arrays; no hidden states are kept.
     """
     _check_dataset(data, task)
     n = data.num_sequences
     num_layers = enc.config.num_layers
     entropies = np.empty((n, num_layers), dtype=np.float64)
-    embed_seconds = np.empty(n, dtype=np.float64)
-    block_seconds = np.empty((n, num_layers), dtype=np.float64)
-    branch_seconds = np.empty((n, num_layers), dtype=np.float64)
     correct = np.empty((n, num_layers), dtype=np.int64)
     scored = np.empty(n, dtype=np.int64)
-    clock = time.perf_counter
+    embed_seconds = block_seconds = branch_seconds = 0.0
     for i in range(n):
-        t0 = clock()
+        t0 = time.perf_counter()
         inc = IncrementalForward(enc, data.inputs[i])
-        embed_seconds[i] = clock() - t0
-        for k in range(1, num_layers + 1):
-            t0 = clock()
-            hidden = inc.hidden(k)
-            t1 = clock()
-            entropies[i, k - 1] = entropy_from_hidden(branches, hidden, k)
-            branch_seconds[i, k - 1] = clock() - t1
-            block_seconds[i, k - 1] = t1 - t0
+        t1 = time.perf_counter()
+        inc.hidden(num_layers)
+        t2 = time.perf_counter()
+        entropies[i] = sample_entropies(branches, inc.states())
+        t3 = time.perf_counter()
+        embed_seconds += t1 - t0
+        block_seconds += t2 - t1
+        branch_seconds += t3 - t2
         normed = normalize_prefix(inc.states(), num_layers)
         for k in range(1, num_layers + 1):
             feats = weighted_features(head, normed[:k], renormalize)
@@ -456,19 +455,17 @@ def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
 def replay_timing(table: LayerTable, policy: ExitPolicy) -> dict:
     """Wall time of early-exit forwards under `policy` against full-depth ones.
 
-    Both come from the per-layer times measured while the table was built.
-    A sample's early exit costs its embed, blocks 1..exit and the branches
-    the policy evaluated; its full pass costs its embed and all L blocks.
+    Priced from the table's three measured totals: every block has one shape
+    and so does every branch, so a policy pays every input projection plus
+    its share of the N·L blocks (its summed exit layers) and of the N·L
+    branches (those it evaluated). A full pass pays all projections and blocks.
     """
-    early = 0.0
-    full = 0.0
-    for trace in replay_exits(table, policy):
-        i = trace.sample_id
-        embed = table.embed_seconds[i]
-        blocks = table.block_seconds[i]
-        branch = sum(table.branch_seconds[i, k - 1] for k in trace.entropies)
-        early += embed + blocks[: trace.exit_layer].sum() + branch
-        full += embed + blocks.sum()
+    traces = replay_exits(table, policy)
+    all_layers = table.num_samples * table.num_layers
+    blocks = sum(t.exit_layer for t in traces) / all_layers * table.block_seconds
+    branches = sum(len(t.entropies) for t in traces) / all_layers * table.branch_seconds
+    early = table.embed_seconds + blocks + branches
+    full = table.embed_seconds + table.block_seconds
     return {
         "early_exit_seconds": float(early),
         "full_pass_seconds": float(full),

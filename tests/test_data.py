@@ -186,9 +186,9 @@ class TestMixture:
         out = make_mixture(clean_50, self._spec(), seed=11)
         tags = np.array(out.tags)
         assert (tags == "clean").sum() == 20
-        assert (tags == "snr10").sum() == 15
-        assert (tags == "snr5").sum() == 10
-        assert (tags == "snr0").sum() == 5
+        assert (tags == "10").sum() == 15
+        assert (tags == "5").sum() == 10
+        assert (tags == "0").sum() == 5
 
     def test_tags_match_modification_pattern(self, clean_50):
         # Recount oracle: clean-tagged rows are untouched, others are noised
@@ -200,7 +200,7 @@ class TestMixture:
                 assert same
             else:
                 assert not same
-                level = float(tag[3:])
+                level = float(tag)
                 assert _measure_snr_db(clean_50, out, i) == pytest.approx(level, abs=0.01)
 
     def test_labels_preserved(self, clean_50):

@@ -128,6 +128,9 @@ class TestConfig:
             ("eval.strategies", "unconstrained,bogus", ("unconstrained", "bogus"), "strategies"),
             ("eval.eval_ratios", "1.0,1.5", (1.0, 1.5), "eval_ratios"),
             ("eval.eval_ratios", "-0.1", (-0.1,), "eval_ratios"),
+            # Both print as ratio0.7, so one eval record would overwrite the other.
+            ("eval.eval_ratios", "0.7,0.7000001", (0.7, 0.7000001), "eval_ratios"),
+            ("eval.strategies", "mean,mean", ("mean", "mean"), "strategies"),
             ("eval.sweep_ratio", "1.5", 1.5, "sweep_ratio"),
             ("eval.sweep_ratio", "nan", float("nan"), "sweep_ratio"),
             ("policy.ratio", "-0.5", -0.5, "ratio"),
