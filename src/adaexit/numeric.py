@@ -5,30 +5,41 @@ Conventions: parameters and activations are stored as float32; reductions
 so results are reproducible at desk scale. Probabilities and entropies
 are returned as float64. Entropy is measured in nats.
 
-Every head trains through `cross_entropy`, the one softmax cross-entropy
-and logit gradient, and the linear heads through `train_linear_heads`, the
-one minibatch-SGD loop: the teacher is its one-head call, the exit branches
-its one-head-per-layer call.
+Every head trains through one softmax cross-entropy and logit gradient,
+and the linear heads through `train_linear_heads`, the one minibatch-SGD
+loop: the teacher is its one-head call, the exit branches its
+one-head-per-layer call. The trainer splits its heads into contiguous
+groups, one per usable CPU, and trains each group in its own thread (the
+first in the caller's) with preallocated float64 buffers and its own copy
+of the batch stream, so its bits do not depend on the CPU count.
 
 Inputs are checked at the module boundary, not inside the hot loops.
-`layer_norm`, `entropy` and `softmax` validate what they are given, and
-softmax refuses non-finite logits. `layer_norm64` and `entropy64` are their
-unvalidated float64 cores: the encoder's blocks call `layer_norm64`, and
-branch entropies call `entropy64` on softmax rows, which cannot fail
-`entropy`'s checks. Each core keeps the arithmetic of the checked call bit
-for bit.
+`layer_norm`, `entropy`, `softmax` and `cross_entropy` validate what they
+are given, and softmax refuses non-finite logits; `train_linear_heads`
+checks its cache, labels, starting weights and hyperparameters once.
+`layer_norm64`, `entropy64`, `softmax64` and `cross_entropy64` are their
+unvalidated float64 cores: the encoder's blocks call `layer_norm64`, branch
+entropies call `entropy64` on softmax rows, which cannot fail `entropy`'s
+checks, and the trainer calls `cross_entropy64` on its own buffers. Each
+core keeps the arithmetic of the checked call bit for bit.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 DTYPE = np.float32
+F32_MAX = float(np.finfo(DTYPE).max)
 
 __all__ = [
     "DTYPE",
     "softmax",
+    "softmax64",
     "cross_entropy",
+    "cross_entropy64",
     "train_linear_heads",
     "entropy",
     "entropy64",
@@ -53,11 +64,8 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction over the last axis of any stack of rows.
-
-    Returns float64 probabilities that sum to 1 along the last axis.
-    """
+def _checked_rows(logits) -> np.ndarray:
+    """The logits as float64, refused unless they are a nonempty stack of finite rows."""
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("expected a vector or a stack of vectors, got a scalar")
@@ -65,9 +73,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("empty input")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
-    e = x - x.max(axis=-1, keepdims=True)
+    return x
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction over the last axis of any stack of rows.
+
+    Returns float64 probabilities that sum to 1 along the last axis.
+    """
+    return softmax64(_checked_rows(logits))
+
+
+def softmax64(x: np.ndarray, out=None, rowmax=None, rowsum=None) -> np.ndarray:
+    """Unvalidated float64 core of `softmax`: the rows of x, normalized into out.
+
+    out may be x itself; a new array is returned when it is None. rowmax and
+    rowsum, shaped x.shape[:-1] + (1,), receive the row maxima and sums; they
+    are allocated when not given.
+    """
+    e = np.subtract(x, x.max(axis=-1, keepdims=True, out=rowmax), out=out)
     np.exp(e, out=e)  # in place: a fresh array per call costs more than the exp
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True, out=rowsum)
     return e
 
 
@@ -79,15 +105,54 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     (softmax - one_hot) / rows. A stack's loss and gradient equal the
     single calls bit for bit.
     """
-    probs = softmax(logits)
-    rows = probs.shape[-2]
-    idx = np.arange(rows)
+    x = _checked_rows(logits)
+    if x.ndim < 2:
+        raise ValueError(f"expected a stack of rows, got shape {x.shape}")
+    rows, classes = x.shape[-2:]
+    labels = np.asarray(labels)
+    if labels.shape != (rows,) or labels.dtype.kind not in "iu":
+        raise ValueError(
+            f"labels must be {rows} integer class indices, got {labels.dtype} {labels.shape}"
+        )
+    try:  # one C call both range-checks the labels and finds their flat positions
+        picks = np.ravel_multi_index((np.arange(rows), labels), (rows, classes))
+    except ValueError:
+        raise ValueError(
+            f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]"
+        ) from None
+    if x.ndim > 2:
+        picks = picks + np.arange(0, x.size, rows * classes).reshape(x.shape[:-2] + (1,))
+    stats = x.shape[:-1] + (1,)
+    return cross_entropy64(x, picks, np.empty(picks.shape), np.empty(stats), np.empty(stats))
+
+
+def cross_entropy64(x, picks, picked, rowmax, rowsum, out=None, loss=None):
+    """Unvalidated float64 core of `cross_entropy`: the loss and the logit gradient.
+
+    x: (..., rows, C) logits; picks: (..., rows) flat positions in x of each
+    row's label, in range. The gradient is written into out, which may be x
+    itself (a new array when None), and the loss (...) into loss when given.
+    picked (..., rows), rowmax and rowsum (..., rows, 1) are scratch.
+    """
+    grad = softmax64(x, out, rowmax, rowsum)
+    np.take(grad, picks, out=picked, mode="clip")  # clip: no bounds-check buffer
+    # rowsum is free once the rows are normalized; it holds each label's p - 1.
+    label_grad = np.subtract(picked, 1.0, out=rowsum.reshape(picked.shape))
+    np.put(grad, picks, label_grad)
+    np.maximum(picked, 1e-300, out=picked)
+    np.log(picked, out=picked)
+    np.negative(picked, out=picked)
+    grad /= grad.shape[-2]
     # Row-major picks, so every head's mean sums its rows in one order.
-    picked = np.ascontiguousarray(probs[..., idx, labels])
-    loss = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
-    probs[..., idx, labels] -= 1.0
-    probs /= rows
-    return loss, probs
+    return picked.mean(axis=-1, out=loss), grad
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the trainer runs one head group per CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def train_linear_heads(
@@ -99,25 +164,127 @@ def train_linear_heads(
     by every head; weights (H, C, d) and biases (H, C) are the starting
     values. Every step draws one batch of sequences from `seed` for all
     heads, so a head's weights do not depend on the heads trained with it.
+    The heads are split into contiguous groups, one per usable CPU, and each
+    group trains in its own thread (the first in the caller's) on its own
+    copy of that batch stream, so the bits do not depend on the CPU count.
+    Inputs are checked once, here; a head whose parameters leave the
+    float32 range fails by name.
     Returns the final weights and biases and each step's loss, (steps, H).
     """
+    lr = _check_heads(cache, labels, weights, biases, lr, steps, batch_size)
+    heads = cache.shape[0]
+    groups = min(heads, _usable_cpus())
+    bounds = [heads * g // groups for g in range(groups + 1)]
+
+    def train(g):
+        lo, hi = bounds[g], bounds[g + 1]
+        return _train_head_group(
+            cache[lo:hi], labels, weights[lo:hi], biases[lo:hi], lr, steps, batch_size, seed, lo
+        )
+
+    # The first group runs in the caller's thread: one group starts no thread.
+    with ThreadPoolExecutor(max(1, groups - 1)) as pool:
+        rest = [pool.submit(train, g) for g in range(1, groups)]
+        parts = [train(0)] + [future.result() for future in rest]
+    w, b, losses = zip(*parts)
+    return np.concatenate(w), np.concatenate(b), np.concatenate(losses, axis=1)
+
+
+def _check_heads(cache, labels, weights, biases, lr, steps, batch_size) -> float:
+    """`train_linear_heads`' boundary: shapes, ranges and finiteness, by name. Returns lr."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    lr = float(lr)
+    if not np.isfinite(lr) or lr < 0:
+        raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
+    if cache.ndim != 4 or 0 in cache.shape:
+        raise ValueError(f"cache must be a nonempty (H, N, T, d) array, got shape {cache.shape}")
     heads, num_sequences, frames, dim = cache.shape
+    if weights.ndim != 3 or weights.shape[0] != heads or weights.shape[2] != dim:
+        raise ValueError(f"weights must be (H, C, d) = ({heads}, C, {dim}), got {weights.shape}")
+    classes = weights.shape[1]
+    if biases.shape != (heads, classes):
+        raise ValueError(f"biases must be (H, C) = {(heads, classes)}, got {biases.shape}")
+    if labels.shape != (num_sequences, frames) or labels.dtype.kind not in "iu":
+        raise ValueError(
+            f"labels must be (N, T) = {(num_sequences, frames)} integers, "
+            f"got {labels.dtype} {labels.shape}"
+        )
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError(f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]")
+    # min and max propagate NaN and need no cache-sized temporary.
+    if not (np.isfinite(cache.min()) and np.isfinite(cache.max())):
+        raise ValueError("cache contains non-finite values")
+    if not np.isfinite(weights).all():
+        raise ValueError("starting weights contain non-finite values")
+    if not np.isfinite(biases).all():
+        raise ValueError("starting biases contain non-finite values")
+    return lr
+
+
+def _train_head_group(cache, labels, weights, biases, lr, steps, batch_size, seed, first_head):
+    """The SGD loop of `train_linear_heads` for heads first_head.., in preallocated buffers.
+
+    It may run in a worker thread, so it calls numpy only: numpy releases the
+    GIL inside matmul and the ufunc loops, and nothing here is traced. The
+    float64 mirrors hold the float32 parameters exactly; each step updates a
+    mirror and re-rounds it through float32, which is `sgd_step`'s arithmetic.
+    """
+    heads, num_sequences, frames, dim = cache.shape
+    classes = weights.shape[1]
+    rows = batch_size * frames
     rng = new_rng(seed)
     losses = np.empty((steps, heads), dtype=np.float64)
+    w32, b32 = weights.astype(DTYPE), biases.astype(DTYPE)
+    w64, b64 = w32.astype(np.float64), b32.astype(np.float64)
+    grad_w, grad_b = np.empty_like(w64), np.empty_like(b64)
     # One float64 batch, gathered per sequence and read by both matmuls.
     batch_feats = np.empty((heads, batch_size, frames, dim), dtype=np.float64)
-    feats = batch_feats.reshape(heads, -1, dim)  # (H, rows, d) with rows = batch * frames
+    feats = batch_feats.reshape(heads, rows, dim)
+    logits = np.empty((heads, rows, classes), dtype=np.float64)
+    picked = np.empty((heads, rows), dtype=np.float64)
+    rowmax, rowsum = np.empty((2, heads, rows, 1), dtype=np.float64)
+    batch_labels = np.empty((batch_size, frames), dtype=labels.dtype)
+    # Flat position of each row's first logit; a step adds the row's label.
+    row_starts = np.arange(0, heads * rows * classes, classes).reshape(heads, rows)
+    picks = np.empty_like(row_starts)
     for step in range(steps):
         batch = rng.integers(0, num_sequences, size=batch_size)
         for j, i in enumerate(batch):
             batch_feats[:, j] = cache[:, i]
-        logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
-            np.float64
-        )
-        losses[step], dlogits = cross_entropy(logits, labels[batch].reshape(-1))
-        weights = sgd_step(weights, matmul64(dlogits.transpose(0, 2, 1), feats), lr)
-        biases = sgd_step(biases, dlogits.sum(axis=1), lr)
-    return weights, biases, losses
+        np.take(labels, batch, axis=0, out=batch_labels, mode="clip")
+        np.add(row_starts, batch_labels.reshape(-1), out=picks)
+        np.matmul(feats, w64.transpose(0, 2, 1), out=logits)
+        logits += b64[:, None, :]
+        cross_entropy64(logits, picks, picked, rowmax, rowsum, out=logits, loss=losses[step])
+        np.matmul(logits.transpose(0, 2, 1), feats, out=grad_w)
+        logits.sum(axis=1, out=grad_b)
+        for mirror, params, grad in ((w64, w32, grad_w), (b64, b32, grad_b)):
+            grad *= lr
+            mirror -= grad
+            _check_float32_range(mirror, grad, step, first_head, lr)
+            np.copyto(params, mirror)
+            np.copyto(mirror, params)
+    return w32, b32, losses
+
+
+def _check_float32_range(mirror, scratch, step, first_head, lr) -> None:
+    """Fail by name before a float32 cast would overflow: the first sign of a diverging lr.
+
+    Logits of finite float32 weights and features stay finite in float64, so
+    divergence first shows here, as a parameter that float32 cannot hold.
+    """
+    np.abs(mirror, out=scratch)
+    if scratch.max() <= F32_MAX:
+        return
+    peaks = scratch.reshape(len(scratch), -1).max(axis=1)
+    head = first_head + int(np.flatnonzero(~(peaks <= F32_MAX))[0])
+    raise ValueError(
+        f"head {head} diverged at step {step}: its parameters exceed the float32 range "
+        f"(lr={lr:g})"
+    )
 
 
 def entropy(p: np.ndarray) -> float | np.ndarray:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adaexit import numeric
 from adaexit.numeric import (
     cross_entropy,
     entropy,
@@ -276,11 +281,25 @@ class TestCrossEntropy:
             assert np.array_equal(grad[h], single_grad)
             assert loss[h] == single_loss
 
+    @pytest.mark.parametrize("shape", [(1, 6), (7, 6), (3, 40, 6), (2, 2, 5, 6)])
+    def test_equals_fancy_index_reference_bitwise(self, rng, shape):
+        x = rng.standard_normal(shape) * 30.0
+        labels = rng.integers(0, shape[-1], size=shape[-2])
+        loss, grad = cross_entropy(x, labels)
+        ref_loss, ref_grad = fancy_index_cross_entropy(x, labels)
+        assert np.array_equal(loss, ref_loss) and np.array_equal(grad, ref_grad)
+
     def test_does_not_modify_input(self, rng):
         x = rng.standard_normal((4, 3))
         before = x.copy()
         cross_entropy(x, np.array([0, 1, 2, 0]))
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0], [0.0, 1.0]],
+                             ids=["high", "negative", "short", "float"])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must"):
+            cross_entropy(np.zeros((2, 3)), np.array(labels))
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -360,10 +379,190 @@ class TestTrainLinearHeads:
 
     def test_empty_batch_rejected(self, rng):
         cache, labels, weights, biases = self._problem(rng)
-        with pytest.raises(ValueError, match="empty input"):
+        with pytest.raises(ValueError, match="batch_size must be at least 1, got 0"):
             train_linear_heads(
                 cache, labels, weights, biases, lr=0.5, steps=5, batch_size=0, seed=7
             )
+
+
+def _train_args(rng, heads, num_sequences=5, frames=6, dim=5, classes=4):
+    cache = rng.standard_normal((heads, num_sequences, frames, dim)).astype(np.float32)
+    labels = rng.integers(0, classes, size=(num_sequences, frames)).astype(np.int32)
+    weights = (rng.standard_normal((heads, classes, dim)) * 0.1).astype(np.float32)
+    biases = (rng.standard_normal((heads, classes)) * 0.1).astype(np.float32)
+    return dict(cache=cache, labels=labels, weights=weights, biases=biases, lr=0.3, steps=12,
+                batch_size=4, seed=11)
+
+
+def _use_workers(monkeypatch, workers):
+    """Pretend `workers` CPUs are usable and record each head group's (first head, heads)."""
+    groups = []
+    train_group = numeric._train_head_group
+
+    def recording(cache, *args):
+        groups.append((args[-1], cache.shape[0]))
+        return train_group(cache, *args)
+
+    monkeypatch.setattr(numeric, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(numeric, "_train_head_group", recording)
+    return groups
+
+
+class TestHeadGroups:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("heads", [1, 3, 8])
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_any_grouping_equals_per_step_cast_loop_bitwise(
+        self, rng, monkeypatch, workers, heads, batch_size
+    ):
+        groups = _use_workers(monkeypatch, workers)
+        args = _train_args(rng, heads)
+        args["batch_size"] = batch_size
+        expect = cast_per_step_heads(**args)
+        first = train_linear_heads(**args)
+        second = train_linear_heads(**args)
+        for a, b, ref in zip(first, second, expect):
+            assert np.array_equal(a, ref)
+            assert np.array_equal(b, ref)
+        count = min(heads, workers)
+        bounds = [heads * g // count for g in range(count + 1)]
+        expect_groups = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        assert sorted(groups) == sorted(expect_groups * 2)
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self, rng, monkeypatch):
+        groups = _use_workers(monkeypatch, 8)
+        args = _train_args(rng, 8)
+        args["steps"] = 40
+        expect = cast_per_step_heads(**args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = train_linear_heads(**args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(groups) == 8
+        for a, ref in zip(got, expect):
+            assert np.array_equal(a, ref)
+
+    def test_workers_call_no_traced_function(self, rng, monkeypatch):
+        # perfbench's tracer keeps one span stack and wraps numeric.matmul64.
+        main = threading.main_thread()
+
+        def main_thread_only(a, b):
+            if threading.current_thread() is not main:
+                raise AssertionError("matmul64 called from a worker thread")
+            return np.matmul(a.astype(np.float64), b.astype(np.float64))
+
+        monkeypatch.setattr(numeric, "matmul64", main_thread_only)
+        groups = _use_workers(monkeypatch, 2)
+        w, b, losses = train_linear_heads(**_train_args(rng, 8))
+        assert sorted(groups) == [(0, 4), (4, 4)]
+        assert w.shape == (8, 4, 5) and losses.shape == (12, 8)
+
+    def test_peak_memory_below_half_the_cache(self, monkeypatch):
+        # A copy of either head group's cache slice alone would take half the cache.
+        _use_workers(monkeypatch, 2)
+        rng = np.random.default_rng(5)
+        cache = rng.standard_normal((8, 512, 8, 32), dtype=np.float32)
+        labels = rng.integers(0, 4, size=(512, 8)).astype(np.int32)
+        weights = np.zeros((8, 4, 32), dtype=np.float32)
+        biases = np.zeros((8, 4), dtype=np.float32)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_linear_heads(cache, labels, weights, biases, 0.1, 3, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert 0 < peak < cache.nbytes / 2
+
+
+def _nan_at_start(name):
+    def mutate(args):
+        args[name] = args[name].copy()
+        args[name].flat[3] = np.nan
+    return mutate
+
+
+def _inf_at_start(name):
+    def mutate(args):
+        args[name] = args[name].copy()
+        args[name].flat[0] = np.inf
+    return mutate
+
+
+BAD_TRAINER_INPUTS = [
+    ("batch_size", lambda a: a.update(batch_size=0), "batch_size must be at least 1, got 0"),
+    ("steps", lambda a: a.update(steps=-1), "steps must be nonnegative, got -1"),
+    ("lr_nan", lambda a: a.update(lr=float("nan")), "learning rate must be finite"),
+    ("lr_inf", lambda a: a.update(lr=float("inf")), "learning rate must be finite"),
+    ("lr_negative", lambda a: a.update(lr=-0.1), "learning rate must be finite and nonnegative"),
+    ("labels_shape", lambda a: a.update(labels=a["labels"][:, :-1]), r"labels must be \(N, T\)"),
+    ("labels_float", lambda a: a.update(labels=a["labels"].astype(np.float32)),
+     r"labels must be \(N, T\)"),
+    ("labels_high", lambda a: a.update(labels=a["labels"] + 4), r"labels must lie in \[0, 4\)"),
+    ("labels_negative", lambda a: a.update(labels=a["labels"] - 1),
+     r"labels must lie in \[0, 4\)"),
+    ("cache_nan", _nan_at_start("cache"), "cache contains non-finite values"),
+    ("cache_inf", _inf_at_start("cache"), "cache contains non-finite values"),
+    ("cache_ndim", lambda a: a.update(cache=a["cache"][0]), "cache must be a nonempty"),
+    ("cache_empty", lambda a: a.update(cache=a["cache"][:, :0], labels=a["labels"][:0]),
+     "cache must be a nonempty"),
+    ("weights_inf", _inf_at_start("weights"), "starting weights contain non-finite values"),
+    ("biases_nan", _nan_at_start("biases"), "starting biases contain non-finite values"),
+    ("weights_heads", lambda a: a.update(weights=a["weights"][:2]), r"weights must be \(H, C, d\)"),
+    ("weights_dim", lambda a: a.update(weights=a["weights"][:, :, :-1]),
+     r"weights must be \(H, C, d\)"),
+    ("biases_classes", lambda a: a.update(biases=a["biases"][:, :-1]), r"biases must be \(H, C\)"),
+]
+
+
+class TestTrainerBoundary:
+    @pytest.mark.parametrize(
+        "mutate, message", [case[1:] for case in BAD_TRAINER_INPUTS],
+        ids=[case[0] for case in BAD_TRAINER_INPUTS],
+    )
+    def test_bad_input_rejected_by_name(self, rng, mutate, message):
+        args = _train_args(rng, 3)
+        mutate(args)
+        with pytest.raises(ValueError, match=message):
+            train_linear_heads(**args)
+
+    def test_diverging_lr_names_head_and_step_before_any_warning(self, rng):
+        # Head 1 sees features near float32's range; lr = 1e6 drives its weights past it.
+        args = _train_args(rng, 3)
+        args["cache"][1] *= np.float32(1e33)
+        args.update(lr=1e6, steps=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="head 1 diverged at step 1: "):
+                train_linear_heads(**args)
+
+    def test_sane_lr_on_the_same_features_trains(self, rng):
+        args = _train_args(rng, 3)
+        args["cache"][1] *= np.float32(1e33)
+        args.update(lr=1e-30, steps=200)
+        w, _, losses = train_linear_heads(**args)
+        assert np.isfinite(w).all() and np.isfinite(losses).all()
+
+
+def fancy_index_cross_entropy(logits, labels):
+    """Reference: softmax cross-entropy by fancy indexing, on a fresh softmax array."""
+    x = np.asarray(logits, dtype=np.float64)
+    probs = x - x.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    rows = probs.shape[-2]
+    idx = np.arange(rows)
+    picked = np.ascontiguousarray(probs[..., idx, labels])
+    loss = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
+    probs[..., idx, labels] -= 1.0
+    probs /= rows
+    return loss, probs
 
 
 def cast_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, seed):
@@ -377,7 +576,7 @@ def cast_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, s
         logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
             np.float64
         )
-        losses[step], dlogits = cross_entropy(logits, labels[batch].reshape(-1))
+        losses[step], dlogits = fancy_index_cross_entropy(logits, labels[batch].reshape(-1))
         weights = sgd_step(weights, matmul64(dlogits.transpose(0, 2, 1), feats), lr)
         biases = sgd_step(biases, dlogits.sum(axis=1), lr)
     return weights, biases, losses
