@@ -9,6 +9,7 @@ at a controlled SNR; mixtures tag each sample with its noise level.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -56,8 +57,8 @@ class SynthDatasetSpec:
             )
         if not 0.0 <= self.markov_self_prob <= 1.0:
             raise ConfigError(f"markov_self_prob must be in [0,1], got {self.markov_self_prob}")
-        if self.jitter_std < 0:
-            raise ConfigError(f"jitter_std must be nonnegative, got {self.jitter_std}")
+        if not 0.0 <= self.jitter_std < math.inf:
+            raise ConfigError(f"jitter_std must be finite and nonnegative, got {self.jitter_std}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 

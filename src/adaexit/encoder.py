@@ -13,11 +13,11 @@ yields hidden states bit-identical to the first k rows of the full pass.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .numeric import DTYPE, layer_norm64, matmul64, new_rng
+from .numeric import DTYPE, layer_norm64, matmul64, new_rng, softmax64
 
 __all__ = [
     "EncoderConfig",
@@ -65,6 +65,8 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class BlockParams:
+    """One block's parameters; the checkpoint stores them in field order."""
+
     attn_norm_gain: np.ndarray
     attn_norm_bias: np.ndarray
     q_weight: np.ndarray
@@ -82,15 +84,6 @@ class BlockParams:
     ffn_out_weight: np.ndarray
     ffn_out_bias: np.ndarray
 
-    # Serialization order for the checkpoint format.
-    FIELD_ORDER = (
-        "attn_norm_gain", "attn_norm_bias",
-        "q_weight", "q_bias", "k_weight", "k_bias", "v_weight", "v_bias",
-        "out_weight", "out_bias",
-        "ffn_norm_gain", "ffn_norm_bias",
-        "ffn_in_weight", "ffn_in_bias", "ffn_out_weight", "ffn_out_bias",
-    )
-
 
 @dataclass(frozen=True)
 class Encoder:
@@ -101,10 +94,10 @@ class Encoder:
     positional: np.ndarray  # (max_frames, model_dim), derived from config
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        """All trainable-shaped parameters in declared serialization order."""
+        """All parameters in checkpoint order: input projection, then each block's fields."""
         arrays = [self.input_weight, self.input_bias]
         for block in self.blocks:
-            arrays.extend(getattr(block, name) for name in BlockParams.FIELD_ORDER)
+            arrays.extend(getattr(block, f.name) for f in fields(block))
         return arrays
 
 
@@ -182,9 +175,7 @@ def _attention(a: np.ndarray, block: BlockParams, num_heads: int) -> np.ndarray:
     k = k.reshape(frames, num_heads, head_dim).transpose(1, 0, 2)
     v = v.reshape(frames, num_heads, head_dim).transpose(1, 0, 2)
     scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = softmax64(scores, out=scores)
     ctx = (weights @ v).transpose(1, 0, 2).reshape(frames, d)
     return matmul64(ctx, block.out_weight.T) + block.out_bias.astype(np.float64)
 

@@ -39,7 +39,8 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,8 @@ __all__ = [
 _SCALAR_RULES = (
     (("num_train", "num_eval", "teacher_batch", "branch_batch", "downstream_batch"),
      lambda v: v >= 1, "positive"),
-    (("teacher_steps", "branch_steps", "downstream_steps"), lambda v: v >= 0, "nonnegative"),
+    (("teacher_steps", "branch_steps", "downstream_steps", "train_seed"), lambda v: v >= 0,
+     "nonnegative"),
     (("teacher_lr", "branch_lr", "downstream_lr"), lambda v: 0.0 <= v < math.inf,
      "finite and nonnegative"),
     (("ratio", "sweep_ratio"), lambda v: 0.0 <= v <= 1.0, "in [0,1]"),
@@ -114,53 +116,52 @@ _SCALAR_RULES = (
 )
 
 
+def _key(section: str, default):
+    """A RunConfig field stored under [section] of config.ini."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # [data]
-    num_train: int = 2000
-    num_eval: int = 600
-    frames: int = 32
-    input_dim: int = 16
-    num_classes: int = 32
-    context_window: int = 9
-    markov_self_prob: float = 0.85
-    jitter_std: float = 1.0
-    data_seed: int = 101
-    # [encoder]
-    num_layers: int = 8
-    model_dim: int = 64
-    num_heads: int = 4
-    ffn_dim: int = 128
-    max_frames: int = 64
-    encoder_seed: int = 103
-    # [teacher]
-    teacher_lr: float = 0.5
-    teacher_steps: int = 1200
-    teacher_batch: int = 32
-    # [branches]
-    branch_lr: float = 0.05
-    branch_steps: int = 4000
-    branch_batch: int = 32
-    # [policy]
-    ratio: float = 1.0
-    rate_cutoff: float = 0.15
-    # [downstream]
-    downstream_lr: float = 0.5
-    downstream_steps: int = 1500
-    downstream_batch: int = 32
-    task: str = "frame"
-    renormalize: bool = True
-    # [train]
-    train_seed: int = 105
-    # [eval]
-    strategies: tuple[str, ...] = ("unconstrained", "mean", "threshold", "minmax")
-    eval_ratios: tuple[float, ...] = (1.0, 0.7)
-    snr_levels: tuple[float, ...] = (10.0, 5.0, 0.0)
-    sweep_ratio: float = 0.7
-    mixture_fractions: tuple[float, ...] = (0.4, 0.3, 0.2, 0.1)
-    static_layer: int = 4
-    noise_kind: str = "gaussian"
-    noise_seed: int = 107
+    """Every setting of a run; each field names its config.ini section."""
+
+    num_train: int = _key("data", 2000)
+    num_eval: int = _key("data", 600)
+    frames: int = _key("data", 32)
+    input_dim: int = _key("data", 16)
+    num_classes: int = _key("data", 32)
+    context_window: int = _key("data", 9)
+    markov_self_prob: float = _key("data", 0.85)
+    jitter_std: float = _key("data", 1.0)
+    data_seed: int = _key("data", 101)
+    num_layers: int = _key("encoder", 8)
+    model_dim: int = _key("encoder", 64)
+    num_heads: int = _key("encoder", 4)
+    ffn_dim: int = _key("encoder", 128)
+    max_frames: int = _key("encoder", 64)
+    encoder_seed: int = _key("encoder", 103)
+    teacher_lr: float = _key("teacher", 0.5)
+    teacher_steps: int = _key("teacher", 1200)
+    teacher_batch: int = _key("teacher", 32)
+    branch_lr: float = _key("branches", 0.05)
+    branch_steps: int = _key("branches", 4000)
+    branch_batch: int = _key("branches", 32)
+    ratio: float = _key("policy", 1.0)
+    rate_cutoff: float = _key("policy", 0.15)
+    downstream_lr: float = _key("downstream", 0.5)
+    downstream_steps: int = _key("downstream", 1500)
+    downstream_batch: int = _key("downstream", 32)
+    task: str = _key("downstream", "frame")
+    renormalize: bool = _key("downstream", True)
+    train_seed: int = _key("train", 105)
+    strategies: tuple[str, ...] = _key("eval", ("unconstrained", "mean", "threshold", "minmax"))
+    eval_ratios: tuple[float, ...] = _key("eval", (1.0, 0.7))
+    snr_levels: tuple[float, ...] = _key("eval", (10.0, 5.0, 0.0))
+    sweep_ratio: float = _key("eval", 0.7)
+    mixture_fractions: tuple[float, ...] = _key("eval", (0.4, 0.3, 0.2, 0.1))
+    static_layer: int = _key("eval", 4)
+    noise_kind: str = _key("eval", "gaussian")
+    noise_seed: int = _key("eval", 107)
 
     def __post_init__(self):
         for names, valid, what in _SCALAR_RULES:
@@ -251,28 +252,8 @@ class RunConfig:
         )
 
 
-_SECTIONS = {
-    "data": (
-        "num_train", "num_eval", "frames", "input_dim", "num_classes",
-        "context_window", "markov_self_prob", "jitter_std", "data_seed",
-    ),
-    "encoder": (
-        "num_layers", "model_dim", "num_heads", "ffn_dim", "max_frames", "encoder_seed",
-    ),
-    "teacher": ("teacher_lr", "teacher_steps", "teacher_batch"),
-    "branches": ("branch_lr", "branch_steps", "branch_batch"),
-    "policy": ("ratio", "rate_cutoff"),
-    "downstream": (
-        "downstream_lr", "downstream_steps", "downstream_batch", "task", "renormalize",
-    ),
-    "train": ("train_seed",),
-    "eval": (
-        "strategies", "eval_ratios", "snr_levels", "sweep_ratio", "mixture_fractions",
-        "static_layer", "noise_kind", "noise_seed",
-    ),
-}
-
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_SECTION_OF = {f.name: f.metadata["section"] for f in fields(RunConfig)}  # in field order
 
 
 def default_config() -> RunConfig:
@@ -326,22 +307,21 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     values = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SECTION_OF.values():
             raise ConfigError(f"unknown config section [{section}]")
-        names = _SECTIONS[section]
         for key in parser.options(section):
-            if key not in names:
+            if _SECTION_OF.get(key) != section:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             values[key] = _parse_value(key, parser.get(section, key))
     return RunConfig(**values)
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
+    """Write every field under its section, in field order."""
     lines = []
-    for section, names in _SECTIONS.items():
+    for section, names in groupby(_SECTION_OF, key=_SECTION_OF.get):
         lines.append(f"[{section}]")
-        for name in names:
-            lines.append(f"{name} = {_format_value(getattr(cfg, name))}")
+        lines.extend(f"{name} = {_format_value(getattr(cfg, name))}" for name in names)
         lines.append("")
     Path(path).write_text("\n".join(lines))
 
@@ -351,7 +331,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     updates = {}
     for dotted, raw in overrides.items():
         section, _, key = dotted.partition(".")
-        if section not in _SECTIONS or key not in _SECTIONS[section]:
+        if _SECTION_OF.get(key) != section:
             raise ConfigError(f"unknown config key {dotted!r}")
         updates[key] = _parse_value(key, raw)
     return replace(cfg, **updates)
@@ -458,7 +438,11 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
         steps=cfg.branch_steps,
         seed=cfg.branch_seed,
     )
-    save_checkpoint(replace(ck, branches=result.branches), paths.checkpoint)
+    # A downstream head trained under the old branches is stale: drop it, as train-teacher does.
+    save_checkpoint(
+        Checkpoint(encoder=ck.encoder, teacher=ck.teacher, branches=result.branches),
+        paths.checkpoint,
+    )
     _write_csv(
         paths.branch_loss,
         "step,layer,loss",
@@ -617,6 +601,10 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     )
     _write_profile(paths.profile_heldout, EntropyProfile.from_rows(table.entropies))
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
+    # A record of an earlier run (a strategy since dropped, a pair now an error) must not linger.
+    for pattern in ("eval_*.json", "exit_hist_*.csv"):
+        for stale in paths.metrics_dir.glob(pattern):
+            stale.unlink()
     timings = {}
     summary = {}
     for ratio in cfg.eval_ratios:

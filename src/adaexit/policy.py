@@ -258,32 +258,29 @@ def fixed_exit_policy(layer: int, num_layers: int) -> ExitPolicy:
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+# policy.txt's keys in file order: key -> (the ExitPolicy field it holds, its type).
+_POLICY_KEYS = {
+    "threshold": ("threshold", float),
+    "ratio": ("ratio", float),
+    "num_layers": ("num_layers", int),
+    "span": ("span_kind", str),
+}
 
 
 def save_policy(policy: ExitPolicy, path: str | Path) -> None:
     """Write a calibrated policy as a human-readable key-value file.
 
     Spans are decided at inference by `constrain`, so a constrained policy
-    is refused rather than stored.
+    is refused rather than stored. A float is written as its repr, which
+    reads back bit-exact.
     """
     if policy != ExitPolicy(policy.threshold, policy.ratio, policy.num_layers):
         raise ConfigError(
             f"only a calibrated policy is saved, got span {policy.span_kind!r} "
             f"allowing layers {policy.allowed}"
         )
-    lines = [
-        f"threshold = {_format_float(policy.threshold)}",
-        f"ratio = {_format_float(policy.ratio)}",
-        f"num_layers = {policy.num_layers}",
-        f"span = {policy.span_kind}",
-    ]
+    lines = [f"{key} = {kind(getattr(policy, attr))}" for key, (attr, kind) in _POLICY_KEYS.items()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# policy.txt key -> parser of its value; `save_policy` writes each of them once.
-_POLICY_KEYS = {"threshold": float, "ratio": float, "num_layers": int, "span": str}
 
 
 def load_policy(path: str | Path) -> ExitPolicy:
@@ -310,16 +307,17 @@ def _policy_from_lines(lines: list[str]) -> ExitPolicy:
             raise FormatError(f"line {lineno} is not 'key = value': {line!r}")
         if key not in _POLICY_KEYS:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        attr, kind = _POLICY_KEYS[key]
+        if attr in values:
             raise FormatError(f"line {lineno}: repeated key {key!r}")
         try:
-            values[key] = _POLICY_KEYS[key](value)
+            values[attr] = kind(value)
         except ValueError:
             raise FormatError(f"line {lineno}: cannot parse {key} from {value!r}") from None
-    for key in ("threshold", "ratio", "num_layers"):
-        if key not in values:
+    for key, (attr, _) in _POLICY_KEYS.items():
+        if key != "span" and attr not in values:
             raise FormatError(f"missing key {key!r}")
-    span_kind = values.pop("span", "unconstrained")
+    span_kind = values.get("span_kind", "unconstrained")
     if span_kind != "unconstrained":
         raise FormatError(
             f"span must be 'unconstrained' (spans are applied at inference), got {span_kind!r}"

@@ -8,11 +8,16 @@ fields, then flat float32 arrays in the declared order:
   "ENC " encoder:    num_layers, model_dim, num_heads, ffn_dim, max_frames,
                      input_dim (u32 each), seed (u64); then input projection
                      weight and bias, then per block the 16 arrays in
-                     BlockParams.FIELD_ORDER.
+                     BlockParams field order.
   "TCH " teacher:    num_classes, model_dim; weight, bias.
   "BRN " branches:   num_layers, num_classes, model_dim; weights, biases.
   "DSH " downstream: num_layers, num_labels, model_dim; layer weights,
                      probe weight, probe bias.
+
+The three head sections are declared once, in `_HEAD_SECTIONS` (tag, type,
+header dimensions, arrays with their shapes); the writer and the reader both
+loop over it. The encoder section is written by hand, since its shapes come
+from the config it stores.
 
 Datasets use the same framing with their own magic. Both formats
 round-trip bit-exactly and reject foreign magic, version mismatches, and
@@ -25,7 +30,7 @@ and `load_dataset` put the file's name in front of every such error.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +65,25 @@ _F32 = np.dtype("<f4")
 _I32 = np.dtype("<i4")
 
 SECTION_ENCODER = b"ENC "
-SECTION_TEACHER = b"TCH "
-SECTION_BRANCHES = b"BRN "
-SECTION_DOWNSTREAM = b"DSH "
+
+# Checkpoint field -> (section tag, head type, the dimensions its u32 header holds,
+# and {array: shape in those dimensions} in payload order).
+_HEAD_SECTIONS = {
+    "teacher": (
+        b"TCH ", TeacherHead, ("num_classes", "model_dim"),
+        {"weight": ("num_classes", "model_dim"), "bias": ("num_classes",)},
+    ),
+    "branches": (
+        b"BRN ", BranchSet, ("num_layers", "num_classes", "model_dim"),
+        {"weights": ("num_layers", "num_classes", "model_dim"),
+         "biases": ("num_layers", "num_classes")},
+    ),
+    "downstream": (
+        b"DSH ", DownstreamHead, ("num_layers", "num_labels", "model_dim"),
+        {"layer_weights": ("num_layers",), "probe_weight": ("num_labels", "model_dim"),
+         "probe_bias": ("num_labels",)},
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -190,69 +211,34 @@ def _read_encoder(r: _Reader) -> Encoder:
     template = init_encoder(cfg)
     input_weight = r.param("input_weight", template.input_weight.shape)
     input_bias = r.param("input_bias", template.input_bias.shape)
-    blocks = []
-    for i, block in enumerate(template.blocks):
-        fields = {
-            name: r.param(f"blocks[{i}].{name}", getattr(block, name).shape)
-            for name in BlockParams.FIELD_ORDER
-        }
-        blocks.append(BlockParams(**fields))
+    blocks = tuple(
+        BlockParams(**{
+            f.name: r.param(f"blocks[{i}].{f.name}", getattr(block, f.name).shape)
+            for f in fields(block)
+        })
+        for i, block in enumerate(template.blocks)
+    )
     return Encoder(
         config=cfg,
         input_weight=input_weight,
         input_bias=input_bias,
-        blocks=tuple(blocks),
+        blocks=blocks,
         positional=template.positional,
     )
 
 
-def _teacher_payload(head: TeacherHead) -> bytes:
+def _head_payload(head, dims: tuple[str, ...], arrays: dict) -> bytes:
     w = _Writer()
-    w.u32(head.num_classes, head.model_dim)
-    w.array(head.weight)
-    w.array(head.bias)
+    w.u32(*(getattr(head, dim) for dim in dims))
+    for name in arrays:
+        w.array(getattr(head, name))
     return w.getvalue()
 
 
-def _read_teacher(r: _Reader) -> TeacherHead:
-    num_classes, model_dim = r.u32(2)
-    return TeacherHead(
-        weight=r.param("weight", (num_classes, model_dim)),
-        bias=r.param("bias", (num_classes,)),
-    )
-
-
-def _branches_payload(branches: BranchSet) -> bytes:
-    w = _Writer()
-    w.u32(branches.num_layers, branches.num_classes, branches.model_dim)
-    w.array(branches.weights)
-    w.array(branches.biases)
-    return w.getvalue()
-
-
-def _read_branches(r: _Reader) -> BranchSet:
-    num_layers, num_classes, model_dim = r.u32(3)
-    return BranchSet(
-        weights=r.param("weights", (num_layers, num_classes, model_dim)),
-        biases=r.param("biases", (num_layers, num_classes)),
-    )
-
-
-def _downstream_payload(head: DownstreamHead) -> bytes:
-    w = _Writer()
-    w.u32(head.num_layers, head.num_labels, head.model_dim)
-    w.array(head.layer_weights)
-    w.array(head.probe_weight)
-    w.array(head.probe_bias)
-    return w.getvalue()
-
-
-def _read_downstream(r: _Reader) -> DownstreamHead:
-    num_layers, num_labels, model_dim = r.u32(3)
-    return DownstreamHead(
-        layer_weights=r.param("layer_weights", (num_layers,)),
-        probe_weight=r.param("probe_weight", (num_labels, model_dim)),
-        probe_bias=r.param("probe_bias", (num_labels,)),
+def _read_head(r: _Reader, kind: type, dims: tuple[str, ...], arrays: dict):
+    size = dict(zip(dims, r.u32(len(dims))))
+    return kind(
+        **{name: r.param(name, tuple(size[d] for d in shape)) for name, shape in arrays.items()}
     )
 
 
@@ -260,12 +246,10 @@ def checkpoint_to_bytes(ck: Checkpoint) -> bytes:
     w = _Writer()
     _write_header(w, CHECKPOINT_MAGIC)
     sections = [(SECTION_ENCODER, _encoder_payload(ck.encoder))]
-    if ck.teacher is not None:
-        sections.append((SECTION_TEACHER, _teacher_payload(ck.teacher)))
-    if ck.branches is not None:
-        sections.append((SECTION_BRANCHES, _branches_payload(ck.branches)))
-    if ck.downstream is not None:
-        sections.append((SECTION_DOWNSTREAM, _downstream_payload(ck.downstream)))
+    for name, (tag, _, dims, arrays) in _HEAD_SECTIONS.items():
+        head = getattr(ck, name)
+        if head is not None:
+            sections.append((tag, _head_payload(head, dims, arrays)))
     for tag, payload in sections:
         w.raw(tag)
         w.u64(len(payload))
@@ -273,11 +257,9 @@ def checkpoint_to_bytes(ck: Checkpoint) -> bytes:
     return w.getvalue()
 
 
-_SECTION_READERS = {
-    SECTION_ENCODER: ("encoder", _read_encoder),
-    SECTION_TEACHER: ("teacher", _read_teacher),
-    SECTION_BRANCHES: ("branches", _read_branches),
-    SECTION_DOWNSTREAM: ("downstream", _read_downstream),
+_SECTION_NAMES = {
+    SECTION_ENCODER: "encoder",
+    **{tag: name for name, (tag, *_) in _HEAD_SECTIONS.items()},
 }
 
 
@@ -288,16 +270,19 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     while not r.exhausted():
         tag_at = r.offset
         tag = r.take(4)
-        if tag not in _SECTION_READERS:
+        if tag not in _SECTION_NAMES:
             raise FormatError(f"unknown checkpoint section tag {tag!r}", offset=tag_at)
-        name, reader = _SECTION_READERS[tag]
+        name = _SECTION_NAMES[tag]
         if name in parts:
             raise FormatError(f"duplicate checkpoint section {name!r}", offset=tag_at)
         length_at = r.offset
         length = r.u64()
         payload = r.take(length)
         section = _Reader(payload, base_offset=r.offset - length, section=name)
-        parts[name] = reader(section)
+        if name == "encoder":
+            parts[name] = _read_encoder(section)
+        else:
+            parts[name] = _read_head(section, *_HEAD_SECTIONS[name][1:])
         if not section.exhausted():
             raise FormatError(
                 f"section {name!r} has {len(payload) - section.pos} trailing bytes "
@@ -306,12 +291,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             )
     if "encoder" not in parts:
         raise FormatError("checkpoint has no encoder section", offset=len(data))
-    return Checkpoint(
-        encoder=parts["encoder"],
-        teacher=parts.get("teacher"),
-        branches=parts.get("branches"),
-        downstream=parts.get("downstream"),
-    )
+    return Checkpoint(**parts)
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:

@@ -86,12 +86,74 @@ def _assert_rejected(tmp_path, capsys, key, raw, value, pattern):
     assert not (tmp_path / "run").exists()
 
 
+DEFAULT_CONFIG_INI = """\
+[data]
+num_train = 2000
+num_eval = 600
+frames = 32
+input_dim = 16
+num_classes = 32
+context_window = 9
+markov_self_prob = 0.85
+jitter_std = 1.0
+data_seed = 101
+
+[encoder]
+num_layers = 8
+model_dim = 64
+num_heads = 4
+ffn_dim = 128
+max_frames = 64
+encoder_seed = 103
+
+[teacher]
+teacher_lr = 0.5
+teacher_steps = 1200
+teacher_batch = 32
+
+[branches]
+branch_lr = 0.05
+branch_steps = 4000
+branch_batch = 32
+
+[policy]
+ratio = 1.0
+rate_cutoff = 0.15
+
+[downstream]
+downstream_lr = 0.5
+downstream_steps = 1500
+downstream_batch = 32
+task = frame
+renormalize = true
+
+[train]
+train_seed = 105
+
+[eval]
+strategies = unconstrained,mean,threshold,minmax
+eval_ratios = 1.0,0.7
+snr_levels = 10.0,5.0,0.0
+sweep_ratio = 0.7
+mixture_fractions = 0.4,0.3,0.2,0.1
+static_layer = 4
+noise_kind = gaussian
+noise_seed = 107
+"""
+
+
 class TestConfig:
     def test_ini_round_trip(self, tmp_path):
         cfg = default_config()
         path = tmp_path / "config.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    def test_saved_default_config_is_this_text(self, tmp_path):
+        # The layout of config.ini, written out independently of RunConfig.
+        path = tmp_path / "config.ini"
+        save_config(default_config(), path)
+        assert path.read_text() == DEFAULT_CONFIG_INI
 
     def test_overrides_win(self):
         cfg = apply_overrides(default_config(), {"policy.ratio": "0.5"})
@@ -162,6 +224,12 @@ class TestConfig:
             ("teacher.teacher_lr", "-0.5", -0.5, "teacher_lr"),
             ("branches.branch_lr", "nan", float("nan"), "branch_lr"),
             ("downstream.downstream_lr", "inf", float("inf"), "downstream_lr"),
+            # Used to pass the config check and fail inside train-teacher as non-finite input.
+            ("data.jitter_std", "nan", float("nan"), "jitter_std"),
+            ("data.jitter_std", "inf", float("inf"), "jitter_std"),
+            # Used to fail in a training stage's generator, without naming the key.
+            ("train.train_seed", "-2", -2, "train_seed"),
+            ("train.train_seed", "-1", -1, "train_seed"),
         ],
     )
     def test_bad_eval_values_rejected_by_name(self, tmp_path, capsys, key, raw, value, field):
@@ -600,6 +668,37 @@ class TestStaleInputs:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "FormatError"
         assert re.search(message, record["message"])
+
+    def test_retrained_branches_drop_the_downstream_head(self, copy):
+        # The head was trained under the old exits; eval used to score it anyway.
+        cfg, paths = copy
+        retrained = replace(cfg, branch_steps=cfg.branch_steps + 10)
+        stage_branches(retrained, paths)
+        ck = load_checkpoint(paths.checkpoint)
+        assert ck.teacher is not None and ck.branches is not None and ck.downstream is None
+        for report in (stage_eval, compare_static):
+            with pytest.raises(DependencyError, match="run 'train-downstream'"):
+                report(retrained, paths)
+
+    def test_eval_removes_the_records_of_a_dropped_strategy(self, copy):
+        cfg, paths = copy
+        (paths.metrics_dir / "notes.txt").write_text("not a record\n")
+        summary = stage_eval(replace(cfg, strategies=("mean",)), paths)
+        assert sorted(summary) == ["mean_ratio0.7", "mean_ratio1"]
+        assert sorted(p.name for p in paths.metrics_dir.iterdir()) == [
+            "eval_mean_ratio0.7.json", "eval_mean_ratio1.json", "eval_summary.json",
+            "exit_hist_mean_ratio0.7.csv", "exit_hist_mean_ratio1.csv", "notes.txt",
+        ]
+        assert (paths.metrics_dir / "notes.txt").read_text() == "not a record\n"
+
+    def test_eval_error_record_leaves_no_histogram(self, copy):
+        cfg, paths = copy
+        histogram = paths.metrics_dir / "exit_hist_threshold_ratio1.csv"
+        assert histogram.exists()
+        summary = stage_eval(replace(cfg, rate_cutoff=0.99), paths)
+        assert set(summary["threshold_ratio1"]) == {"error"}
+        assert not histogram.exists()
+        assert (paths.metrics_dir / "eval_threshold_ratio1.json").exists()
 
     def test_truncated_dataset_named_by_the_eval_cli(self, copy, forwarded, capsys):
         cfg, paths = copy

@@ -371,6 +371,14 @@ class TestPolicyFile:
         with pytest.raises(FormatError, match="got 'mean'"):
             load_policy(path)
 
+    def test_saved_policy_is_this_text(self, tmp_path):
+        # The layout of policy.txt, written out independently of the key table.
+        path = tmp_path / "policy.txt"
+        save_policy(ExitPolicy(threshold=0.1 + 0.2, ratio=0.7, num_layers=8), path)
+        assert path.read_text() == (
+            "threshold = 0.30000000000000004\nratio = 0.7\nnum_layers = 8\nspan = unconstrained\n"
+        )
+
     def test_file_is_human_readable(self, tmp_path):
         path = tmp_path / "policy.txt"
         save_policy(ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8), path)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import re
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adaexit.branches import train_branches
+from adaexit.branches import BranchSet, train_branches
+from adaexit.encoder import BlockParams, EncoderConfig, init_encoder
 from adaexit.errors import FormatError
-from adaexit.probe import init_downstream_head
+from adaexit.probe import DownstreamHead, init_downstream_head
 from adaexit.serialize import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -18,7 +21,7 @@ from adaexit.serialize import (
     load_checkpoint,
     save_checkpoint,
 )
-from adaexit.teacher import train_teacher
+from adaexit.teacher import TeacherHead, train_teacher
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,60 @@ class TestCheckpointRoundTrip:
 
     def test_serialization_is_deterministic(self, full_checkpoint):
         assert checkpoint_to_bytes(full_checkpoint) == checkpoint_to_bytes(full_checkpoint)
+
+
+# A block's arrays in checkpoint order, as the module docstring lays them out.
+BLOCK_ARRAYS = (
+    "attn_norm_gain", "attn_norm_bias", "q_weight", "q_bias", "k_weight", "k_bias",
+    "v_weight", "v_bias", "out_weight", "out_bias", "ffn_norm_gain", "ffn_norm_bias",
+    "ffn_in_weight", "ffn_in_bias", "ffn_out_weight", "ffn_out_bias",
+)
+
+
+class TestCheckpointLayout:
+    def test_bytes_equal_a_stream_packed_by_hand(self):
+        # Every dimension differs and every array is random, so a reordered
+        # header field, array or section changes the bytes.
+        layers, dim, heads, ffn, frames, inputs, seed = 2, 4, 2, 6, 3, 5, 11
+        classes, labels = 7, 9
+        rng = np.random.default_rng(0)
+
+        def f32(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        cfg = EncoderConfig(layers, dim, heads, ffn, frames, inputs, seed)
+        template = init_encoder(cfg)
+        blocks = tuple(
+            BlockParams(**{name: f32(*getattr(b, name).shape) for name in BLOCK_ARRAYS})
+            for b in template.blocks
+        )
+        enc = replace(template, input_weight=f32(dim, inputs), input_bias=f32(dim), blocks=blocks)
+        ck = Checkpoint(
+            encoder=enc,
+            teacher=TeacherHead(weight=f32(classes, dim), bias=f32(classes)),
+            branches=BranchSet(weights=f32(layers, classes, dim), biases=f32(layers, classes)),
+            downstream=DownstreamHead(
+                layer_weights=f32(layers), probe_weight=f32(labels, dim), probe_bias=f32(labels)
+            ),
+        )
+
+        def section(tag, header, *arrays):
+            payload = header + b"".join(a.astype("<f4").tobytes() for a in arrays)
+            return tag + struct.pack("<Q", len(payload)) + payload
+
+        block_arrays = [getattr(b, name) for b in blocks for name in BLOCK_ARRAYS]
+        expected = b"".join([
+            b"EXITCKP1", struct.pack("<I", 1),
+            section(b"ENC ", struct.pack("<6IQ", layers, dim, heads, ffn, frames, inputs, seed),
+                    enc.input_weight, enc.input_bias, *block_arrays),
+            section(b"TCH ", struct.pack("<2I", classes, dim), ck.teacher.weight, ck.teacher.bias),
+            section(b"BRN ", struct.pack("<3I", layers, classes, dim),
+                    ck.branches.weights, ck.branches.biases),
+            section(b"DSH ", struct.pack("<3I", layers, labels, dim), ck.downstream.layer_weights,
+                    ck.downstream.probe_weight, ck.downstream.probe_bias),
+        ])
+        assert checkpoint_to_bytes(ck) == expected
+        _assert_checkpoints_equal(ck, checkpoint_from_bytes(expected))
 
 
 class TestCheckpointErrors:
