@@ -7,10 +7,15 @@ trainer whose one-head case is the teacher. The sequence-level
 entropy of branch k is the mean per-frame Shannon entropy of its softmax
 posterior; dataset-level per-layer means feed threshold calibration.
 
-A profile is the column running mean of per-sample entropy rows
-(`EntropyProfile.from_rows`), wherever those rows already exist: training
-profiles the training split from the hidden-state cache it trained on, and
-`entropy_profile` forwards a dataset for the rows.
+`entropy_from_hidden` is the per-sample entropy kernel behind serving;
+`batch_entropies` takes a batch's (layers, B, frames, d) states to (B,
+layers) entropies with the same bits per sample, and every whole-dataset
+pass uses it: `entropy_table` forwards a dataset in batched chunks and
+returns its (N, layers) entropies. A profile is the column running mean of
+per-sample entropy rows (`EntropyProfile.from_rows`), wherever those rows
+already exist: training profiles the training split from the hidden-state
+cache it trained on, and `entropy_profile` is the profile of an
+`entropy_table`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, forward_all, hidden_state_cache
-from .numeric import DTYPE, entropy64, matmul64, running_mean, softmax, train_linear_heads
+from .encoder import FORWARD_CHUNK, Encoder, forward_batch, hidden_state_cache
+from .numeric import (
+    DTYPE,
+    entropy64,
+    matmul64,
+    running_mean,
+    running_means,
+    softmax,
+    train_linear_heads,
+)
 from .teacher import TeacherHead, pseudo_labels
 
 __all__ = [
@@ -33,6 +46,8 @@ __all__ = [
     "branch_logits",
     "branch_entropy",
     "sample_entropies",
+    "batch_entropies",
+    "entropy_table",
     "entropy_profile",
 ]
 
@@ -143,9 +158,10 @@ def train_branches(
         (step, k + 1, float(loss)) for step, row in enumerate(losses) for k, loss in enumerate(row)
     ]
     trained = BranchSet(weights=weights, biases=biases)
-    profile = EntropyProfile.from_rows(
-        sample_entropies(trained, cache[:, i]) for i in range(data.num_sequences)
-    )
+    profile = EntropyProfile.from_rows(np.concatenate([
+        batch_entropies(trained, cache[:, lo : lo + FORWARD_CHUNK])
+        for lo in range(0, data.num_sequences, FORWARD_CHUNK)
+    ]))
     return BranchTrainResult(branches=trained, loss_rows=loss_rows, profile=profile)
 
 
@@ -184,8 +200,30 @@ def sample_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
     )
 
 
+def batch_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
+    """Entropies of every layer of a batch: (layers, B, frames, d) states -> (B, layers).
+
+    Row b equals `sample_entropies(branches, states[:, b])` bit for bit: each
+    layer's logits loop over the batch with one (frames, d) product each, and
+    the frame mean is `running_mean`'s recurrence, run down the batch at once.
+    One layer's logits are held at a time.
+    """
+    out = np.empty(states.shape[1::-1], dtype=np.float64)
+    for k, hidden in enumerate(states, start=1):
+        out[:, k - 1] = running_means(entropy64(softmax(branch_logits(branches, hidden, k))))
+    return out
+
+
+def entropy_table(enc: Encoder, branches: BranchSet, inputs: np.ndarray) -> np.ndarray:
+    """Every layer's branch entropy for every sequence, (N, num_layers), in batched forwards."""
+    if not len(inputs):
+        raise ValueError("empty dataset")
+    return np.concatenate([
+        batch_entropies(branches, forward_batch(enc, inputs[lo : lo + FORWARD_CHUNK]))
+        for lo in range(0, len(inputs), FORWARD_CHUNK)
+    ])
+
+
 def entropy_profile(enc: Encoder, branches: BranchSet, data: FrameDataset) -> EntropyProfile:
     """Per-layer mean of branch entropies over all samples in a dataset."""
-    return EntropyProfile.from_rows(
-        sample_entropies(branches, forward_all(enc, x)) for x in data.inputs
-    )
+    return EntropyProfile.from_rows(entropy_table(enc, branches, data.inputs))

@@ -49,6 +49,7 @@ __all__ = [
     "new_rng",
     "matmul64",
     "running_mean",
+    "running_means",
 ]
 
 
@@ -376,6 +377,21 @@ def running_mean(values) -> float:
         mean += (value - mean) / count
     if count == 0:
         raise ValueError("empty input")
+    return mean
+
+
+def running_means(rows: np.ndarray) -> np.ndarray:
+    """`running_mean` of each row of a (B, n) array, as a float64 vector.
+
+    The recurrence runs down the columns, so row b gets the bits that
+    `running_mean(rows[b])` gives.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError(f"expected a (B, n) array with n >= 1, got shape {rows.shape}")
+    mean = np.zeros(rows.shape[0])
+    for count, column in enumerate(rows.T, start=1):
+        mean += (column - mean) / count
     return mean
 
 

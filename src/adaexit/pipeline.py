@@ -17,19 +17,24 @@ reproduce the noise-adaptivity and mixed-noise analyses.
 
 Every stage that needs a policy calibrates it in process from the training
 profile that 'train-branches' wrote (entropy_profile_train.csv); no stage
-reads policy.txt back, and none re-profiles the training split. Eval and
-the static comparison forward each sample of their dataset (the held-out
-split, the noise mixture) once into a per-layer table and replay every
-policy over it, the static baseline as the policy pinned to one layer;
-eval writes the held-out profile from its table. The noise sweep replays
-one policy, so it serves each noised sample through `run_exit` instead.
+reads policy.txt back, and none re-profiles the training split.
+Re-running 'train-branches' removes policy.txt, calibrated from the old
+profile, as it drops the downstream head. Every whole-dataset pass runs in
+batched full-depth forwards (`encoder.forward_batch`). Eval and the static
+comparison forward each sample of their dataset (the held-out split, the
+noise mixture) once into a per-layer table and replay every policy over
+it, the static baseline as the policy pinned to one layer; eval writes the
+held-out profile from its table. The noise sweep replays one policy per
+noise level over that level's entropy table (`branches.entropy_table`),
+which gives the exits `run_exit` would.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
 artifact excluded from that guarantee. Its early-exit and full-pass times
-are priced from the three wall-time totals measured while the eval table
-was built (input projections, blocks, branch entropies): a policy pays for
-the blocks it ran and the branches it evaluated.
+are priced from the three wall-time totals measured, per chunk of
+sequences, while the eval table was built (input projections, blocks,
+branch entropies): a policy pays for the blocks it ran and the branches it
+evaluated.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branches import EntropyProfile, train_branches
+from .branches import EntropyProfile, entropy_table, train_branches
 from .data import (
     MixtureSpec,
     NoiseSpec,
@@ -62,8 +67,8 @@ from .policy import (
     ExitPolicy,
     calibrate,
     constrain,
+    decide_exits,
     fixed_exit_policy,
-    run_exit,
     save_policy,
 )
 from .probe import (
@@ -438,11 +443,13 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
         steps=cfg.branch_steps,
         seed=cfg.branch_seed,
     )
-    # A downstream head trained under the old branches is stale: drop it, as train-teacher does.
+    # A downstream head trained under the old branches is stale: drop it, as train-teacher
+    # does, and the policy calibrated from the old profile with it.
     save_checkpoint(
         Checkpoint(encoder=ck.encoder, teacher=ck.teacher, branches=result.branches),
         paths.checkpoint,
     )
+    paths.policy_file.unlink(missing_ok=True)
     _write_csv(
         paths.branch_loss,
         "step,layer,loss",
@@ -639,8 +646,8 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     """Exit-layer distribution per noise level of the mixture (clean first), at the sweep ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
-    Each noised sequence is served through `run_exit`, so only the layers up
-    to its exit are computed.
+    Each noise level's branch entropies are one batched table of full
+    forwards; `decide_exit` over a row gives the exit `run_exit` would.
     """
     heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
     ck = _load_checkpoint(cfg, paths, "noise-sweep", "branches")
@@ -650,12 +657,9 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     summary_rows = []
     results = []
     for spec, _ in cfg.mixture_spec().parts:
+        table = entropy_table(ck.encoder, ck.branches, add_noise(heldout, spec).inputs)
         counts = ExitCounts.of(
-            [
-                run_exit(ck.encoder, ck.branches, policy, frames)[1].exit_layer
-                for frames in add_noise(heldout, spec).inputs
-            ],
-            cfg.num_layers,
+            [trace.exit_layer for trace in decide_exits(policy, table)], cfg.num_layers
         )
         label = spec.label()
         dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))

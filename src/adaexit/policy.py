@@ -11,6 +11,11 @@ decided, restricting the allowed layers at inference time from the exit
 counts gathered while the downstream head trained. Only calibrated
 policies are written to disk.
 
+`run_exit` is the serving path: it forwards one sample lazily and decides
+as it goes. `decide_exits` decides every row of an (N, layers) entropy
+table from full forwards, which gives the same traces; the offline passes
+use it.
+
 `ExitCounts`, checked once when built, is the one histogram of exit
 layers; span statistics, eval records and the noise sweep derive from it.
 """
@@ -35,6 +40,7 @@ __all__ = [
     "ExitTrace",
     "calibrate",
     "decide_exit",
+    "decide_exits",
     "run_exit",
     "constrain",
     "fixed_exit_policy",
@@ -184,6 +190,24 @@ def decide_exit(
         layers_computed=deepest,
         forced=True,
     )
+
+
+def decide_exits(policy: ExitPolicy, entropies: np.ndarray, sample_ids=None) -> list[ExitTrace]:
+    """`decide_exit` over each row of an (N, num_layers) entropy table, in row order.
+
+    Row i's trace has sample_id sample_ids[i], or i when none are given. A
+    row gives the trace `run_exit` gives for the sample whose full forward
+    it was computed from.
+    """
+    if entropies.ndim != 2 or entropies.shape[1] != policy.num_layers:
+        raise ConfigError(
+            f"policy is for {policy.num_layers} layers, the entropy table is {entropies.shape}"
+        )
+    ids = range(len(entropies)) if sample_ids is None else sample_ids
+    return [
+        decide_exit(policy, lambda k: row[k - 1], sample_id=int(i))
+        for i, row in zip(ids, entropies)
+    ]
 
 
 def run_exit(

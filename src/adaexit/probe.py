@@ -6,20 +6,23 @@ model_dim) array, and `normalize_prefix` normalizes its first k rows in one
 `numeric.layer_norm` call. Exits stay active while the head
 trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
-once. Evaluation reports accuracy alongside exit depth and compute-saved
+once, from batched full forwards: `policy.decide_exits` over the batch's
+entropy rows gives `run_exit`'s traces, and each prefix is normalized
+from the batch's layers. Evaluation reports accuracy alongside exit depth and compute-saved
 accounting (all read from one `policy.ExitCounts`), with a statically
 truncated twin for baseline comparisons.
 
 `evaluate` forwards every sample under one policy and `evaluate_static`
 truncates every forward at one layer, with no exit machinery; they are the
-reference paths. The eval and static-comparison reports instead build one
-`LayerTable` per dataset from one full forward per sample: the branch
+reference paths, one sample at a time. The eval and static-comparison
+reports instead build one `LayerTable` per dataset from batched full
+forwards, one row per sample: the branch
 entropy at every layer and, by the prefix property, the probe's correct
 count at every exit depth. The `replay_*` functions are pure functions of
 that table and give `evaluate`'s records for any policy; replaying the
 policy pinned to layer k (`policy.fixed_exit_policy`) gives every number of
 `evaluate_static`'s record at k. `replay_timing` prices a policy from the
-table's three measured wall-time totals.
+table's three wall-time totals, each measured per chunk and summed.
 """
 
 from __future__ import annotations
@@ -29,12 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import BranchSet, sample_entropies
+from .branches import BranchSet, batch_entropies
 from .data import FrameDataset
-from .encoder import Encoder, IncrementalForward
+from .encoder import (
+    FORWARD_CHUNK,
+    Encoder,
+    IncrementalForward,
+    embed_batch,
+    forward_batch,
+    run_blocks,
+)
 from .errors import ConfigError
 from .numeric import DTYPE, cross_entropy, layer_norm, matmul64, new_rng, sgd_step, softmax
-from .policy import ExitCounts, ExitPolicy, ExitTrace, decide_exit, run_exit
+from .policy import ExitCounts, ExitPolicy, ExitTrace, decide_exits, run_exit
 
 __all__ = [
     "DownstreamHead",
@@ -212,16 +222,25 @@ def train_downstream(
     """Train the probe and layer weights with early exit active on every sample.
 
     Exit decisions depend only on frozen components, so each sample's exit
-    layer and normalized prefix are computed once up front; the exit counts
-    of the recorded traces (one per sample) are the span statistics used by
-    inference-time constraints.
+    layer and normalized prefix are computed once up front, from batched
+    full forwards: the traces are `run_exit`'s, and the prefix is the
+    sample's layers up to its exit. The exit counts of the recorded traces
+    (one per sample) are the span statistics used by inference-time
+    constraints.
     """
     _check_dataset(data, task)
+    if policy.num_layers != enc.config.num_layers:
+        raise ConfigError(
+            f"policy is for {policy.num_layers} layers, encoder has {enc.config.num_layers}"
+        )
     prefixes, traces = [], []
-    for i in range(data.num_sequences):
-        states, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
-        prefixes.append(normalize_prefix(states, trace.exit_layer))
-        traces.append(trace)
+    for lo in range(0, data.num_sequences, FORWARD_CHUNK):
+        states = forward_batch(enc, data.inputs[lo : lo + FORWARD_CHUNK])
+        ids = range(lo, lo + states.shape[1])
+        chunk = decide_exits(policy, batch_entropies(branches, states), sample_ids=ids)
+        for j, trace in enumerate(chunk):
+            prefixes.append(normalize_prefix(states[:, j], trace.exit_layer))
+        traces.extend(chunk)
     span_stats = ExitCounts.of([t.exit_layer for t in traces], policy.num_layers)
     if task == "sequence":
         sample_labels = [
@@ -376,13 +395,15 @@ def build_layer_table(
 ) -> LayerTable:
     """One full forward per sample, recording what every exit layer would see and score.
 
-    Each entropy row is `sample_entropies` of the sample's L hidden layers,
-    the same hidden matrices a lazy forward computes (prefix property), so
-    replayed exits equal those of `run_exit`. The prefix is normalized once
+    Each entropy row is the sample's row of `batch_entropies`, bit for bit
+    `sample_entropies` of its L hidden layers: the same hidden matrices a
+    lazy forward computes (batch invariance, prefix property), so replayed
+    exits equal those of `run_exit`. The prefix is normalized once
     at depth L and the features for exit depth k weight its first k layers,
-    bit-identical to the features of a pass truncated at k. The projection,
-    the blocks and the entropies are timed once per sample and summed.
-    Samples stream into (N, L) arrays; no hidden states are kept.
+    bit-identical to the features of a pass truncated at k. Samples are
+    forwarded in batched chunks; each chunk's projection, blocks and
+    entropies are timed and the times summed. Chunks stream into (N, L)
+    arrays; no hidden states outlive their chunk.
     """
     _check_dataset(data, task)
     n = data.num_sequences
@@ -391,23 +412,25 @@ def build_layer_table(
     correct = np.empty((n, num_layers), dtype=np.int64)
     scored = np.empty(n, dtype=np.int64)
     embed_seconds = block_seconds = branch_seconds = 0.0
-    for i in range(n):
+    for lo in range(0, n, FORWARD_CHUNK):
+        chunk = slice(lo, lo + FORWARD_CHUNK)
         t0 = time.perf_counter()
-        inc = IncrementalForward(enc, data.inputs[i])
+        stream = embed_batch(enc, data.inputs[chunk])
         t1 = time.perf_counter()
-        inc.hidden(num_layers)
+        states = run_blocks(enc, stream, np.empty((num_layers, *stream.shape), dtype=DTYPE))
         t2 = time.perf_counter()
-        entropies[i] = sample_entropies(branches, inc.states())
+        entropies[chunk] = batch_entropies(branches, states)
         t3 = time.perf_counter()
         embed_seconds += t1 - t0
         block_seconds += t2 - t1
         branch_seconds += t3 - t2
-        normed = normalize_prefix(inc.states(), num_layers)
-        for k in range(1, num_layers + 1):
-            feats = weighted_features(head, normed[:k], renormalize)
-            correct[i, k - 1], scored[i] = _predictions(
-                head, feats, data.labels[i], task, data.num_classes
-            )
+        for j, i in enumerate(range(lo, lo + len(stream))):
+            normed = normalize_prefix(states[:, j], num_layers)
+            for k in range(1, num_layers + 1):
+                feats = weighted_features(head, normed[:k], renormalize)
+                correct[i, k - 1], scored[i] = _predictions(
+                    head, feats, data.labels[i], task, data.num_classes
+                )
     return LayerTable(
         entropies=entropies,
         correct=correct,
@@ -423,18 +446,10 @@ def replay_exits(
     table: LayerTable, policy: ExitPolicy, rows=None
 ) -> list[ExitTrace]:
     """The traces `run_exit` would give, decided from the table; sample_id is the row."""
-    if policy.num_layers != table.num_layers:
-        raise ConfigError(
-            f"policy is for {policy.num_layers} layers, table has {table.num_layers}"
-        )
     idx = np.arange(table.num_samples) if rows is None else np.asarray(rows, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty dataset")
-    traces = []
-    for i in idx:
-        row = table.entropies[i]
-        traces.append(decide_exit(policy, lambda k: row[k - 1], sample_id=int(i)))
-    return traces
+    return decide_exits(policy, table.entropies[idx], sample_ids=idx)
 
 
 def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:

@@ -187,7 +187,7 @@ class TestHiddenStateCache:
         original = encoder._attention
 
         def counting(a, block, num_heads):
-            blocks.append(block)
+            blocks.extend([block] * int(np.prod(a.shape[:-2])))  # one per sequence of a batch
             return original(a, block, num_heads)
 
         monkeypatch.setattr(encoder, "_attention", counting)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adaexit import encoder, pipeline
-from adaexit.branches import entropy_profile
+from adaexit.branches import entropy_profile, entropy_table
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
 from adaexit.errors import ConfigError, DependencyError, FormatError
@@ -35,14 +35,24 @@ from adaexit.pipeline import (
     stage_teacher,
     stages,
 )
-from adaexit.policy import ExitCounts, calibrate, constrain, fixed_exit_policy, run_exit
+from adaexit.policy import (
+    ExitCounts,
+    calibrate,
+    constrain,
+    decide_exits,
+    fixed_exit_policy,
+    load_policy,
+    run_exit,
+)
 from adaexit.probe import (
     TASKS,
     build_layer_table,
     evaluate,
     evaluate_static,
+    init_downstream_head,
     replay_evaluate,
     replay_exits,
+    train_downstream,
 )
 from adaexit.serialize import load_checkpoint, load_dataset, save_checkpoint
 
@@ -65,6 +75,24 @@ def tiny_cfg():
 def tiny_run(tiny_cfg, tmp_path_factory):
     root = tmp_path_factory.mktemp("artifacts")
     return tiny_cfg, run_pipeline(tiny_cfg, root / "run")
+
+
+def _count_forwards(monkeypatch) -> list[bytes]:
+    """The input bytes of every sequence forwarded from now on, by either forward path.
+
+    `IncrementalForward` and the batched forward both embed through
+    `encoder._embed`; a batch counts once per sequence.
+    """
+    forwarded = []
+    original = encoder._embed
+
+    def counting(enc, frames, batched):
+        x = np.asarray(frames)
+        forwarded.extend(seq.tobytes() for seq in (x if batched else x[None]))
+        return original(enc, frames, batched)
+
+    monkeypatch.setattr(encoder, "_embed", counting)
+    return forwarded
 
 
 def _assert_rejected(tmp_path, capsys, key, raw, value, pattern):
@@ -405,14 +433,7 @@ class TestStages:
         paths = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
         train_inputs = sorted(x.tobytes() for x in load_dataset(paths.train_data).inputs)
         train = set(train_inputs)
-        forwarded = []
-        original = encoder.IncrementalForward.__init__
-
-        def counting_init(self, enc, frames):
-            forwarded.append(np.asarray(frames).tobytes())
-            original(self, enc, frames)
-
-        monkeypatch.setattr(encoder.IncrementalForward, "__init__", counting_init)
+        forwarded = _count_forwards(monkeypatch)
         stage_branches(cfg, paths)
         assert sorted(forwarded) == train_inputs
         forwarded.clear()
@@ -458,8 +479,6 @@ class TestStages:
 
     def test_policy_file_matches_config_ratio(self, tiny_run):
         cfg, paths = tiny_run
-        from adaexit.policy import load_policy
-
         policy = load_policy(paths.policy_file)
         assert policy.ratio == cfg.ratio
 
@@ -509,15 +528,7 @@ class TestStaleInputs:
 
     @pytest.fixture()
     def forwarded(self, monkeypatch):
-        calls = []
-        original = encoder.IncrementalForward.__init__
-
-        def counting_init(self, enc, frames):
-            calls.append(1)
-            original(self, enc, frames)
-
-        monkeypatch.setattr(encoder.IncrementalForward, "__init__", counting_init)
-        return calls
+        return _count_forwards(monkeypatch)
 
     @pytest.mark.parametrize(
         "change, message",
@@ -680,6 +691,18 @@ class TestStaleInputs:
             with pytest.raises(DependencyError, match="run 'train-downstream'"):
                 report(retrained, paths)
 
+    def test_retrained_branches_drop_the_policy_file(self, copy):
+        # policy.txt was calibrated from the old profile; serving used to load it as is.
+        cfg, paths = copy
+        old = load_policy(paths.policy_file)
+        retrained = replace(cfg, branch_steps=cfg.branch_steps + 10)
+        stage_branches(retrained, paths)
+        assert not paths.policy_file.exists()
+        policy = stage_calibrate(retrained, paths)
+        assert policy == calibrate(_read_profile(retrained, paths, "test"), cfg.ratio)
+        assert load_policy(paths.policy_file) == policy
+        assert policy.threshold != old.threshold
+
     def test_eval_removes_the_records_of_a_dropped_strategy(self, copy):
         cfg, paths = copy
         (paths.metrics_dir / "notes.txt").write_text("not a record\n")
@@ -712,6 +735,50 @@ class TestStaleInputs:
         assert record["error"] == "FormatError"
         assert record["message"].startswith("eval_data.bin: truncated stream")
         assert forwarded == []
+
+
+class TestBatchedPasses:
+    """The batched whole-dataset passes give `run_exit`'s traces, sample by sample."""
+
+    def test_noise_sweep_exits_are_run_exit_exits(self, tiny_run, tmp_path):
+        cfg, paths = tiny_run
+        ck = load_checkpoint(paths.checkpoint)
+        heldout = load_dataset(paths.eval_data)
+        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.sweep_ratio)
+        expected = []
+        for spec, _ in cfg.mixture_spec().parts:
+            noisy = add_noise(heldout, spec).inputs
+            served = [
+                run_exit(ck.encoder, ck.branches, policy, x, sample_id=i)[1]
+                for i, x in enumerate(noisy)
+            ]
+            assert decide_exits(policy, entropy_table(ck.encoder, ck.branches, noisy)) == served
+            counts = ExitCounts.of([t.exit_layer for t in served], cfg.num_layers)
+            expected.append({
+                "snr": spec.label(),
+                "mean_exit_layer": counts.mean,
+                "min_exit_layer": counts.first,
+                "max_exit_layer": counts.last,
+                "fractions": list(counts.fractions),
+            })
+        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        assert noise_sweep(cfg, copy) == expected
+        for name in ("exit_distribution", "exit_summary"):
+            assert getattr(copy, name).read_bytes() == getattr(paths, name).read_bytes(), name
+
+    def test_downstream_traces_are_run_exit_traces(self, tiny_run):
+        cfg, paths = tiny_run
+        ck = load_checkpoint(paths.checkpoint)
+        train = load_dataset(paths.train_data)
+        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.ratio)
+        head = init_downstream_head(cfg.num_layers, train.num_classes, cfg.model_dim, 0)
+        result = train_downstream(
+            ck.encoder, ck.branches, policy, head, train, lr=0.1, steps=0, seed=0
+        )
+        assert result.traces == [
+            run_exit(ck.encoder, ck.branches, policy, x, sample_id=i)[1]
+            for i, x in enumerate(train.inputs)
+        ]
 
 
 class TestReplay:
@@ -904,6 +971,4 @@ class TestCli:
         assert main(["train-teacher", *args]) == 0
         assert main(["train-branches", *args]) == 0
         assert main(["calibrate", *args, "--set", "policy.ratio=0.25"]) == 0
-        from adaexit.policy import load_policy
-
         assert load_policy(ArtifactPaths(artifacts).policy_file).ratio == 0.25

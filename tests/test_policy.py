@@ -18,6 +18,7 @@ from adaexit.policy import (
     calibrate,
     constrain,
     decide_exit,
+    decide_exits,
     fixed_exit_policy,
     load_policy,
     run_exit,
@@ -119,6 +120,24 @@ class TestDecideExit:
         trace = decide_exit(policy, probe)
         assert calls == [3, 4, 5]
         assert trace.exit_layer == 5 and trace.forced
+
+    def test_rows_of_a_table_decide_like_single_calls(self, rng):
+        table = rng.random((5, 6)) * 3.0
+        policy = ExitPolicy(
+            threshold=1.5, ratio=1.0, num_layers=6, span_kind="minmax", allowed=(2, 3, 4)
+        )
+        ids = [7, 3, 9, 0, 4]
+        expected = [
+            decide_exit(policy, lambda k: row[k - 1], sample_id=i) for i, row in zip(ids, table)
+        ]
+        assert decide_exits(policy, table, sample_ids=ids) == expected
+        assert [t.sample_id for t in decide_exits(policy, table)] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 7), (6,)])
+    def test_table_of_another_depth_rejected(self, shape):
+        policy = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=6)
+        with pytest.raises(ConfigError, match="policy is for 6 layers, the entropy table is"):
+            decide_exits(policy, np.ones(shape))
 
     def test_oracle_equivalence_randomized(self, rng):
         for _ in range(300):
