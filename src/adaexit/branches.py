@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import FORWARD_CHUNK, Encoder, forward_batch, hidden_state_cache
+from .encoder import FORWARD_CHUNK, Encoder, cache_of, forward_batch
 from .numeric import (
     DTYPE,
     entropy64,
@@ -137,19 +137,22 @@ def train_branches(
     batch_size: int,
     steps: int,
     seed: int,
+    *,
+    cache: np.ndarray | None = None,
 ) -> BranchTrainResult:
     """Train all branches jointly against pseudo-labels, one shared batch per step.
 
     Per layer the loss is the frame-averaged cross-entropy between the
     branch posterior and the teacher's argmax at the deepest layer,
     averaged over the batch. The result's profile is read from the cached
-    layers, bit-identical to `entropy_profile` over `data`.
+    layers, bit-identical to `entropy_profile` over `data`. `cache` is
+    `data`'s `encoder.hidden_state_cache`, built here when not given.
     """
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
     num_layers = enc.config.num_layers
     branches = init_branches(num_layers, head.num_classes, enc.config.model_dim)
-    cache = hidden_state_cache(enc, data.inputs, range(1, num_layers + 1))
+    cache = cache_of(enc, data.inputs, cache)
     targets = pseudo_labels(head, cache[-1])
     weights, biases, losses = train_linear_heads(
         cache, targets, branches.weights, branches.biases, lr, steps, batch_size, seed

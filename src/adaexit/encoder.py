@@ -16,6 +16,11 @@ whole-dataset pass runs in chunks of FORWARD_CHUNK sequences. Each matrix
 product loops over the leading dims with one (frames, .) product, so the
 batch is invariant: a sample's layers do not depend on what shares its
 batch, and equal the per-sample pass bit for bit.
+
+`hidden_state_cache` is every layer of every sequence of a dataset, the one
+(num_layers, N, frames, model_dim) cache that the teacher, the branches and
+the downstream head train on; `cache_of` checks a cache handed to one of
+them, or builds it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "run_blocks",
     "forward_batch",
     "hidden_state_cache",
+    "cache_of",
     "parameter_digest",
 ]
 
@@ -316,30 +322,34 @@ def forward_batch(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
     return run_blocks(enc, stream, out)
 
 
-def hidden_state_cache(enc: Encoder, inputs: np.ndarray, layers) -> np.ndarray:
-    """Layers `layers` (1-based) of every sequence, shape (len(layers), N, frames, model_dim).
+def hidden_state_cache(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
+    """Every layer of every sequence, (num_layers, N, frames, model_dim) float32.
 
-    Batched forwards of FORWARD_CHUNK sequences, up to the deepest layer
-    asked for. When `layers` is 1..deepest, each chunk is written straight
-    into the cache.
+    Batched forwards of FORWARD_CHUNK sequences, each chunk's layers written
+    straight into the cache.
     """
-    layers = tuple(layers)
-    num_layers = enc.config.num_layers
-    bad = [k for k in layers if not 1 <= k <= num_layers]
-    if bad or not layers:
-        raise ValueError(f"layers must be a nonempty choice of 1..{num_layers}, got {layers}")
     num_sequences, frames = inputs.shape[:2]
-    out = np.empty((len(layers), num_sequences, frames, enc.config.model_dim), dtype=DTYPE)
-    deepest = max(layers)
-    direct = layers == tuple(range(1, deepest + 1))
-    if not direct:
-        scratch = np.empty((deepest, FORWARD_CHUNK, *out.shape[2:]), dtype=DTYPE)
-        picks = [k - 1 for k in layers]
+    cfg = enc.config
+    out = np.empty((cfg.num_layers, num_sequences, frames, cfg.model_dim), dtype=DTYPE)
     for lo in range(0, num_sequences, FORWARD_CHUNK):
         chunk = slice(lo, lo + FORWARD_CHUNK)
-        stream = embed_batch(enc, inputs[chunk])
-        if direct:
-            run_blocks(enc, stream, out[:, chunk])
-        else:
-            out[:, chunk] = run_blocks(enc, stream, scratch[:, : len(stream)])[picks]
+        run_blocks(enc, embed_batch(enc, inputs[chunk]), out[:, chunk])
     return out
+
+
+def cache_of(enc: Encoder, inputs: np.ndarray, cache: np.ndarray | None) -> np.ndarray:
+    """`cache`, refused by name unless it is a float32 cache of `inputs`' shape; fresh if None.
+
+    A given cache must be (num_layers, N, frames, model_dim) for `enc` and
+    `inputs`; that it holds their layers is the caller's promise.
+    """
+    if cache is None:
+        return hidden_state_cache(enc, inputs)
+    cfg = enc.config
+    expected = (cfg.num_layers, *inputs.shape[:2], cfg.model_dim)
+    if cache.shape != expected or cache.dtype != DTYPE:
+        raise ValueError(
+            f"cache must be float32 (num_layers, N, frames, model_dim) = {expected}, "
+            f"got {cache.dtype} {cache.shape}"
+        )
+    return cache

@@ -1,9 +1,18 @@
 """End-to-end pipeline: dataset synthesis, three training stages, and reports.
 
 `stages()` is the one list of stages, in run order, keyed by the command
-that runs each; every stage is `stage(cfg, paths)` and reads all its
-settings from the config. `run_pipeline` saves the config and runs them
-all, and the CLI builds one subcommand per entry.
+that runs each; every stage is `stage(cfg, paths, memo=None)` and reads all
+its settings from the config. `run_pipeline` saves the config and runs them
+all with one `Memo`, and the CLI builds one subcommand per entry, each run
+with a fresh memo.
+
+The memo holds what one run computes once: the training split's
+hidden-state cache, which the teacher, the branches and the downstream
+head all train on, and eval's held-out entropy table, which is the noise
+sweep's clean level. Each value is keyed by digests of what it was
+computed from, so a stage never reads a value computed from another
+encoder, other branches or other inputs. Train-downstream is the cache's
+last reader: it takes it out of the memo and normalizes it in place.
 
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
@@ -25,8 +34,9 @@ comparison forward each sample of their dataset (the held-out split, the
 noise mixture) once into a per-layer table and replay every policy over
 it, the static baseline as the policy pinned to one layer; eval writes the
 held-out profile from its table. The noise sweep replays one policy per
-noise level over that level's entropy table (`branches.entropy_table`),
-which gives the exits `run_exit` would.
+noise level over that level's entropy table (`branches.entropy_table`,
+eval's for the clean level when the memo holds it), which gives the exits
+`run_exit` would.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
@@ -40,6 +50,7 @@ evaluated.
 from __future__ import annotations
 
 import configparser
+import hashlib
 import json
 import math
 import time
@@ -50,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branches import EntropyProfile, entropy_table, train_branches
+from .branches import BranchSet, EntropyProfile, entropy_table, train_branches
 from .data import (
     MixtureSpec,
     NoiseSpec,
@@ -59,7 +70,7 @@ from .data import (
     make_mixture,
     synth_dataset,
 )
-from .encoder import EncoderConfig, init_encoder
+from .encoder import Encoder, EncoderConfig, hidden_state_cache, init_encoder, parameter_digest
 from .errors import ConfigError, DependencyError, FormatError
 from .policy import (
     SPAN_KINDS,
@@ -96,6 +107,7 @@ __all__ = [
     "load_config",
     "save_config",
     "apply_overrides",
+    "Memo",
     "stage_synth",
     "stage_teacher",
     "stage_branches",
@@ -400,7 +412,61 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def stage_synth(cfg: RunConfig, paths: ArtifactPaths) -> None:
+def _digest(*arrays: np.ndarray) -> str:
+    """SHA-256 over each array's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
+def _memo_key(kind: str, enc: Encoder, inputs: np.ndarray, branches: BranchSet | None = None):
+    # The encoder's config too: its head count shapes the forward but draws no parameter.
+    heads = () if branches is None else (branches.weights, branches.biases)
+    return kind, repr(enc.config), parameter_digest(enc), _digest(inputs), _digest(*heads)
+
+
+class Memo:
+    """What one pipeline run computes once and hands from stage to stage.
+
+    Each value is kept under the digests of what it was computed from (the
+    encoder's config and parameters, the input bytes, the branches where
+    they matter), so a lookup from anything else misses and builds afresh:
+    a stale value is never served. A stage given no memo starts an empty
+    one, which gives what a stage run on its own has always given.
+    """
+
+    def __init__(self):
+        self._values: dict[tuple[str, ...], np.ndarray] = {}
+
+    def _get(self, key: tuple[str, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
+        if key not in self._values:
+            self._values[key] = build()
+        return self._values[key]
+
+    def hidden_states(self, enc: Encoder, inputs: np.ndarray) -> np.ndarray:
+        """`encoder.hidden_state_cache(enc, inputs)`, built on a miss and kept."""
+        return self._get(_memo_key("hidden", enc, inputs), lambda: hidden_state_cache(enc, inputs))
+
+    def take_hidden_states(self, enc: Encoder, inputs: np.ndarray) -> np.ndarray:
+        """The same cache, taken out of the memo (or built): its taker may overwrite it."""
+        cache = self._values.pop(_memo_key("hidden", enc, inputs), None)
+        return hidden_state_cache(enc, inputs) if cache is None else cache
+
+    def entropy_table(self, enc: Encoder, branches: BranchSet, inputs: np.ndarray) -> np.ndarray:
+        """`branches.entropy_table(enc, branches, inputs)`, built on a miss and kept."""
+        key = _memo_key("entropies", enc, inputs, branches)
+        return self._get(key, lambda: entropy_table(enc, branches, inputs))
+
+    def put_entropy_table(
+        self, enc: Encoder, branches: BranchSet, inputs: np.ndarray, table: np.ndarray
+    ) -> None:
+        """Keep `table` as the entropy table of `inputs` under `enc` and `branches`."""
+        self._values[_memo_key("entropies", enc, inputs, branches)] = table
+
+
+def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Draw the full dataset once and split it into train and held-out files."""
     paths.root.mkdir(parents=True, exist_ok=True)
     full = synth_dataset(cfg.dataset_spec())
@@ -410,10 +476,11 @@ def stage_synth(cfg: RunConfig, paths: ArtifactPaths) -> None:
     )
 
 
-def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
+def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the final-layer teacher head on the ground-truth labels (stage 1a)."""
     train = load_dataset(_require(paths, "train_data", "train-teacher"))
     enc = init_encoder(cfg.encoder_config())
+    memo = Memo() if memo is None else memo
     result = train_teacher(
         enc,
         train,
@@ -421,6 +488,7 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
         steps=cfg.teacher_steps,
         seed=cfg.teacher_seed,
         batch_size=cfg.teacher_batch,
+        cache=memo.hidden_states(enc, train.inputs),
     )
     save_checkpoint(Checkpoint(encoder=enc, teacher=result.head), paths.checkpoint)
     _write_csv(
@@ -430,10 +498,11 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths) -> None:
     )
 
 
-def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
+def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the exit branches on pseudo-labels and profile the training split (stage 1b)."""
     train = load_dataset(_require(paths, "train_data", "train-branches"))
     ck = _load_checkpoint(cfg, paths, "train-branches", "teacher")
+    memo = Memo() if memo is None else memo
     result = train_branches(
         ck.encoder,
         ck.teacher,
@@ -442,6 +511,7 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths) -> None:
         batch_size=cfg.branch_batch,
         steps=cfg.branch_steps,
         seed=cfg.branch_seed,
+        cache=memo.hidden_states(ck.encoder, train.inputs),
     )
     # A downstream head trained under the old branches is stale: drop it, as train-teacher
     # does, and the policy calibrated from the old profile with it.
@@ -493,7 +563,9 @@ def _load_checkpoint(
     return ck
 
 
-def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
+def stage_calibrate(
+    cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
+) -> ExitPolicy:
     """Fix the threshold at the configured ratio from the training profile (stage 2a)."""
     _load_checkpoint(cfg, paths, "calibrate", "branches")
     policy = calibrate(_read_profile(cfg, paths, "calibrate"), cfg.ratio)
@@ -501,7 +573,7 @@ def stage_calibrate(cfg: RunConfig, paths: ArtifactPaths) -> ExitPolicy:
     return policy
 
 
-def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
+def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the downstream head with exits active, recording span statistics (stage 2b)."""
     train = load_dataset(_require(paths, "train_data", "train-downstream"))
     ck = _load_checkpoint(cfg, paths, "train-downstream", "branches")
@@ -509,6 +581,8 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
+    memo = Memo() if memo is None else memo
+    # The run's last reader of the training cache: it takes it and normalizes it in place.
     result = train_downstream(
         ck.encoder,
         ck.branches,
@@ -521,6 +595,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths) -> None:
         batch_size=cfg.downstream_batch,
         task=cfg.task,
         renormalize=cfg.renormalize,
+        cache=memo.take_hidden_states(ck.encoder, train.inputs),
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
     _write_json(paths.span_stats, {"exit_counts": list(result.span_stats.counts)})
@@ -591,7 +666,7 @@ def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyPr
     return EntropyProfile.from_layer_means(means)
 
 
-def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
+def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> dict:
     """Evaluate every (strategy, inference ratio) pair on the held-out split (stage 3).
 
     Span statistics always come from the training-time ratio; only the
@@ -606,6 +681,8 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     table = build_layer_table(
         ck.encoder, ck.branches, heldout, ck.downstream, cfg.task, cfg.renormalize
     )
+    if memo is not None:
+        memo.put_entropy_table(ck.encoder, ck.branches, heldout.inputs, table.entropies)
     _write_profile(paths.profile_heldout, EntropyProfile.from_rows(table.entropies))
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
     # A record of an earlier run (a strategy since dropped, a pair now an error) must not linger.
@@ -642,22 +719,25 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths) -> dict:
     return summary
 
 
-def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
+def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> list[dict]:
     """Exit-layer distribution per noise level of the mixture (clean first), at the sweep ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
     Each noise level's branch entropies are one batched table of full
     forwards; `decide_exit` over a row gives the exit `run_exit` would.
+    Clean inputs are the held-out ones unchanged, so under `run_pipeline`
+    the clean level's table is the one eval built.
     """
     heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
     ck = _load_checkpoint(cfg, paths, "noise-sweep", "branches")
     profile = _read_profile(cfg, paths, "noise-sweep")
     policy = calibrate(profile, cfg.sweep_ratio)
+    memo = Memo() if memo is None else memo
     dist_rows = []
     summary_rows = []
     results = []
     for spec, _ in cfg.mixture_spec().parts:
-        table = entropy_table(ck.encoder, ck.branches, add_noise(heldout, spec).inputs)
+        table = memo.entropy_table(ck.encoder, ck.branches, add_noise(heldout, spec).inputs)
         counts = ExitCounts.of(
             [trace.exit_layer for trace in decide_exits(policy, table)], cfg.num_layers
         )
@@ -678,7 +758,9 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     return results
 
 
-def compare_static(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
+def compare_static(
+    cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
+) -> list[dict]:
     """Accuracy of each span strategy vs. a fixed-depth truncation on the noise mixture.
 
     One row per (strategy, noise level), plus "all" rows over the whole
@@ -748,7 +830,7 @@ def compare_static(cfg: RunConfig, paths: ArtifactPaths) -> list[dict]:
     return rows
 
 
-def stages() -> dict[str, Callable[[RunConfig, ArtifactPaths], object]]:
+def stages() -> dict[str, Callable[[RunConfig, ArtifactPaths, Memo | None], object]]:
     """Command name -> stage, in run order.
 
     Built on each call from this module's attributes, so a stage patched
@@ -767,14 +849,20 @@ def stages() -> dict[str, Callable[[RunConfig, ArtifactPaths], object]]:
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> ArtifactPaths:
-    """Save the config, then run every stage in order, printing each one's wall time."""
+    """Save the config, then run every stage in order, printing each one's wall time.
+
+    The stages share one memo, so the training split is forwarded once for
+    the teacher, the branches and the downstream head, and the sweep's
+    clean level reuses eval's entropy table.
+    """
     paths = ArtifactPaths(Path(out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, paths.config_file)
+    memo = Memo()
     started = time.perf_counter()
     for name, stage in stages().items():
         t0 = time.perf_counter()
-        stage(cfg, paths)
+        stage(cfg, paths, memo)
         print(f"[pipeline] {name}: {time.perf_counter() - t0:.1f}s")
     print(f"[pipeline] total {time.perf_counter() - started:.1f}s")
     return paths

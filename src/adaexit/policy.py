@@ -64,6 +64,8 @@ class ExitPolicy:
             raise ConfigError(f"span kind must be one of {SPAN_KINDS}, got {self.span_kind!r}")
         if not self.threshold >= 0:
             raise ConfigError(f"threshold must be nonnegative, got {self.threshold}")
+        if self.threshold == math.inf:  # every entropy is below it: every exit at layer 1
+            raise ConfigError(f"threshold must be finite, got {self.threshold}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"ratio must be in [0,1], got {self.ratio}")
         if self.num_layers < 1:

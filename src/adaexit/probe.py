@@ -6,11 +6,13 @@ model_dim) array, and `normalize_prefix` normalizes its first k rows in one
 `numeric.layer_norm` call. Exits stay active while the head
 trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
-once, from batched full forwards: `policy.decide_exits` over the batch's
-entropy rows gives `run_exit`'s traces, and each prefix is normalized
-from the batch's layers. Evaluation reports accuracy alongside exit depth and compute-saved
-accounting (all read from one `policy.ExitCounts`), with a statically
-truncated twin for baseline comparisons.
+once, from the training split's hidden-state cache (the pipeline's one
+forward of that split, which the teacher and the branches trained on):
+`policy.decide_exits` over its entropy rows gives `run_exit`'s traces, and
+the cache, normalized in place, holds every prefix as a view. Evaluation
+reports accuracy alongside exit depth and compute-saved accounting (all
+read from one `policy.ExitCounts`), with a statically truncated twin for
+baseline comparisons.
 
 `evaluate` forwards every sample under one policy and `evaluate_static`
 truncates every forward at one layer, with no exit machinery; they are the
@@ -38,8 +40,8 @@ from .encoder import (
     FORWARD_CHUNK,
     Encoder,
     IncrementalForward,
+    cache_of,
     embed_batch,
-    forward_batch,
     run_blocks,
 )
 from .errors import ConfigError
@@ -218,29 +220,34 @@ def train_downstream(
     batch_size: int = 32,
     task: str = "frame",
     renormalize: bool = True,
+    *,
+    cache: np.ndarray | None = None,
 ) -> DownstreamTrainResult:
     """Train the probe and layer weights with early exit active on every sample.
 
     Exit decisions depend only on frozen components, so each sample's exit
-    layer and normalized prefix are computed once up front, from batched
-    full forwards: the traces are `run_exit`'s, and the prefix is the
-    sample's layers up to its exit. The exit counts of the recorded traces
-    (one per sample) are the span statistics used by inference-time
-    constraints.
+    layer and normalized prefix are computed once up front, from `cache`,
+    `data`'s `encoder.hidden_state_cache` (built here when not given): the
+    branch entropies of its layers give `run_exit`'s traces, and then the
+    cache is layer-normalized in place, one layer of one chunk at a time,
+    so a sample's prefix is the view of its layers up to its exit. A given
+    cache is overwritten. The exit counts of the recorded traces (one per
+    sample) are the span statistics used by inference-time constraints.
     """
     _check_dataset(data, task)
     if policy.num_layers != enc.config.num_layers:
         raise ConfigError(
             f"policy is for {policy.num_layers} layers, encoder has {enc.config.num_layers}"
         )
-    prefixes, traces = [], []
+    cache = cache_of(enc, data.inputs, cache)
+    rows = []
     for lo in range(0, data.num_sequences, FORWARD_CHUNK):
-        states = forward_batch(enc, data.inputs[lo : lo + FORWARD_CHUNK])
-        ids = range(lo, lo + states.shape[1])
-        chunk = decide_exits(policy, batch_entropies(branches, states), sample_ids=ids)
-        for j, trace in enumerate(chunk):
-            prefixes.append(normalize_prefix(states[:, j], trace.exit_layer))
-        traces.extend(chunk)
+        chunk = cache[:, lo : lo + FORWARD_CHUNK]
+        rows.append(batch_entropies(branches, chunk))
+        for layer in chunk:  # a layer at a time: float64 temporaries of one layer only
+            layer[...] = layer_norm(layer)
+    traces = decide_exits(policy, np.concatenate(rows))
+    prefixes = [cache[: t.exit_layer, i] for i, t in enumerate(traces)]
     span_stats = ExitCounts.of([t.exit_layer for t in traces], policy.num_layers)
     if task == "sequence":
         sample_labels = [

@@ -107,13 +107,10 @@ class TestForwardBatch:
     def test_cache_across_chunk_boundaries(self, enc):
         inputs = _batch(enc, np.random.default_rng(11), FORWARD_CHUNK + 3)
         num_layers = enc.config.num_layers
-        every = hidden_state_cache(enc, inputs, range(1, num_layers + 1))
-        picked = hidden_state_cache(enc, inputs, (num_layers, 1))
+        every = hidden_state_cache(enc, inputs)
+        assert every.shape[0] == num_layers
         for i, x in enumerate(inputs):
-            single = forward_all(enc, x)
-            assert np.array_equal(every[:, i], single), i
-            assert np.array_equal(picked[0, i], single[-1]), i
-            assert np.array_equal(picked[1, i], single[0]), i
+            assert np.array_equal(every[:, i], forward_all(enc, x)), i
 
 
 def _refusal(call) -> str:

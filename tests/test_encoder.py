@@ -174,30 +174,11 @@ class TestForwardUntil:
 class TestHiddenStateCache:
     def test_layers_equal_forward_all(self, small_encoder, rng):
         inputs = np.stack([_inputs(rng) for _ in range(3)])
-        cache = hidden_state_cache(small_encoder, inputs, (4, 1, 3))
-        assert cache.shape == (3, 3, 10, SMALL_ENCODER.model_dim)
+        cache = hidden_state_cache(small_encoder, inputs)
+        assert cache.shape == (SMALL_ENCODER.num_layers, 3, 10, SMALL_ENCODER.model_dim)
         assert cache.dtype == np.float32
         for i in range(3):
-            hs = forward_all(small_encoder, inputs[i])
-            for h, k in enumerate((4, 1, 3)):
-                assert np.array_equal(cache[h, i], hs[k - 1])
-
-    def test_stops_at_deepest_requested_layer(self, small_encoder, rng, monkeypatch):
-        blocks = []
-        original = encoder._attention
-
-        def counting(a, block, num_heads):
-            blocks.extend([block] * int(np.prod(a.shape[:-2])))  # one per sequence of a batch
-            return original(a, block, num_heads)
-
-        monkeypatch.setattr(encoder, "_attention", counting)
-        hidden_state_cache(small_encoder, np.stack([_inputs(rng), _inputs(rng)]), (1, 2))
-        assert len(blocks) == 2 * 2
-
-    @pytest.mark.parametrize("layers", [(0,), (SMALL_ENCODER.num_layers + 1,)])
-    def test_bad_layers_rejected(self, small_encoder, rng, layers):
-        with pytest.raises(ValueError):
-            hidden_state_cache(small_encoder, _inputs(rng)[None], layers)
+            assert np.array_equal(cache[:, i], forward_all(small_encoder, inputs[i]))
 
 
 class TestFreeze:

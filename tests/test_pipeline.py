@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from adaexit import encoder, pipeline
-from adaexit.branches import entropy_profile, entropy_table
+from adaexit.branches import BranchSet, entropy_profile, entropy_table
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
+from adaexit.encoder import hidden_state_cache, init_encoder, parameter_digest
 from adaexit.errors import ConfigError, DependencyError, FormatError
 from adaexit.pipeline import (
     ARTIFACTS,
     ArtifactPaths,
+    Memo,
     _read_profile,
     _write_profile,
     apply_overrides,
@@ -862,6 +864,86 @@ class TestReplay:
             assert replay_exits(table, policy) == served, level
 
 
+class TestMemo:
+    """One memo per run: each value is computed once and served only for what built it."""
+
+    def test_run_forwards_the_training_split_once(self, tiny_cfg, tmp_path, monkeypatch):
+        # The teacher's forward of the training split is the only one: the
+        # branches and the downstream head read its cache. The sweep's clean
+        # level is eval's table, so its forwards are the noised levels only.
+        forwarded = _count_forwards(monkeypatch)
+        by_stage = {}
+        for name, stage in stages().items():
+            def recording(cfg, paths, memo, name=name, stage=stage):
+                start = len(forwarded)
+                stage(cfg, paths, memo)
+                by_stage[name] = forwarded[start:]
+
+            monkeypatch.setattr(pipeline, stage.__name__, recording)
+        paths = run_pipeline(tiny_cfg, tmp_path / "run")
+        train = sorted(x.tobytes() for x in load_dataset(paths.train_data).inputs)
+        heldout = sorted(x.tobytes() for x in load_dataset(paths.eval_data).inputs)
+        assert sorted(x for x in forwarded if x in set(train)) == train
+        assert sorted(by_stage["train-teacher"]) == train
+        assert sorted(by_stage["eval"]) == heldout
+        sweep = by_stage["noise-sweep"]
+        assert len(sweep) == len(tiny_cfg.snr_levels) * tiny_cfg.num_eval
+        assert not set(heldout).intersection(sweep)
+        for name in ("synth", "train-branches", "calibrate", "train-downstream"):
+            assert by_stage[name] == [], name
+
+    def test_values_of_other_sources_are_never_served(self, tiny_run, tmp_path):
+        # A memo filled from another encoder (other parameters, or the same
+        # parameters run with another head count), from other inputs and from
+        # other branches: every stage misses, recomputes, and writes the bytes
+        # of the run that had a fresh memo.
+        cfg, paths = tiny_run
+        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        ck = load_checkpoint(paths.checkpoint)
+        train = load_dataset(paths.train_data).inputs
+        heldout = load_dataset(paths.eval_data).inputs
+        reseeded = init_encoder(replace(cfg, encoder_seed=cfg.encoder_seed + 1).encoder_config())
+        two_heads = init_encoder(replace(cfg, num_heads=2).encoder_config())
+        assert parameter_digest(two_heads) == parameter_digest(ck.encoder)
+        other_branches = BranchSet(ck.branches.weights + 1, ck.branches.biases)
+        memo = Memo()
+        for enc, inputs in ((reseeded, train), (two_heads, train), (ck.encoder, train[::-1])):
+            memo.hidden_states(enc, inputs)
+        garbage = np.zeros((cfg.num_eval, cfg.num_layers))
+        for enc, branches, inputs in (
+            (reseeded, ck.branches, heldout),
+            (two_heads, ck.branches, heldout),
+            (ck.encoder, other_branches, heldout),
+            (ck.encoder, ck.branches, heldout[::-1]),
+        ):
+            memo.put_entropy_table(enc, branches, inputs, garbage)
+        for stage in (stage_teacher, stage_branches, stage_calibrate, stage_downstream, noise_sweep):
+            stage(cfg, copy, memo)
+        for path in paths.root.rglob("*"):
+            if path.is_file() and path.name != "timing.json":
+                assert (copy.root / path.relative_to(paths.root)).read_bytes() == (
+                    path.read_bytes()
+                ), path.name
+
+    def test_a_hit_is_the_value_kept_and_take_hands_it_over(self, small_encoder, small_dataset):
+        memo = Memo()
+        inputs = small_dataset.inputs
+        cache = memo.hidden_states(small_encoder, inputs)
+        assert np.array_equal(cache, hidden_state_cache(small_encoder, inputs))
+        assert memo.hidden_states(small_encoder, inputs.copy()) is cache
+        assert memo.take_hidden_states(small_encoder, inputs) is cache
+        rebuilt = memo.take_hidden_states(small_encoder, inputs)
+        assert rebuilt is not cache and np.array_equal(rebuilt, cache)
+        zero = BranchSet(
+            np.zeros((4, 5, 16), dtype=np.float32), np.zeros((4, 5), dtype=np.float32)
+        )
+        table = np.ones((small_dataset.num_sequences, 4))
+        memo.put_entropy_table(small_encoder, zero, inputs, table)
+        assert memo.entropy_table(small_encoder, zero, inputs) is table
+        fresh = memo.entropy_table(small_encoder, zero, inputs[:-1])
+        assert np.array_equal(fresh, entropy_table(small_encoder, zero, inputs[:-1]))
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tiny_cfg, tmp_path):
         # Every file both runs write, but the wall-clock timing.json.
@@ -943,7 +1025,7 @@ class TestCli:
             monkeypatch.setattr(
                 pipeline,
                 stage.__name__,
-                lambda cfg, paths, name=name: calls.append((name, cfg, paths.root)),
+                lambda cfg, paths, memo, name=name: calls.append((name, cfg, paths.root)),
             )
         paths = run_pipeline(tiny_cfg, tmp_path / "run")
         assert calls == [(name, tiny_cfg, paths.root) for name in stages()]

@@ -422,6 +422,21 @@ class TestPolicyFile:
             load_policy(path)
 
     @pytest.mark.parametrize(
+        "raw, message",
+        [("inf", "must be finite, got inf"), ("1e400", "must be finite, got inf"),
+         ("nan", "must be nonnegative, got nan")],
+    )
+    def test_non_finite_threshold_refused(self, tmp_path, raw, message):
+        # An infinite threshold used to load and send every request out at layer 1.
+        with pytest.raises(ConfigError, match=f"^threshold {message}$"):
+            ExitPolicy(threshold=float(raw), ratio=0.7, num_layers=8)
+        path = tmp_path / "policy.txt"
+        save_policy(ExitPolicy(threshold=1.25, ratio=0.7, num_layers=8), path)
+        path.write_text(path.read_text().replace("threshold = 1.25", f"threshold = {raw}"))
+        with pytest.raises(ConfigError, match=rf"^policy\.txt: threshold {message}$"):
+            load_policy(path)
+
+    @pytest.mark.parametrize(
         "old, new, error, message",
         [
             ("threshold = 1.25", "threshold = abc", FormatError,

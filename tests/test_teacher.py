@@ -55,8 +55,7 @@ class TestTrainTeacher:
         protos[1, 0] = -10.0
         data = FrameDataset(inputs=protos[labels], labels=labels, num_classes=2)
 
-        final = (SMALL_ENCODER.num_layers,)
-        feats = hidden_state_cache(small_encoder, data.inputs, final).reshape(
+        feats = hidden_state_cache(small_encoder, data.inputs)[-1].reshape(
             -1, SMALL_ENCODER.model_dim
         )
         flat = data.labels.reshape(-1)
@@ -129,9 +128,7 @@ class TestPseudoLabels:
     def test_depends_only_on_final_layer(self, small_encoder, small_dataset):
         # In a stacked call, a sample's labels ignore every other sample.
         head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
-        finals = hidden_state_cache(
-            small_encoder, small_dataset.inputs[:3], (SMALL_ENCODER.num_layers,)
-        )[0]
+        finals = hidden_state_cache(small_encoder, small_dataset.inputs[:3])[-1]
         baseline = pseudo_labels(head, finals[1])
         perturbed = finals.copy()
         perturbed[[0, 2]] += 123.0
@@ -139,9 +136,7 @@ class TestPseudoLabels:
 
     def test_cache_wide_equals_per_sample_bitwise(self, small_encoder, small_dataset):
         head = init_teacher_head(small_dataset.num_classes, SMALL_ENCODER.model_dim, seed=3)
-        cache = hidden_state_cache(
-            small_encoder, small_dataset.inputs, range(1, SMALL_ENCODER.num_layers + 1)
-        )
+        cache = hidden_state_cache(small_encoder, small_dataset.inputs)
         labels = pseudo_labels(head, cache[-1])
         logits = teacher_logits(head, cache[-1])
         assert labels.shape == small_dataset.labels.shape and labels.dtype == np.int32
