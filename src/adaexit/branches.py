@@ -101,12 +101,10 @@ class EntropyProfile:
     @classmethod
     def from_rows(cls, rows) -> "EntropyProfile":
         """Column running mean of per-sample entropy rows (N, L), taken in row order."""
-        means = num_samples = 0
-        for num_samples, row in enumerate(rows, start=1):
-            means = means + (row - means) / num_samples
-        if not num_samples:
+        rows = np.asarray(rows, dtype=np.float64)
+        if not len(rows):
             raise ValueError("empty dataset")
-        return cls.from_layer_means(means)
+        return cls.from_layer_means(running_means(rows.T))
 
     @property
     def num_layers(self) -> int:

@@ -599,15 +599,16 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
     _write_json(paths.span_stats, {"exit_counts": list(result.span_stats.counts)})
-    num_layers = cfg.num_layers
-    entropy_cols = ",".join(f"e{k}" for k in range(1, num_layers + 1))
-    rows = []
-    for t in result.traces:
-        cells = [t.sample_id, t.exit_layer, t.layers_computed, int(t.forced)]
-        cells.extend(
-            repr(t.entropies[k]) if k in t.entropies else "" for k in range(1, num_layers + 1)
+    # A row's evaluated entropies are those of its allowed layers up to its exit.
+    allowed = set(policy.allowed)
+    rows = [
+        [i, k, k, int(forced)]
+        + [repr(e) if j in allowed and j <= k else "" for j, e in enumerate(row, start=1)]
+        for i, (row, k, forced) in enumerate(
+            zip(result.entropies.tolist(), result.exits.tolist(), result.forced.tolist())
         )
-        rows.append(cells)
+    ]
+    entropy_cols = ",".join(f"e{k}" for k in range(1, cfg.num_layers + 1))
     _write_csv(
         paths.exit_traces, f"sample_id,exit_layer,layers_computed,forced,{entropy_cols}", rows
     )
@@ -724,7 +725,7 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
 
     Uses the unconstrained policy so the full spread of exits is visible.
     Each noise level's branch entropies are one batched table of full
-    forwards; `decide_exit` over a row gives the exit `run_exit` would.
+    forwards; `decide_exits` over it gives the exits `run_exit` would.
     Clean inputs are the held-out ones unchanged, so under `run_pipeline`
     the clean level's table is the one eval built.
     """
@@ -738,9 +739,7 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
     results = []
     for spec, _ in cfg.mixture_spec().parts:
         table = memo.entropy_table(ck.encoder, ck.branches, add_noise(heldout, spec).inputs)
-        counts = ExitCounts.of(
-            [trace.exit_layer for trace in decide_exits(policy, table)], cfg.num_layers
-        )
+        counts = ExitCounts.of(decide_exits(policy, table)[0], cfg.num_layers)
         label = spec.label()
         dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))
         summary_rows.append((label, counts.first, repr(counts.mean), counts.last))

@@ -12,9 +12,11 @@ counts gathered while the downstream head trained. Only calibrated
 policies are written to disk.
 
 `run_exit` is the serving path: it forwards one sample lazily and decides
-as it goes. `decide_exits` decides every row of an (N, layers) entropy
-table from full forwards, which gives the same traces; the offline passes
-use it.
+as it goes through `decide_exit`, which records an `ExitTrace`.
+`decide_exits` is the same rule over a whole (N, layers) entropy table of
+full forwards, vectorized: two arrays, each row's exit layer and whether
+it was forced, which are the exits `run_exit` gives. The offline passes
+use it; `decide_exit` stays its oracle.
 
 `ExitCounts`, checked once when built, is the one histogram of exit
 layers; span statistics, eval records and the noise sweep derive from it.
@@ -145,7 +147,6 @@ class ExitCounts:
 class ExitTrace:
     """One sample's exit decision: where it left, what it saw, what it cost."""
 
-    sample_id: int
     exit_layer: int
     entropies: dict[int, float]  # layer -> sequence entropy, evaluated layers only
     layers_computed: int
@@ -160,11 +161,7 @@ def calibrate(profile: EntropyProfile, ratio: float) -> ExitPolicy:
     return ExitPolicy(threshold=threshold, ratio=ratio, num_layers=profile.num_layers)
 
 
-def decide_exit(
-    policy: ExitPolicy,
-    entropy_at: Callable[[int], float],
-    sample_id: int = 0,
-) -> ExitTrace:
+def decide_exit(policy: ExitPolicy, entropy_at: Callable[[int], float]) -> ExitTrace:
     """Scan allowed layers in increasing order; exit at the first entropy below threshold.
 
     If no allowed layer fires, the exit is forced at the deepest allowed
@@ -177,47 +174,36 @@ def decide_exit(
         e = float(entropy_at(k))
         entropies[k] = e
         if e < policy.threshold:
-            return ExitTrace(
-                sample_id=sample_id,
-                exit_layer=k,
-                entropies=entropies,
-                layers_computed=k,
-                forced=False,
-            )
+            return ExitTrace(exit_layer=k, entropies=entropies, layers_computed=k, forced=False)
     deepest = allowed[-1]
     return ExitTrace(
-        sample_id=sample_id,
-        exit_layer=deepest,
-        entropies=entropies,
-        layers_computed=deepest,
-        forced=True,
+        exit_layer=deepest, entropies=entropies, layers_computed=deepest, forced=True
     )
 
 
-def decide_exits(policy: ExitPolicy, entropies: np.ndarray, sample_ids=None) -> list[ExitTrace]:
-    """`decide_exit` over each row of an (N, num_layers) entropy table, in row order.
+def decide_exits(policy: ExitPolicy, entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`decide_exit` over each row of an (N, num_layers) entropy table, at once.
 
-    Row i's trace has sample_id sample_ids[i], or i when none are given. A
-    row gives the trace `run_exit` gives for the sample whose full forward
-    it was computed from.
+    Returns the int64 exit layer and the bool forced flag of every row: the
+    first allowed layer whose entropy is strictly below the threshold, else
+    the deepest allowed layer, forced. A row gives the exit `run_exit` gives
+    for the sample whose full forward it was computed from; the branches it
+    evaluated are `np.searchsorted(policy.allowed, exits, side="right")`.
     """
+    entropies = np.asarray(entropies, dtype=np.float64)
     if entropies.ndim != 2 or entropies.shape[1] != policy.num_layers:
         raise ConfigError(
             f"policy is for {policy.num_layers} layers, the entropy table is {entropies.shape}"
         )
-    ids = range(len(entropies)) if sample_ids is None else sample_ids
-    return [
-        decide_exit(policy, lambda k: row[k - 1], sample_id=int(i))
-        for i, row in zip(ids, entropies)
-    ]
+    allowed = np.array(policy.allowed, dtype=np.int64)
+    fires = entropies[:, allowed - 1] < policy.threshold
+    forced = ~fires.any(axis=1)
+    exits = np.where(forced, allowed[-1], allowed[fires.argmax(axis=1)])
+    return exits, forced
 
 
 def run_exit(
-    enc: Encoder,
-    branches: BranchSet,
-    policy: ExitPolicy,
-    frames: np.ndarray,
-    sample_id: int = 0,
+    enc: Encoder, branches: BranchSet, policy: ExitPolicy, frames: np.ndarray
 ) -> tuple[np.ndarray, ExitTrace]:
     """Forward one sample lazily, deciding the exit from branch entropies.
 
@@ -231,9 +217,7 @@ def run_exit(
             f"policy is for {policy.num_layers} layers, encoder has {enc.config.num_layers}"
         )
     inc = IncrementalForward(enc, frames)
-    trace = decide_exit(
-        policy, lambda k: entropy_from_hidden(branches, inc.hidden(k), k), sample_id
-    )
+    trace = decide_exit(policy, lambda k: entropy_from_hidden(branches, inc.hidden(k), k))
     trace = replace(trace, layers_computed=inc.layers_done)
     return inc.states(), trace
 

@@ -8,7 +8,7 @@ trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
 once, from the training split's hidden-state cache (the pipeline's one
 forward of that split, which the teacher and the branches trained on):
-`policy.decide_exits` over its entropy rows gives `run_exit`'s traces, and
+`policy.decide_exits` over its entropy rows gives `run_exit`'s exits, and
 the cache, normalized in place, holds every prefix as a view. Evaluation
 reports accuracy alongside exit depth and compute-saved accounting (all
 read from one `policy.ExitCounts`), with a statically truncated twin for
@@ -20,11 +20,13 @@ reference paths, one sample at a time. The eval and static-comparison
 reports instead build one `LayerTable` per dataset from batched full
 forwards, one row per sample: the branch
 entropy at every layer and, by the prefix property, the probe's correct
-count at every exit depth. The `replay_*` functions are pure functions of
-that table and give `evaluate`'s records for any policy; replaying the
-policy pinned to layer k (`policy.fixed_exit_policy`) gives every number of
-`evaluate_static`'s record at k. `replay_timing` prices a policy from the
-table's three wall-time totals, each measured per chunk and summed.
+count at every exit depth. `replay_evaluate` and `replay_timing` are pure
+functions of that table: each decides every row at once with
+`policy.decide_exits`, with no per-row trace. `replay_evaluate` gives
+`evaluate`'s record for any policy; replaying the policy pinned to layer k
+(`policy.fixed_exit_policy`) gives every number of `evaluate_static`'s
+record at k. `replay_timing` prices a policy from the table's three
+wall-time totals, each measured per chunk and summed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .encoder import (
 )
 from .errors import ConfigError
 from .numeric import DTYPE, cross_entropy, layer_norm, matmul64, new_rng, sgd_step, softmax
-from .policy import ExitCounts, ExitPolicy, ExitTrace, decide_exits, run_exit
+from .policy import ExitCounts, ExitPolicy, decide_exits, run_exit
 
 __all__ = [
     "DownstreamHead",
@@ -60,7 +62,6 @@ __all__ = [
     "evaluate",
     "evaluate_static",
     "build_layer_table",
-    "replay_exits",
     "replay_evaluate",
     "replay_timing",
 ]
@@ -117,7 +118,9 @@ class DownstreamTrainResult:
     head: DownstreamHead
     span_stats: ExitCounts
     losses: list[float]
-    traces: list[ExitTrace]  # one per training sample, in dataset order
+    entropies: np.ndarray  # (N, L) float64 branch entropies of the training split
+    exits: np.ndarray  # (N,) int64 exit layer of each training sample
+    forced: np.ndarray  # (N,) bool: no allowed layer fired
 
 
 def init_downstream_head(
@@ -228,11 +231,11 @@ def train_downstream(
     Exit decisions depend only on frozen components, so each sample's exit
     layer and normalized prefix are computed once up front, from `cache`,
     `data`'s `encoder.hidden_state_cache` (built here when not given): the
-    branch entropies of its layers give `run_exit`'s traces, and then the
+    branch entropies of its layers give `run_exit`'s exits, and then the
     cache is layer-normalized in place, one layer of one chunk at a time,
     so a sample's prefix is the view of its layers up to its exit. A given
-    cache is overwritten. The exit counts of the recorded traces (one per
-    sample) are the span statistics used by inference-time constraints.
+    cache is overwritten. The exit counts (one exit per sample) are the
+    span statistics used by inference-time constraints.
     """
     _check_dataset(data, task)
     if policy.num_layers != enc.config.num_layers:
@@ -246,9 +249,10 @@ def train_downstream(
         rows.append(batch_entropies(branches, chunk))
         for layer in chunk:  # a layer at a time: float64 temporaries of one layer only
             layer[...] = layer_norm(layer)
-    traces = decide_exits(policy, np.concatenate(rows))
-    prefixes = [cache[: t.exit_layer, i] for i, t in enumerate(traces)]
-    span_stats = ExitCounts.of([t.exit_layer for t in traces], policy.num_layers)
+    entropies = np.concatenate(rows)
+    exits, forced = decide_exits(policy, entropies)
+    prefixes = [cache[:k, i] for i, k in enumerate(exits.tolist())]
+    span_stats = ExitCounts.of(exits, policy.num_layers)
     if task == "sequence":
         sample_labels = [
             _sequence_label(data.labels[i], data.num_classes)
@@ -283,7 +287,9 @@ def train_downstream(
         head=DownstreamHead(layer_weights, probe_weight, probe_bias),
         span_stats=span_stats,
         losses=losses,
-        traces=traces,
+        entropies=entropies,
+        exits=exits,
+        forced=forced,
     )
 
 
@@ -351,7 +357,7 @@ def evaluate(
     exits = []
     forced_count = 0
     for i in range(data.num_sequences):
-        hs, trace = run_exit(enc, branches, policy, data.inputs[i], sample_id=i)
+        hs, trace = run_exit(enc, branches, policy, data.inputs[i])
         feats = weighted_features(head, normalize_prefix(hs, trace.exit_layer), renormalize)
         c, s = _predictions(head, feats, data.labels[i], task, data.num_classes)
         correct += c
@@ -449,26 +455,17 @@ def build_layer_table(
     )
 
 
-def replay_exits(
-    table: LayerTable, policy: ExitPolicy, rows=None
-) -> list[ExitTrace]:
-    """The traces `run_exit` would give, decided from the table; sample_id is the row."""
+def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
+    """`evaluate`'s record for the table's dataset, or for `data.subset(rows)`."""
     idx = np.arange(table.num_samples) if rows is None else np.asarray(rows, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty dataset")
-    return decide_exits(policy, table.entropies[idx], sample_ids=idx)
-
-
-def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
-    """`evaluate`'s record for the table's dataset, or for `data.subset(rows)`."""
-    traces = replay_exits(table, policy, rows)
-    idx = np.array([t.sample_id for t in traces], dtype=np.int64)
-    exits = np.array([t.exit_layer for t in traces], dtype=np.int64)
+    exits, forced = decide_exits(policy, table.entropies[idx])
     return _exit_record(
         table.task,
         policy,
         exits,
-        sum(int(t.forced) for t in traces),
+        int(forced.sum()),
         int(table.correct[idx, exits - 1].sum()),
         int(table.scored[idx].sum()),
     )
@@ -480,12 +477,16 @@ def replay_timing(table: LayerTable, policy: ExitPolicy) -> dict:
     Priced from the table's three measured totals: every block has one shape
     and so does every branch, so a policy pays every input projection plus
     its share of the N·L blocks (its summed exit layers) and of the N·L
-    branches (those it evaluated). A full pass pays all projections and blocks.
+    branches (those it evaluated: a row's allowed layers up to its exit).
+    A full pass pays all projections and blocks.
     """
-    traces = replay_exits(table, policy)
+    if not table.num_samples:
+        raise ValueError("empty dataset")
+    exits, _ = decide_exits(policy, table.entropies)
+    evaluated = np.searchsorted(policy.allowed, exits, side="right")
     all_layers = table.num_samples * table.num_layers
-    blocks = sum(t.exit_layer for t in traces) / all_layers * table.block_seconds
-    branches = sum(len(t.entropies) for t in traces) / all_layers * table.branch_seconds
+    blocks = int(exits.sum()) / all_layers * table.block_seconds
+    branches = int(evaluated.sum()) / all_layers * table.branch_seconds
     early = table.embed_seconds + blocks + branches
     full = table.embed_seconds + table.block_seconds
     return {

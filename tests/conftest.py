@@ -5,6 +5,7 @@ import pytest
 
 from adaexit.data import SynthDatasetSpec, synth_dataset
 from adaexit.encoder import EncoderConfig, IncrementalForward, init_encoder
+from adaexit.policy import run_exit
 
 SMALL_ENCODER = EncoderConfig(
     num_layers=4,
@@ -33,6 +34,25 @@ def truncated_forward(enc, frames, k):
     inc = IncrementalForward(enc, frames)
     inc.hidden(k)
     return inc.states()
+
+
+def assert_served_exits(enc, branches, policy, inputs, entropies, exits, forced):
+    """Each row's decided (exit, forced) is `run_exit`'s on that input, and so is what it saw.
+
+    Every served trace evaluated exactly the allowed layers up to its exit,
+    computed no layer past it, and saw the table row's entropy at each of
+    them. Returns the served traces.
+    """
+    served = [run_exit(enc, branches, policy, x)[1] for x in inputs]
+    assert exits.dtype == np.int64 and forced.dtype == np.bool_
+    assert exits.tolist() == [t.exit_layer for t in served]
+    assert forced.tolist() == [t.forced for t in served]
+    for i, (row, trace) in enumerate(zip(entropies, served, strict=True)):
+        evaluated = [k for k in policy.allowed if k <= trace.exit_layer]
+        assert trace.entropies == {k: float(row[k - 1]) for k in evaluated}, i
+        assert list(trace.entropies) == evaluated, i
+        assert trace.layers_computed == trace.exit_layer, i
+    return served
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from adaexit.policy import calibrate
 from adaexit.probe import TASKS, init_downstream_head, normalize_prefix, train_downstream
 from adaexit.teacher import train_teacher
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, assert_served_exits
 
 
 @pytest.fixture(scope="module")
@@ -136,15 +136,19 @@ def test_downstream_trains_the_same_on_a_given_cache(
     fresh = train_downstream(*args, **kwargs)
     given_cache = cache.copy()
     given = train_downstream(*args, **kwargs, cache=given_cache)
-    assert len({t.exit_layer for t in fresh.traces}) > 1, "exits at one depth test little"
+    assert len(set(fresh.exits.tolist())) > 1, "exits at one depth test little"
     for name in ("layer_weights", "probe_weight", "probe_bias"):
         assert np.array_equal(getattr(given.head, name), getattr(fresh.head, name)), name
     assert given.losses == fresh.losses
-    assert given.traces == fresh.traces
+    for name in ("entropies", "exits", "forced"):
+        assert np.array_equal(getattr(given, name), getattr(fresh, name)), name
+    assert_served_exits(
+        small_encoder, trained, policy, small_dataset.inputs,
+        given.entropies, given.exits, given.forced,
+    )
     assert given.span_stats == fresh.span_stats
     # The given cache was normalized in place: each sample's prefix up to its
     # exit is the reference prefix of a fresh forward.
-    for i, trace in enumerate(given.traces):
-        k = trace.exit_layer
+    for i, k in enumerate(given.exits.tolist()):
         reference = normalize_prefix(forward_all(small_encoder, small_dataset.inputs[i]), k)
         assert np.array_equal(given_cache[:k, i], reference), i

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adaexit import encoder, pipeline
-from adaexit.branches import BranchSet, entropy_profile, entropy_table
+from adaexit.branches import BranchSet, batch_entropies, entropy_profile, entropy_table
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
 from adaexit.encoder import hidden_state_cache, init_encoder, parameter_digest
@@ -41,10 +41,10 @@ from adaexit.policy import (
     ExitCounts,
     calibrate,
     constrain,
+    decide_exit,
     decide_exits,
     fixed_exit_policy,
     load_policy,
-    run_exit,
 )
 from adaexit.probe import (
     TASKS,
@@ -53,10 +53,11 @@ from adaexit.probe import (
     evaluate_static,
     init_downstream_head,
     replay_evaluate,
-    replay_exits,
     train_downstream,
 )
 from adaexit.serialize import load_checkpoint, load_dataset, save_checkpoint
+
+from conftest import assert_served_exits
 
 TINY = {
     "data.num_train": "60",
@@ -740,7 +741,7 @@ class TestStaleInputs:
 
 
 class TestBatchedPasses:
-    """The batched whole-dataset passes give `run_exit`'s traces, sample by sample."""
+    """The batched whole-dataset passes give `run_exit`'s exits, sample by sample."""
 
     def test_noise_sweep_exits_are_run_exit_exits(self, tiny_run, tmp_path):
         cfg, paths = tiny_run
@@ -750,11 +751,10 @@ class TestBatchedPasses:
         expected = []
         for spec, _ in cfg.mixture_spec().parts:
             noisy = add_noise(heldout, spec).inputs
-            served = [
-                run_exit(ck.encoder, ck.branches, policy, x, sample_id=i)[1]
-                for i, x in enumerate(noisy)
-            ]
-            assert decide_exits(policy, entropy_table(ck.encoder, ck.branches, noisy)) == served
+            table = entropy_table(ck.encoder, ck.branches, noisy)
+            served = assert_served_exits(
+                ck.encoder, ck.branches, policy, noisy, table, *decide_exits(policy, table)
+            )
             counts = ExitCounts.of([t.exit_layer for t in served], cfg.num_layers)
             expected.append({
                 "snr": spec.label(),
@@ -777,10 +777,33 @@ class TestBatchedPasses:
         result = train_downstream(
             ck.encoder, ck.branches, policy, head, train, lr=0.1, steps=0, seed=0
         )
-        assert result.traces == [
-            run_exit(ck.encoder, ck.branches, policy, x, sample_id=i)[1]
-            for i, x in enumerate(train.inputs)
-        ]
+        assert np.array_equal(
+            result.entropies, entropy_table(ck.encoder, ck.branches, train.inputs)
+        )
+        assert_served_exits(
+            ck.encoder, ck.branches, policy, train.inputs,
+            result.entropies, result.exits, result.forced,
+        )
+
+    def test_exit_traces_csv_is_one_decide_exit_trace_per_row(self, tiny_run):
+        # The file's bytes as written from one `decide_exit` trace per entropy
+        # row of the training cache: the exit, the layers computed, the forced
+        # flag, and the entropy of each evaluated layer, blank past the exit.
+        cfg, paths = tiny_run
+        ck = load_checkpoint(paths.checkpoint)
+        train = load_dataset(paths.train_data)
+        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.ratio)
+        rows = batch_entropies(ck.branches, hidden_state_cache(ck.encoder, train.inputs))
+        layers = range(1, cfg.num_layers + 1)
+        header = ",".join(["sample_id,exit_layer,layers_computed,forced"] + [f"e{k}" for k in layers])
+        lines = [header]
+        for i, row in enumerate(rows):
+            t = decide_exit(policy, lambda k: row[k - 1])
+            cells = [i, t.exit_layer, t.layers_computed, int(t.forced)]
+            cells.extend(repr(t.entropies[k]) if k in t.entropies else "" for k in layers)
+            lines.append(",".join(str(cell) for cell in cells))
+        assert any(line.endswith(",") for line in lines), "no exit before the last layer"
+        assert paths.exit_traces.read_text() == "\n".join(lines) + "\n"
 
 
 class TestReplay:
@@ -857,11 +880,10 @@ class TestReplay:
                 heldout, NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
             )
             table = build_layer_table(ck.encoder, ck.branches, noised, ck.downstream)
-            served = [
-                run_exit(ck.encoder, ck.branches, policy, noised.inputs[i], i)[1]
-                for i in range(noised.num_sequences)
-            ]
-            assert replay_exits(table, policy) == served, level
+            exits, forced = decide_exits(policy, table.entropies)
+            assert_served_exits(
+                ck.encoder, ck.branches, policy, noised.inputs, table.entropies, exits, forced
+            )
 
 
 class TestMemo:

@@ -5,8 +5,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adaexit.branches import EntropyProfile, train_branches
 from adaexit.encoder import forward_all
@@ -24,6 +25,7 @@ from adaexit.policy import (
     run_exit,
     save_policy,
 )
+from adaexit.probe import LayerTable, replay_timing
 from adaexit.teacher import train_teacher
 
 
@@ -126,12 +128,11 @@ class TestDecideExit:
         policy = ExitPolicy(
             threshold=1.5, ratio=1.0, num_layers=6, span_kind="minmax", allowed=(2, 3, 4)
         )
-        ids = [7, 3, 9, 0, 4]
-        expected = [
-            decide_exit(policy, lambda k: row[k - 1], sample_id=i) for i, row in zip(ids, table)
-        ]
-        assert decide_exits(policy, table, sample_ids=ids) == expected
-        assert [t.sample_id for t in decide_exits(policy, table)] == [0, 1, 2, 3, 4]
+        exits, forced = decide_exits(policy, table)
+        traces = [decide_exit(policy, lambda k: row[k - 1]) for row in table]
+        assert exits.dtype == np.int64 and forced.dtype == np.bool_
+        assert exits.tolist() == [t.exit_layer for t in traces]
+        assert forced.tolist() == [t.forced for t in traces]
 
     @pytest.mark.parametrize("shape", [(5, 4), (5, 7), (6,)])
     def test_table_of_another_depth_rejected(self, shape):
@@ -169,6 +170,83 @@ class TestDecideExit:
                 policy = calibrate(profile, float(ratio))
                 exits.append(decide_exit(policy, _entropy_seq(values)).exit_layer)
             assert all(a >= b for a, b in zip(exits, exits[1:]))
+
+
+@st.composite
+def policies_and_tables(draw):
+    """A policy of any span kind (through `constrain`) or pinned, and an entropy table.
+
+    The threshold is 0 or one of the table's own entries, so rows tie with
+    it; a tie must not fire.
+    """
+    num_layers = draw(st.integers(1, 8))
+    num_rows = draw(st.integers(1, 12))
+    table = draw(arrays(
+        np.float64, (num_rows, num_layers),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+        | st.floats(0.0, 3.5, allow_subnormal=False),
+    ))
+    threshold = draw(st.sampled_from([0.0, *table.ravel().tolist()]))
+    kind = draw(st.sampled_from(("pinned", *SPAN_KINDS)))
+    if kind == "pinned":
+        return fixed_exit_policy(draw(st.integers(1, num_layers)), num_layers), table
+    counts = draw(st.lists(st.integers(0, 5), min_size=num_layers, max_size=num_layers))
+    counts[draw(st.integers(0, num_layers - 1))] += 1
+    stats = ExitCounts(tuple(counts))
+    cutoff = max(stats.fractions) * draw(st.floats(0.01, 0.99))
+    base = ExitPolicy(threshold=threshold, ratio=1.0, num_layers=num_layers)
+    return constrain(base, kind, stats, rate_cutoff=cutoff), table
+
+
+def _per_trace_timing(table: LayerTable, policy: ExitPolicy) -> dict:
+    """`replay_timing`'s prices from one `decide_exit` trace per row."""
+    traces = [decide_exit(policy, lambda k: row[k - 1]) for row in table.entropies]
+    all_layers = table.num_samples * table.num_layers
+    blocks = sum(t.exit_layer for t in traces) / all_layers * table.block_seconds
+    branches = sum(len(t.entropies) for t in traces) / all_layers * table.branch_seconds
+    early = table.embed_seconds + blocks + branches
+    full = table.embed_seconds + table.block_seconds
+    return {
+        "early_exit_seconds": float(early),
+        "full_pass_seconds": float(full),
+        "forward_time_saved": float(1.0 - early / full),
+    }
+
+
+class TestDecideExitsVectorized:
+    """`decide_exits` over a table is `decide_exit` over each row, in two arrays."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(policies_and_tables())
+    @example((fixed_exit_policy(1, 1), np.zeros((1, 1))))
+    @example((ExitPolicy(0.0, 0.0, 3, allowed=(1, 3)), np.zeros((1, 3))))
+    def test_equals_the_row_loop_over_decide_exit(self, case):
+        policy, table = case
+        exits, forced = decide_exits(policy, table)
+        traces = [decide_exit(policy, lambda k: row[k - 1]) for row in table]
+        assert exits.dtype == np.int64 and exits.shape == (len(table),)
+        assert forced.dtype == np.bool_ and forced.shape == (len(table),)
+        assert exits.tolist() == [t.exit_layer for t in traces]
+        assert forced.tolist() == [t.forced for t in traces]
+        evaluated = np.searchsorted(policy.allowed, exits, side="right")
+        assert evaluated.tolist() == [len(t.entropies) for t in traces]
+        if policy.threshold == 0.0:  # no entropy is below 0: every row is forced
+            assert forced.all() and (exits == policy.allowed[-1]).all()
+        timed = LayerTable(
+            entropies=table,
+            correct=np.zeros(table.shape, dtype=np.int64),
+            scored=np.ones(len(table), dtype=np.int64),
+            task="frame",
+            embed_seconds=0.3,
+            block_seconds=2.7,
+            branch_seconds=1.1,
+        )
+        assert replay_timing(timed, policy) == _per_trace_timing(timed, policy)
+
+    def test_tie_with_the_threshold_does_not_fire(self):
+        policy = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=3)
+        exits, forced = decide_exits(policy, np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 1.0]]))
+        assert exits.tolist() == [3, 3] and forced.tolist() == [False, True]
 
 
 class TestSpans:

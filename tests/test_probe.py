@@ -9,7 +9,7 @@ from adaexit.branches import sample_entropies, train_branches
 from adaexit.encoder import forward_all, parameter_digest
 from adaexit.errors import ConfigError
 from adaexit.numeric import layer_norm
-from adaexit.policy import ExitPolicy, fixed_exit_policy
+from adaexit.policy import ExitPolicy, decide_exits, fixed_exit_policy
 from adaexit.probe import (
     DownstreamHead,
     LayerTable,
@@ -20,14 +20,13 @@ from adaexit.probe import (
     normalize_prefix,
     prefix_weights,
     replay_evaluate,
-    replay_exits,
     replay_timing,
     train_downstream,
     weighted_features,
 )
 from adaexit.teacher import train_teacher
 
-from conftest import SMALL_ENCODER, truncated_forward
+from conftest import SMALL_ENCODER, assert_served_exits, truncated_forward
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +170,8 @@ class TestTrainDownstream:
         result = train_downstream(
             enc, branches, always_first, head, small_dataset, lr=0.5, steps=10, seed=8
         )
-        assert all(t.exit_layer == 1 for t in result.traces)
+        assert result.exits.tolist() == [1] * small_dataset.num_sequences
+        assert not result.forced.any()
         assert result.span_stats.mean == 1.0
 
     def test_span_stats_one_trace_per_sample(self, stack, policy, small_dataset):
@@ -182,8 +182,11 @@ class TestTrainDownstream:
         result = train_downstream(
             enc, branches, policy, head, small_dataset, lr=0.5, steps=5, seed=8
         )
-        assert len(result.traces) == small_dataset.num_sequences
-        assert [t.sample_id for t in result.traces] == list(range(small_dataset.num_sequences))
+        n = small_dataset.num_sequences
+        assert result.entropies.shape == (n, SMALL_ENCODER.num_layers)
+        assert result.exits.shape == result.forced.shape == (n,)
+        exits, forced = decide_exits(policy, result.entropies)
+        assert np.array_equal(result.exits, exits) and np.array_equal(result.forced, forced)
         assert result.span_stats.num_samples == small_dataset.num_sequences
 
     def test_gradients_match_finite_differences(self, stack, small_dataset):
@@ -374,8 +377,11 @@ class TestLayerTable:
         head = _random_head(rng, num_labels=small_dataset.num_classes)
         table = build_layer_table(enc, branches, small_dataset, head)
         policy = fixed_exit_policy(2, SMALL_ENCODER.num_layers)
-        assert [t.exit_layer for t in replay_exits(table, policy)] == [2] * len(
-            small_dataset.inputs
+        exits, forced = decide_exits(policy, table.entropies)
+        assert exits.tolist() == [2] * small_dataset.num_sequences
+        assert forced.all()  # threshold 0: no entropy is below it
+        assert_served_exits(
+            enc, branches, policy, small_dataset.inputs, table.entropies, exits, forced
         )
         reference = evaluate_static(enc, head, small_dataset, 2)
         replayed = replay_evaluate(table, policy)
@@ -385,10 +391,19 @@ class TestLayerTable:
         enc, branches = stack
         head = _random_head(rng, num_labels=small_dataset.num_classes)
         table = build_layer_table(enc, branches, small_dataset, head)
-        with pytest.raises(ConfigError):
-            replay_exits(table, ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers + 1))
+        deeper = ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers + 1)
+        for replay in (replay_evaluate, replay_timing):
+            with pytest.raises(ConfigError, match="policy is for 5 layers"):
+                replay(table, deeper)
+        policy = ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers)
         with pytest.raises(ValueError, match="empty"):
-            replay_exits(table, ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers), rows=[])
+            replay_evaluate(table, policy, rows=[])
+        no_rows = LayerTable(
+            entropies=table.entropies[:0], correct=table.correct[:0], scored=table.scored[:0],
+            task="frame", embed_seconds=0.0, block_seconds=0.0, branch_seconds=0.0,
+        )
+        with pytest.raises(ValueError, match="empty"):
+            replay_timing(no_rows, policy)
 
     def test_evaluate_has_no_timing(self, stack, small_dataset, rng):
         enc, branches = stack
