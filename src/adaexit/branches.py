@@ -9,8 +9,13 @@ posterior; dataset-level per-layer means feed threshold calibration.
 
 `entropy_from_hidden` is the per-sample entropy kernel behind serving;
 `batch_entropies` takes a batch's (layers, B, frames, d) states to (B,
-layers) entropies with the same bits per sample, and every whole-dataset
-pass uses it: `entropy_table` forwards a dataset in batched chunks and
+layers) entropies with the same bits per sample. Both take the logits
+from the branches' float64 arrays (`BranchSet.f64`, cast once and kept)
+and run them through numeric's unvalidated cores, `softmax64` and
+`entropy64`. Finite hidden states give finite logits, so the checked
+`softmax`'s finiteness scan is skipped; a non-finite hidden state makes a
+non-finite entropy, which fails by layer. Every whole-dataset pass uses
+`batch_entropies`: `entropy_table` forwards a dataset in batched chunks and
 returns its (N, layers) entropies. A profile is the column running mean of
 per-sample entropy rows (`EntropyProfile.from_rows`), wherever those rows
 already exist: training profiles the training split from the hidden-state
@@ -20,7 +25,9 @@ cache it trained on, and `entropy_profile` is the profile of an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +36,9 @@ from .encoder import FORWARD_CHUNK, Encoder, cache_of, forward_batch
 from .numeric import (
     DTYPE,
     entropy64,
-    matmul64,
     running_mean,
     running_means,
-    softmax,
+    softmax64,
     train_linear_heads,
 )
 from .teacher import TeacherHead, pseudo_labels
@@ -76,12 +82,21 @@ class BranchSet:
     def model_dim(self) -> int:
         return self.weights.shape[2]
 
+    @cached_property
+    def f64(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights and biases cast to float64 on first use and kept: the logits' operands.
+
+        Derived data, not a field: the checkpoint sees the float32 arrays only.
+        """
+        return self.weights.astype(np.float64), self.biases.astype(np.float64)
+
 
 @dataclass(frozen=True)
 class BranchTrainResult:
     branches: BranchSet
     loss_rows: list[tuple[int, int, float]]  # (step, layer, mean batch loss)
-    profile: EntropyProfile  # the training split under the trained branches
+    entropies: np.ndarray  # (N, num_layers) float64: the training split under the branches
+    profile: EntropyProfile  # the column means of `entropies`
 
 
 @dataclass(frozen=True)
@@ -159,31 +174,55 @@ def train_branches(
         (step, k + 1, float(loss)) for step, row in enumerate(losses) for k, loss in enumerate(row)
     ]
     trained = BranchSet(weights=weights, biases=biases)
-    profile = EntropyProfile.from_rows(np.concatenate([
+    entropies = np.concatenate([
         batch_entropies(trained, cache[:, lo : lo + FORWARD_CHUNK])
         for lo in range(0, data.num_sequences, FORWARD_CHUNK)
-    ]))
-    return BranchTrainResult(branches=trained, loss_rows=loss_rows, profile=profile)
+    ])
+    return BranchTrainResult(
+        branches=trained,
+        loss_rows=loss_rows,
+        entropies=entropies,
+        profile=EntropyProfile.from_rows(entropies),
+    )
 
 
 def branch_logits(branches: BranchSet, hidden: np.ndarray, layer: int) -> np.ndarray:
-    """Logits of branch `layer` (1-based) over a (frames, model_dim) hidden matrix."""
+    """Float64 logits of branch `layer` (1-based) over (..., frames, model_dim) hidden states."""
     if not 1 <= layer <= branches.num_layers:
         raise ValueError(f"layer {layer} out of range 1..{branches.num_layers}")
-    w = branches.weights[layer - 1]
-    b = branches.biases[layer - 1]
-    return matmul64(hidden, w.T) + b.astype(np.float64)
+    weights, biases = branches.f64
+    logits = hidden.astype(np.float64) @ weights[layer - 1].T
+    logits += biases[layer - 1]
+    return logits
+
+
+def _frame_entropies(branches: BranchSet, hidden: np.ndarray, layer: int) -> np.ndarray:
+    """Per-frame posterior entropies of branch `layer`, through the unvalidated cores.
+
+    A non-finite hidden state makes its frame's logits, and so its entropy,
+    NaN; callers check the frame means they take, not the logits.
+    """
+    logits = branch_logits(branches, hidden, layer)
+    return entropy64(softmax64(logits, out=logits))
+
+
+def _not_finite(layer: int) -> ValueError:
+    return ValueError(
+        f"layer {layer} branch entropy is not finite: its hidden states hold inf or NaN"
+    )
 
 
 def entropy_from_hidden(branches: BranchSet, hidden: np.ndarray, layer: int) -> float:
     """Mean per-frame posterior entropy of one branch over one sample, in nats.
 
-    softmax rows are normalized and nonnegative by construction, so their
-    entropy skips `numeric.entropy`'s checks; softmax still rejects
-    non-finite logits.
+    softmax rows are normalized and nonnegative by construction, and finite
+    hidden states give finite logits, so the softmax and entropy skip
+    `numeric`'s checks; a non-finite result fails by layer instead.
     """
-    probs = softmax(branch_logits(branches, hidden, layer))
-    return running_mean(entropy64(probs))
+    h = running_mean(_frame_entropies(branches, hidden, layer))
+    if not math.isfinite(h):
+        raise _not_finite(layer)
+    return h
 
 
 def branch_entropy(branches: BranchSet, states: np.ndarray, layer: int) -> float:
@@ -211,7 +250,9 @@ def batch_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
     """
     out = np.empty(states.shape[1::-1], dtype=np.float64)
     for k, hidden in enumerate(states, start=1):
-        out[:, k - 1] = running_means(entropy64(softmax(branch_logits(branches, hidden, k))))
+        out[:, k - 1] = running_means(_frame_entropies(branches, hidden, k))
+        if not np.isfinite(out[:, k - 1]).all():
+            raise _not_finite(k)
     return out
 
 

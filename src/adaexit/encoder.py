@@ -17,6 +17,17 @@ product loops over the leading dims with one (frames, .) product, so the
 batch is invariant: a sample's layers do not depend on what shares its
 batch, and equal the per-sample pass bit for bit.
 
+A block computes in float64 from its own float64 arrays, `BlockParams.f64`,
+cast once on the block's first use and kept on it (blocks with equal
+arrays, as in an encoder redrawn from its seed or reloaded from its
+checkpoint, share one copy); the checkpoint, `parameter_arrays` and
+`parameter_digest` see only the float32 fields.
+Q, K and V are one stacked (3d, d) weight, so attention runs one
+(frames, d) @ (d, 3d) product and takes Q, K and V as views of it. The
+blocks call numeric's unvalidated cores, `layer_norm64` and `softmax64`:
+their operands are finite by construction, since the input is checked here
+and a checkpoint refuses non-finite arrays.
+
 `hidden_state_cache` is every layer of every sequence of a dataset, the one
 (num_layers, N, frames, model_dim) cache that the teacher, the branches and
 the downstream head train on; `cache_of` checks a cache handed to one of
@@ -26,7 +37,11 @@ them, or builds it.
 from __future__ import annotations
 
 import hashlib
+import math
+import weakref
 from dataclasses import dataclass, fields
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ConfigError
@@ -101,6 +116,65 @@ class BlockParams:
     ffn_in_bias: np.ndarray
     ffn_out_weight: np.ndarray
     ffn_out_bias: np.ndarray
+
+    @cached_property
+    def f64(self) -> Block64:
+        """The arrays `_block` computes with, cast to float64 on first use and kept.
+
+        Derived data, not a field: the checkpoint, `parameter_arrays` and
+        `parameter_digest` see the float32 arrays only, and a block built by
+        `dataclasses.replace` derives its copy from its own arrays. The
+        parameters are frozen: an in-place edit of a float32 array after the
+        first forward is not seen. Blocks with equal arrays share one copy,
+        kept while any of them holds it.
+        """
+        h = hashlib.sha256()
+        for f in fields(self):
+            a = getattr(self, f.name)
+            h.update(f"{f.name}{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a))
+        key = h.digest()
+        shared = _SHARED_F64.get(key)
+        if shared is None:
+            shared = _SHARED_F64[key] = Block64.cast(self)
+        return shared
+
+
+@dataclass(frozen=True)
+class Block64:
+    """A block's arrays in float64; each weight is the transposed (in, out) view, for `x @ w`.
+
+    Q, K and V are one projection: their (d, d) weights stacked into one
+    (3d, d) matrix and their biases into one (3d,) vector, in that order.
+    """
+
+    attn_norm_gain: np.ndarray
+    attn_norm_bias: np.ndarray
+    qkv_weight: np.ndarray  # (model_dim, 3 * model_dim)
+    qkv_bias: np.ndarray  # (3 * model_dim,)
+    out_weight: np.ndarray
+    out_bias: np.ndarray
+    ffn_norm_gain: np.ndarray
+    ffn_norm_bias: np.ndarray
+    ffn_in_weight: np.ndarray
+    ffn_in_bias: np.ndarray
+    ffn_out_weight: np.ndarray
+    ffn_out_bias: np.ndarray
+
+    @classmethod
+    def cast(cls, block: BlockParams) -> Block64:
+        arrays = {f.name: getattr(block, f.name).astype(np.float64) for f in fields(block)}
+        return cls(
+            qkv_weight=np.concatenate([arrays.pop(f"{x}_weight") for x in "qkv"]).T,
+            qkv_bias=np.concatenate([arrays.pop(f"{x}_bias") for x in "qkv"]),
+            **{name: a.T if name.endswith("_weight") else a for name, a in arrays.items()},
+        )
+
+
+# Every encoder drawn from one seed or loaded from one checkpoint has the same
+# blocks, and a process may hold several at once: serving set-up trains a new
+# model while the old one still serves. Keyed by a SHA-256 of a block's arrays.
+_SHARED_F64: weakref.WeakValueDictionary[bytes, Block64] = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -192,21 +266,23 @@ def parameter_digest(enc: Encoder) -> str:
 
 
 def _attention(a: np.ndarray, block: BlockParams, num_heads: int) -> np.ndarray:
-    """Self-attention within each (frames, model_dim) matrix of a (..., frames, d) stack."""
+    """Self-attention within each (frames, model_dim) matrix of a (..., frames, d) float64 stack."""
     *lead, frames, d = a.shape
     head_dim = d // num_heads
-    q = matmul64(a, block.q_weight.T) + block.q_bias.astype(np.float64)
-    k = matmul64(a, block.k_weight.T) + block.k_bias.astype(np.float64)
-    v = matmul64(a, block.v_weight.T) + block.v_bias.astype(np.float64)
-    # Heads become a leading dim: (..., frames, heads, head_dim) -> (..., heads, frames, head_dim).
-    split = (*lead, frames, num_heads, head_dim)
-    q = q.reshape(split).swapaxes(-3, -2)
-    k = k.reshape(split).swapaxes(-3, -2)
-    v = v.reshape(split).swapaxes(-3, -2)
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(head_dim)
+    p = block.f64
+    qkv = a @ p.qkv_weight
+    qkv += p.qkv_bias
+    # Q, K and V are views of the one product, with heads a leading dim:
+    # (..., frames, 3, heads, head_dim) -> (..., heads, 3, frames, head_dim).
+    split = qkv.reshape(*lead, frames, 3, num_heads, head_dim).swapaxes(-4, -2)
+    q, k, v = split[..., 0, :, :], split[..., 1, :, :], split[..., 2, :, :]
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(head_dim)
     weights = softmax64(scores, out=scores)
     ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, frames, d)
-    return matmul64(ctx, block.out_weight.T) + block.out_bias.astype(np.float64)
+    out = ctx @ p.out_weight
+    out += p.out_bias
+    return out
 
 
 def _block(stream: np.ndarray, block: BlockParams, num_heads: int) -> np.ndarray:
@@ -215,14 +291,18 @@ def _block(stream: np.ndarray, block: BlockParams, num_heads: int) -> np.ndarray
     Every matrix product loops over the leading dims with one (frames, .)
     product each, so a sample's result does not depend on what it is
     stacked with: a batch's layers equal the single-sample ones bit for bit.
+    The operands are the block's float64 arrays (`BlockParams.f64`), cast
+    once per block, not once per call.
     """
+    p = block.f64
     h64 = stream.astype(np.float64)
-    attn_in = layer_norm64(h64, block.attn_norm_gain, block.attn_norm_bias)
-    h64 = h64 + _attention(attn_in, block, num_heads)
-    ffn_in = layer_norm64(h64, block.ffn_norm_gain, block.ffn_norm_bias)
-    hid = matmul64(ffn_in, block.ffn_in_weight.T) + block.ffn_in_bias.astype(np.float64)
+    h64 += _attention(layer_norm64(h64, p.attn_norm_gain, p.attn_norm_bias), block, num_heads)
+    hid = layer_norm64(h64, p.ffn_norm_gain, p.ffn_norm_bias) @ p.ffn_in_weight
+    hid += p.ffn_in_bias
     np.maximum(hid, 0.0, out=hid)
-    return h64 + matmul64(hid, block.ffn_out_weight.T) + block.ffn_out_bias.astype(np.float64)
+    h64 += hid @ p.ffn_out_weight
+    h64 += p.ffn_out_bias
+    return h64
 
 
 def _embed(enc: Encoder, frames, batched: bool) -> np.ndarray:

@@ -18,10 +18,14 @@ Inputs are checked at the module boundary, not inside the hot loops.
 are given, and softmax refuses non-finite logits; `train_linear_heads`
 checks its cache, labels, starting weights and hyperparameters once.
 `layer_norm64`, `entropy64`, `softmax64` and `cross_entropy64` are their
-unvalidated float64 cores: the encoder's blocks call `layer_norm64`, branch
-entropies call `entropy64` on softmax rows, which cannot fail `entropy`'s
-checks, and the trainer calls `cross_entropy64` on its own buffers. Each
-core keeps the arithmetic of the checked call bit for bit.
+unvalidated float64 cores. The encoder's blocks call `layer_norm64` and
+`softmax64`. Branch entropies call `softmax64` on their logits and
+`entropy64` on its rows; they skip softmax's finiteness scan and fail by
+layer on a non-finite entropy instead. The trainer calls `cross_entropy64`
+on its own buffers. Each core keeps the arithmetic of the checked call bit
+for bit and takes float32 or float64 parameters alike; the blocks and the
+branches pass float64 copies of theirs, cast once (`BlockParams.f64`,
+`BranchSet.f64`).
 """
 
 from __future__ import annotations
@@ -310,9 +314,16 @@ def entropy(p: np.ndarray) -> float | np.ndarray:
 
 
 def entropy64(q: np.ndarray) -> np.ndarray:
-    """Unvalidated float64 core of `entropy`, per row; branch entropies call it on softmax rows."""
-    log_q = np.zeros_like(q)
-    np.log(q, out=log_q, where=q > 0)
+    """Unvalidated float64 core of `entropy`, per row; branch entropies call it on softmax rows.
+
+    A zero probability's log is taken at the smallest subnormal, so its
+    term is -0.0 where a masked log gave +0.0. The row sums keep their bits:
+    a probability row also holds a negative term, or a 1 whose +0.0 term
+    absorbs the signed zeros. NaN probabilities propagate to their row's
+    entropy.
+    """
+    log_q = np.maximum(q, 5e-324)
+    np.log(log_q, out=log_q)
     log_q *= q
     return -log_q.sum(axis=-1)
 
@@ -327,8 +338,8 @@ def layer_norm64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     scale += eps
     np.sqrt(scale, out=scale)
     c /= scale
-    c *= gain.astype(np.float64)
-    c += bias.astype(np.float64)
+    c *= gain  # float32 gains widen exactly, so cast or float64 gains give the same bits
+    c += bias
     return c
 
 

@@ -8,11 +8,13 @@ with a fresh memo.
 
 The memo holds what one run computes once: the training split's
 hidden-state cache, which the teacher, the branches and the downstream
-head all train on, and eval's held-out entropy table, which is the noise
-sweep's clean level. Each value is keyed by digests of what it was
-computed from, so a stage never reads a value computed from another
-encoder, other branches or other inputs. Train-downstream is the cache's
-last reader: it takes it out of the memo and normalizes it in place.
+head all train on; the training split's entropy table, which
+train-branches computes for its profile and train-downstream decides its
+exits from; and eval's held-out entropy table, which is the noise sweep's
+clean level. Each value is keyed by digests of what it was computed from,
+so a stage never reads a value computed from another encoder, other
+branches or other inputs. Train-downstream is the cache's last reader: it
+takes it out of the memo and normalizes it in place.
 
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
@@ -465,6 +467,12 @@ class Memo:
         """Keep `table` as the entropy table of `inputs` under `enc` and `branches`."""
         self._values[_memo_key("entropies", enc, inputs, branches)] = table
 
+    def kept_entropy_table(
+        self, enc: Encoder, branches: BranchSet, inputs: np.ndarray
+    ) -> np.ndarray | None:
+        """The entropy table kept for `inputs` under `enc` and `branches`, or None; builds nothing."""
+        return self._values.get(_memo_key("entropies", enc, inputs, branches))
+
 
 def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Draw the full dataset once and split it into train and held-out files."""
@@ -520,6 +528,7 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = Non
         paths.checkpoint,
     )
     paths.policy_file.unlink(missing_ok=True)
+    memo.put_entropy_table(ck.encoder, result.branches, train.inputs, result.entropies)
     _write_csv(
         paths.branch_loss,
         "step,layer,loss",
@@ -596,6 +605,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
         task=cfg.task,
         renormalize=cfg.renormalize,
         cache=memo.take_hidden_states(ck.encoder, train.inputs),
+        entropies=memo.kept_entropy_table(ck.encoder, ck.branches, train.inputs),
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
     _write_json(paths.span_stats, {"exit_counts": list(result.span_stats.counts)})

@@ -225,6 +225,7 @@ def train_downstream(
     renormalize: bool = True,
     *,
     cache: np.ndarray | None = None,
+    entropies: np.ndarray | None = None,
 ) -> DownstreamTrainResult:
     """Train the probe and layer weights with early exit active on every sample.
 
@@ -234,8 +235,11 @@ def train_downstream(
     branch entropies of its layers give `run_exit`'s exits, and then the
     cache is layer-normalized in place, one layer of one chunk at a time,
     so a sample's prefix is the view of its layers up to its exit. A given
-    cache is overwritten. The exit counts (one exit per sample) are the
-    span statistics used by inference-time constraints.
+    cache is overwritten. `entropies`, when given, are those (N, num_layers)
+    float64 entropy rows, already computed from the cache under `branches`
+    (`BranchTrainResult.entropies`); that they are is the caller's promise.
+    The exit counts (one exit per sample) are the span statistics used by
+    inference-time constraints.
     """
     _check_dataset(data, task)
     if policy.num_layers != enc.config.num_layers:
@@ -243,13 +247,21 @@ def train_downstream(
             f"policy is for {policy.num_layers} layers, encoder has {enc.config.num_layers}"
         )
     cache = cache_of(enc, data.inputs, cache)
+    expected = (data.num_sequences, enc.config.num_layers)
+    if entropies is not None and (entropies.shape != expected or entropies.dtype != np.float64):
+        raise ValueError(
+            f"entropies must be float64 (N, num_layers) = {expected}, "
+            f"got {entropies.dtype} {entropies.shape}"
+        )
     rows = []
     for lo in range(0, data.num_sequences, FORWARD_CHUNK):
         chunk = cache[:, lo : lo + FORWARD_CHUNK]
-        rows.append(batch_entropies(branches, chunk))
+        if entropies is None:
+            rows.append(batch_entropies(branches, chunk))
         for layer in chunk:  # a layer at a time: float64 temporaries of one layer only
             layer[...] = layer_norm(layer)
-    entropies = np.concatenate(rows)
+    if entropies is None:
+        entropies = np.concatenate(rows)
     exits, forced = decide_exits(policy, entropies)
     prefixes = [cache[:k, i] for i, k in enumerate(exits.tolist())]
     span_stats = ExitCounts.of(exits, policy.num_layers)

@@ -5,26 +5,43 @@ computed in: its size, its order, or the other sequences in it. Each test
 compares against `IncrementalForward` (through `forward_all`) and
 `sample_entropies` bit for bit, on the small test encoder and on the
 default-size one the pipeline runs.
+
+Both paths also equal the reference kernels kept here bit for bit: a block
+with three separate Q, K and V products and every parameter cast per call,
+and a branch entropy through the checked softmax and a where-masked log.
+The fused QKV product's bits rest on the kernel BLAS picks for its width,
+so CI runs this file under a second OpenBLAS core type as well.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adaexit.branches import BranchSet, batch_entropies, init_branches, sample_entropies
+from adaexit.branches import (
+    BranchSet,
+    batch_entropies,
+    entropy_from_hidden,
+    init_branches,
+    sample_entropies,
+)
 from adaexit.encoder import (
     FORWARD_CHUNK,
+    BlockParams,
     EncoderConfig,
     IncrementalForward,
+    embed_batch,
     forward_all,
     forward_batch,
     hidden_state_cache,
     init_encoder,
+    parameter_digest,
 )
-from adaexit.numeric import running_mean, running_means
+from adaexit.numeric import entropy64, matmul64, running_mean, running_means, softmax, softmax64
+from adaexit.serialize import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 
 from conftest import SMALL_ENCODER
 
@@ -167,3 +184,193 @@ class TestRunningMeans:
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="expected a"):
             running_means(np.ones(shape))
+
+
+# Reference kernels: the block and the branch entropy as they were computed
+# before the block's float64 arrays were cast once and Q, K and V fused.
+
+
+def _reference_layer_norm(x64, gain, bias, eps=1e-5):
+    width = x64.shape[-1]
+    c = x64 - x64.sum(axis=-1, keepdims=True) / width
+    scale = (c * c).sum(axis=-1, keepdims=True) / width
+    scale += eps
+    np.sqrt(scale, out=scale)
+    c /= scale
+    c *= gain.astype(np.float64)
+    c += bias.astype(np.float64)
+    return c
+
+
+def _reference_block(stream, block, num_heads):
+    """One block with three separate Q, K and V products and every parameter cast per call."""
+
+    def linear(x, weight, bias):
+        return matmul64(x, weight.T) + bias.astype(np.float64)
+
+    h64 = stream.astype(np.float64)
+    a = _reference_layer_norm(h64, block.attn_norm_gain, block.attn_norm_bias)
+    *lead, frames, d = a.shape
+    head_dim = d // num_heads
+    split = (*lead, frames, num_heads, head_dim)
+    q, k, v = (
+        linear(a, weight, bias).reshape(split).swapaxes(-3, -2)
+        for weight, bias in (
+            (block.q_weight, block.q_bias),
+            (block.k_weight, block.k_bias),
+            (block.v_weight, block.v_bias),
+        )
+    )
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(head_dim)
+    weights = softmax64(scores, out=scores)
+    ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, frames, d)
+    h64 = h64 + linear(ctx, block.out_weight, block.out_bias)
+    ffn_in = _reference_layer_norm(h64, block.ffn_norm_gain, block.ffn_norm_bias)
+    hid = linear(ffn_in, block.ffn_in_weight, block.ffn_in_bias)
+    np.maximum(hid, 0.0, out=hid)
+    return h64 + matmul64(hid, block.ffn_out_weight.T) + block.ffn_out_bias.astype(np.float64)
+
+
+def _reference_forward(enc, inputs):
+    """Every layer of a (B, frames, input_dim) batch through `_reference_block`."""
+    stream = embed_batch(enc, inputs)
+    layers = []
+    for block in enc.blocks:
+        stream = _reference_block(stream, block, enc.config.num_heads).astype(np.float32)
+        layers.append(stream)
+    return np.stack(layers)
+
+
+def _reference_entropy64(q):
+    log_q = np.zeros_like(q)
+    np.log(q, out=log_q, where=q > 0)
+    log_q *= q
+    return -log_q.sum(axis=-1)
+
+
+def _reference_frame_entropies(branches, hidden, layer):
+    """Per-frame entropies of branch `layer` through the checked softmax and the masked log."""
+    w, b = branches.weights[layer - 1], branches.biases[layer - 1]
+    return _reference_entropy64(softmax(matmul64(hidden, w.T) + b.astype(np.float64)))
+
+
+def _scaled_branches(branches, scale):
+    return BranchSet(
+        weights=branches.weights * np.float32(scale), biases=branches.biases * np.float32(scale)
+    )
+
+
+def _with_random_norms_and_biases(enc):
+    """`enc` with every gain and bias drawn at random: the drawn encoder's are ones and zeros."""
+    rng = np.random.default_rng(31)
+    vectors = [name for name in TestDerivedFloat64Arrays.BLOCK_ARRAYS if not name.endswith("weight")]
+    return dataclasses.replace(enc, blocks=tuple(
+        dataclasses.replace(block, **{
+            name: (1 + 0.3 * rng.standard_normal(getattr(block, name).shape)).astype(np.float32)
+            for name in vectors
+        })
+        for block in enc.blocks
+    ))
+
+
+class TestAgainstReferenceKernels:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_layers_equal_the_reference_block(self, enc, perturbed):
+        enc = _with_random_norms_and_biases(enc) if perturbed else enc
+        inputs = _batch(enc, np.random.default_rng(21), 7)
+        reference = _reference_forward(enc, inputs)
+        assert np.array_equal(forward_batch(enc, inputs), reference)
+        for b, x in enumerate(inputs):
+            assert np.array_equal(forward_all(enc, x), reference[:, b]), b
+            assert np.array_equal(_reference_forward(enc, x[None])[:, 0], reference[:, b]), b
+
+    # Scale 400 makes posteriors whose small probabilities underflow to exact zeros.
+    @pytest.mark.parametrize("scale", [1.0, 400.0])
+    def test_entropies_equal_the_reference_kernel(self, enc, branches, scale):
+        scaled = _scaled_branches(branches, scale)
+        states = forward_batch(enc, _batch(enc, np.random.default_rng(22), 7))
+        reference = np.stack(
+            [running_means(_reference_frame_entropies(scaled, hidden, k))
+             for k, hidden in enumerate(states, start=1)],
+            axis=1,
+        )
+        assert batch_entropies(scaled, states).tobytes() == reference.tobytes()
+        if scale > 1:
+            probs = softmax(matmul64(states[-1], scaled.weights[-1].T))
+            assert (probs == 0).any()
+        for b in range(states.shape[1]):
+            for k in range(1, len(states) + 1):
+                single = entropy_from_hidden(scaled, states[k - 1, b], k)
+                assert single == running_mean(
+                    _reference_frame_entropies(scaled, states[k - 1, b], k)
+                ), (b, k)
+                assert single == reference[b, k - 1]
+
+
+class TestEntropy64:
+    @pytest.mark.parametrize("logit_scale", [1.0, 30.0, 1e3, 1e4])
+    def test_equals_the_masked_log_on_underflowed_rows(self, logit_scale):
+        logits = np.random.default_rng(int(logit_scale)).standard_normal((200, 32)) * logit_scale
+        q = softmax(logits)
+        if logit_scale >= 1e3:
+            assert (q == 0).any()
+        assert entropy64(q).tobytes() == _reference_entropy64(q).tobytes()
+
+    def test_equals_the_masked_log_on_one_hot_rows(self):
+        for q in (np.eye(32), np.eye(32)[:, ::-1], np.eye(1)):
+            got = entropy64(q)
+            assert got.tobytes() == _reference_entropy64(q).tobytes()
+            assert (got == 0).all()
+
+
+class TestDerivedFloat64Arrays:
+    BLOCK_ARRAYS = [
+        "attn_norm_gain", "attn_norm_bias", "q_weight", "q_bias", "k_weight", "k_bias",
+        "v_weight", "v_bias", "out_weight", "out_bias", "ffn_norm_gain", "ffn_norm_bias",
+        "ffn_in_weight", "ffn_in_bias", "ffn_out_weight", "ffn_out_bias",
+    ]
+
+    def test_fields_are_the_stored_arrays(self):
+        assert [f.name for f in dataclasses.fields(BlockParams)] == self.BLOCK_ARRAYS
+
+    def test_fused_projection_holds_q_k_v(self, enc):
+        block = enc.blocks[0]
+        d = enc.config.model_dim
+        assert block.f64.qkv_weight.shape == (d, 3 * d)
+        for i, name in enumerate("qkv"):
+            part = slice(i * d, (i + 1) * d)
+            assert np.array_equal(block.f64.qkv_weight[:, part], getattr(block, f"{name}_weight").T)
+            assert np.array_equal(block.f64.qkv_bias[part], getattr(block, f"{name}_bias"))
+        assert block.f64 is block.f64
+
+    def test_checkpoint_round_trip_keeps_its_bytes(self, enc, branches):
+        ck = Checkpoint(encoder=enc, branches=branches)
+        before = checkpoint_to_bytes(ck)
+        digest = parameter_digest(enc)
+        forward_batch(enc, _batch(enc, np.random.default_rng(23), 2))  # fills every block's f64
+        batch_entropies(branches, forward_batch(enc, _batch(enc, np.random.default_rng(24), 2)))
+        assert checkpoint_to_bytes(ck) == before
+        assert parameter_digest(enc) == digest
+        restored = checkpoint_from_bytes(before)
+        assert checkpoint_to_bytes(restored) == before
+        x = _batch(enc, np.random.default_rng(25), 3)
+        assert np.array_equal(forward_batch(restored.encoder, x), forward_batch(enc, x))
+
+    def test_replaced_block_casts_its_own_arrays(self, enc):
+        block = enc.blocks[0]
+        doubled = dataclasses.replace(block, q_weight=block.q_weight * np.float32(2))
+        d = enc.config.model_dim
+        assert np.array_equal(doubled.f64.qkv_weight[:, :d], 2 * block.f64.qkv_weight[:, :d])
+        assert np.array_equal(doubled.f64.qkv_weight[:, d:], block.f64.qkv_weight[:, d:])
+
+    def test_equal_blocks_share_one_copy(self, enc):
+        # A redrawn or reloaded encoder holds the same arrays, and their one float64 copy.
+        redrawn = init_encoder(enc.config)
+        reloaded = checkpoint_from_bytes(checkpoint_to_bytes(Checkpoint(encoder=enc))).encoder
+        for i, block in enumerate(enc.blocks):
+            assert redrawn.blocks[i].f64 is block.f64
+            assert reloaded.blocks[i].f64 is block.f64
+            assert dataclasses.replace(block).f64 is block.f64
+        assert enc.blocks[0].f64 is not enc.blocks[1].f64
+        shifted = dataclasses.replace(enc.blocks[0], q_bias=enc.blocks[0].q_bias + np.float32(1))
+        assert shifted.f64 is not enc.blocks[0].f64

@@ -8,6 +8,7 @@ import pytest
 from adaexit.branches import (
     BranchSet,
     EntropyProfile,
+    batch_entropies,
     branch_entropy,
     branch_logits,
     entropy_profile,
@@ -198,6 +199,34 @@ class TestBranchEntropy:
         for other in (small_dataset.inputs[6], small_dataset.inputs[7]):
             forward_all(small_encoder, other)
         assert branch_entropy(trained, forward_all(small_encoder, x), 2) == alone
+
+
+    # A block output that overflowed float32. The entropy kernel skips softmax's
+    # finiteness scan, so the entropy it reaches must fail by layer instead. numpy's
+    # own invalid-value warning (an error in this suite) is silenced to reach it.
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_hidden_state_named_by_layer(
+        self, small_encoder, trained, small_dataset, bad
+    ):
+        hs = forward_all(small_encoder, small_dataset.inputs[0]).copy()
+        hs[2, 4, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="^layer 3 branch entropy is not finite"
+        ):
+            branch_entropy(trained, hs, 3)
+        assert math.isfinite(branch_entropy(trained, hs, 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_hidden_state_in_a_batch_named_by_layer(
+        self, small_encoder, trained, small_dataset, bad
+    ):
+        states = np.stack([forward_all(small_encoder, x) for x in small_dataset.inputs[:3]], axis=1)
+        states[2, 1, 4, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="^layer 3 branch entropy is not finite"
+        ):
+            batch_entropies(trained, states)
+        assert np.isfinite(batch_entropies(trained, states[:2])).all()
 
 
 class TestEntropyProfile:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaexit import encoder, pipeline
+from adaexit import encoder, pipeline, probe
 from adaexit.branches import BranchSet, batch_entropies, entropy_profile, entropy_table
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
@@ -893,13 +893,24 @@ class TestMemo:
         # The teacher's forward of the training split is the only one: the
         # branches and the downstream head read its cache. The sweep's clean
         # level is eval's table, so its forwards are the noised levels only.
+        # The downstream head decides its exits from the entropy rows that
+        # train-branches computed, and computes none itself.
         forwarded = _count_forwards(monkeypatch)
-        by_stage = {}
+        entropy_rows = []
+        original = probe.batch_entropies
+
+        def counting(branches, states):
+            entropy_rows.append(states.shape[1])
+            return original(branches, states)
+
+        monkeypatch.setattr(probe, "batch_entropies", counting)
+        by_stage, rows_by_stage = {}, {}
         for name, stage in stages().items():
             def recording(cfg, paths, memo, name=name, stage=stage):
-                start = len(forwarded)
+                start, rows_start = len(forwarded), len(entropy_rows)
                 stage(cfg, paths, memo)
                 by_stage[name] = forwarded[start:]
+                rows_by_stage[name] = entropy_rows[rows_start:]
 
             monkeypatch.setattr(pipeline, stage.__name__, recording)
         paths = run_pipeline(tiny_cfg, tmp_path / "run")
@@ -913,6 +924,7 @@ class TestMemo:
         assert not set(heldout).intersection(sweep)
         for name in ("synth", "train-branches", "calibrate", "train-downstream"):
             assert by_stage[name] == [], name
+        assert rows_by_stage["train-downstream"] == []
 
     def test_values_of_other_sources_are_never_served(self, tiny_run, tmp_path):
         # A memo filled from another encoder (other parameters, or the same
@@ -931,14 +943,16 @@ class TestMemo:
         memo = Memo()
         for enc, inputs in ((reseeded, train), (two_heads, train), (ck.encoder, train[::-1])):
             memo.hidden_states(enc, inputs)
-        garbage = np.zeros((cfg.num_eval, cfg.num_layers))
         for enc, branches, inputs in (
             (reseeded, ck.branches, heldout),
             (two_heads, ck.branches, heldout),
             (ck.encoder, other_branches, heldout),
             (ck.encoder, ck.branches, heldout[::-1]),
+            (reseeded, ck.branches, train),
+            (ck.encoder, other_branches, train),
+            (ck.encoder, ck.branches, train[::-1]),
         ):
-            memo.put_entropy_table(enc, branches, inputs, garbage)
+            memo.put_entropy_table(enc, branches, inputs, np.zeros((len(inputs), cfg.num_layers)))
         for stage in (stage_teacher, stage_branches, stage_calibrate, stage_downstream, noise_sweep):
             stage(cfg, copy, memo)
         for path in paths.root.rglob("*"):
@@ -946,6 +960,23 @@ class TestMemo:
                 assert (copy.root / path.relative_to(paths.root)).read_bytes() == (
                     path.read_bytes()
                 ), path.name
+
+    def test_downstream_reads_no_rows_of_other_branches(self, tiny_run, tmp_path):
+        # Only rows kept under other branches: train-downstream computes its
+        # own and writes the bytes of the run.
+        cfg, paths = tiny_run
+        copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
+        ck = load_checkpoint(paths.checkpoint)
+        train = load_dataset(paths.train_data).inputs
+        other_branches = BranchSet(ck.branches.weights + 1, ck.branches.biases)
+        memo = Memo()
+        garbage = np.zeros((len(train), cfg.num_layers))
+        memo.put_entropy_table(ck.encoder, other_branches, train, garbage)
+        assert memo.kept_entropy_table(ck.encoder, ck.branches, train) is None
+        assert memo.kept_entropy_table(ck.encoder, other_branches, train) is garbage
+        stage_downstream(cfg, copy, memo)
+        for name in ("checkpoint", "span_stats", "exit_traces", "downstream_loss"):
+            assert getattr(copy, name).read_bytes() == getattr(paths, name).read_bytes(), name
 
     def test_a_hit_is_the_value_kept_and_take_hands_it_over(self, small_encoder, small_dataset):
         memo = Memo()

@@ -189,6 +189,42 @@ class TestTrainDownstream:
         assert np.array_equal(result.exits, exits) and np.array_equal(result.forced, forced)
         assert result.span_stats.num_samples == small_dataset.num_sequences
 
+    def test_given_entropy_rows_give_the_computed_result(self, stack, policy, small_dataset):
+        enc, branches = stack
+        head = init_downstream_head(
+            SMALL_ENCODER.num_layers, small_dataset.num_classes, SMALL_ENCODER.model_dim, 7
+        )
+
+        def train(**given):
+            return train_downstream(
+                enc, branches, policy, head, small_dataset, lr=0.5, steps=15, seed=8, **given
+            )
+
+        computed = train()
+        given = train(entropies=computed.entropies.copy())
+        assert given.entropies.tobytes() == computed.entropies.tobytes()
+        assert np.array_equal(given.exits, computed.exits)
+        assert np.array_equal(given.forced, computed.forced)
+        assert given.span_stats == computed.span_stats
+        assert given.losses == computed.losses
+        for name in ("layer_weights", "probe_weight", "probe_bias"):
+            assert getattr(given.head, name).tobytes() == getattr(computed.head, name).tobytes()
+
+    def test_given_entropy_rows_of_wrong_shape_or_dtype_refused(
+        self, stack, policy, small_dataset
+    ):
+        enc, branches = stack
+        head = init_downstream_head(
+            SMALL_ENCODER.num_layers, small_dataset.num_classes, SMALL_ENCODER.model_dim, 7
+        )
+        rows = np.zeros((small_dataset.num_sequences, SMALL_ENCODER.num_layers))
+        for bad in (rows[:-1], rows[:, :-1], rows[None], rows.astype(np.float32)):
+            with pytest.raises(ValueError, match=r"^entropies must be float64 \(N, num_layers\)"):
+                train_downstream(
+                    enc, branches, policy, head, small_dataset, lr=0.5, steps=1, seed=8,
+                    entropies=bad,
+                )
+
     def test_gradients_match_finite_differences(self, stack, small_dataset):
         # Two-sample toy batch; checks probe weight and raw layer weight grads.
         from adaexit.probe import _layer_weight_grad, _loss_and_grads
