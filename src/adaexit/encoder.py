@@ -17,11 +17,16 @@ product loops over the leading dims with one (frames, .) product, so the
 batch is invariant: a sample's layers do not depend on what shares its
 batch, and equal the per-sample pass bit for bit.
 
-A block computes in float64 from its own float64 arrays, `BlockParams.f64`,
-cast once on the block's first use and kept on it (blocks with equal
-arrays, as in an encoder redrawn from its seed or reloaded from its
-checkpoint, share one copy); the checkpoint, `parameter_arrays` and
-`parameter_digest` see only the float32 fields.
+Each parameter array's shape is declared once, in `EncoderConfig`
+dimensions, in its field's metadata; `init_encoder` draws and the
+checkpoint reader reads by `Encoder.shapes` and `BlockParams.shapes`.
+The embedding computes in float64 from `Encoder.f64` (the input
+projection, and the positions, derived from the config, not stored) and
+a block from its own float64 arrays, `BlockParams.f64`, each cast once
+on first use and kept (blocks with equal arrays, as in an encoder
+redrawn from its seed or reloaded from its checkpoint, share one copy);
+the checkpoint, `parameter_arrays` and `parameter_digest` see only the
+float32 fields.
 Q, K and V are one stacked (3d, d) weight, so attention runs one
 (frames, d) @ (d, 3d) product and takes Q, K and V as views of it. The
 blocks call numeric's unvalidated cores, `layer_norm64` and `softmax64`:
@@ -39,13 +44,13 @@ from __future__ import annotations
 import hashlib
 import math
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .numeric import DTYPE, layer_norm64, matmul64, new_rng, softmax64
+from .numeric import DTYPE, layer_norm64, new_rng, softmax64
 
 __all__ = [
     "EncoderConfig",
@@ -96,26 +101,42 @@ class EncoderConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
+def _array(*dims: str):
+    """A float32 parameter field whose shape is the named `EncoderConfig` dimensions."""
+    return field(metadata={"shape": dims})
+
+
+class _Arrays:
+    @classmethod
+    def shapes(cls, cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+        """Each parameter array's name and shape under `cfg`, in field (and checkpoint) order."""
+        return {
+            f.name: tuple(getattr(cfg, dim) for dim in f.metadata["shape"])
+            for f in fields(cls)
+            if "shape" in f.metadata
+        }
+
+
 @dataclass(frozen=True)
-class BlockParams:
+class BlockParams(_Arrays):
     """One block's parameters; the checkpoint stores them in field order."""
 
-    attn_norm_gain: np.ndarray
-    attn_norm_bias: np.ndarray
-    q_weight: np.ndarray
-    q_bias: np.ndarray
-    k_weight: np.ndarray
-    k_bias: np.ndarray
-    v_weight: np.ndarray
-    v_bias: np.ndarray
-    out_weight: np.ndarray
-    out_bias: np.ndarray
-    ffn_norm_gain: np.ndarray
-    ffn_norm_bias: np.ndarray
-    ffn_in_weight: np.ndarray
-    ffn_in_bias: np.ndarray
-    ffn_out_weight: np.ndarray
-    ffn_out_bias: np.ndarray
+    attn_norm_gain: np.ndarray = _array("model_dim")
+    attn_norm_bias: np.ndarray = _array("model_dim")
+    q_weight: np.ndarray = _array("model_dim", "model_dim")
+    q_bias: np.ndarray = _array("model_dim")
+    k_weight: np.ndarray = _array("model_dim", "model_dim")
+    k_bias: np.ndarray = _array("model_dim")
+    v_weight: np.ndarray = _array("model_dim", "model_dim")
+    v_bias: np.ndarray = _array("model_dim")
+    out_weight: np.ndarray = _array("model_dim", "model_dim")
+    out_bias: np.ndarray = _array("model_dim")
+    ffn_norm_gain: np.ndarray = _array("model_dim")
+    ffn_norm_bias: np.ndarray = _array("model_dim")
+    ffn_in_weight: np.ndarray = _array("ffn_dim", "model_dim")
+    ffn_in_bias: np.ndarray = _array("ffn_dim")
+    ffn_out_weight: np.ndarray = _array("model_dim", "ffn_dim")
+    ffn_out_bias: np.ndarray = _array("model_dim")
 
     @cached_property
     def f64(self) -> Block64:
@@ -178,12 +199,27 @@ _SHARED_F64: weakref.WeakValueDictionary[bytes, Block64] = weakref.WeakValueDict
 
 
 @dataclass(frozen=True)
-class Encoder:
+class Encoder(_Arrays):
     config: EncoderConfig
-    input_weight: np.ndarray  # (model_dim, input_dim)
-    input_bias: np.ndarray  # (model_dim,)
+    input_weight: np.ndarray = _array("model_dim", "input_dim")
+    input_bias: np.ndarray = _array("model_dim")
     blocks: tuple[BlockParams, ...]
-    positional: np.ndarray  # (max_frames, model_dim), derived from config
+
+    @cached_property
+    def f64(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The embedding's float64 operands, made on first use and kept: derived data, not fields.
+
+        The input weight as the transposed (input_dim, model_dim) view, the
+        bias, and the sinusoidal positions (max_frames, model_dim) of this
+        encoder's config, rounded to float32 and then widened.
+        """
+        cfg = self.config
+        pos = np.arange(cfg.max_frames, dtype=np.float64)[:, None]
+        idx = np.arange(cfg.model_dim, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / cfg.model_dim)
+        positions = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(DTYPE)
+        weight, bias = self.input_weight.astype(np.float64).T, self.input_bias.astype(np.float64)
+        return weight, bias, positions.astype(np.float64)
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in checkpoint order: input projection, then each block's fields."""
@@ -206,55 +242,30 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return (rng.standard_normal((fan_out, fan_in)) * std).astype(DTYPE)
 
 
-def _sinusoidal_positions(max_frames: int, dim: int) -> np.ndarray:
-    pos = np.arange(max_frames, dtype=np.float64)[:, None]
-    idx = np.arange(dim, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
-    enc = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc.astype(DTYPE)
-
-
 def init_encoder(cfg: EncoderConfig) -> Encoder:
     """Build an encoder with deterministic parameters drawn from cfg.seed.
 
-    Residual output projections are scaled by 1/sqrt(2 * num_layers) so each
-    block perturbs the stream gently and information accumulates gradually
-    across depth instead of saturating in the first block.
+    The arrays are drawn in declaration order, the input projection first:
+    a weight is Glorot-normal, a gain ones and a bias zeros. Residual output
+    projections are scaled by 1/sqrt(2 * num_layers) so each block perturbs
+    the stream gently and information accumulates gradually across depth
+    instead of saturating in the first block.
     """
-    d = cfg.model_dim
     rng = new_rng(cfg.seed)
     residual_scale = DTYPE(1.0 / np.sqrt(2.0 * cfg.num_layers))
-    input_weight = _glorot(rng, d, cfg.input_dim)
-    input_bias = np.zeros(d, dtype=DTYPE)
-    blocks = []
-    for _ in range(cfg.num_layers):
-        blocks.append(
-            BlockParams(
-                attn_norm_gain=np.ones(d, dtype=DTYPE),
-                attn_norm_bias=np.zeros(d, dtype=DTYPE),
-                q_weight=_glorot(rng, d, d),
-                q_bias=np.zeros(d, dtype=DTYPE),
-                k_weight=_glorot(rng, d, d),
-                k_bias=np.zeros(d, dtype=DTYPE),
-                v_weight=_glorot(rng, d, d),
-                v_bias=np.zeros(d, dtype=DTYPE),
-                out_weight=_glorot(rng, d, d) * residual_scale,
-                out_bias=np.zeros(d, dtype=DTYPE),
-                ffn_norm_gain=np.ones(d, dtype=DTYPE),
-                ffn_norm_bias=np.zeros(d, dtype=DTYPE),
-                ffn_in_weight=_glorot(rng, cfg.ffn_dim, d),
-                ffn_in_bias=np.zeros(cfg.ffn_dim, dtype=DTYPE),
-                ffn_out_weight=_glorot(rng, d, cfg.ffn_dim) * residual_scale,
-                ffn_out_bias=np.zeros(d, dtype=DTYPE),
-            )
-        )
-    return Encoder(
-        config=cfg,
-        input_weight=input_weight,
-        input_bias=input_bias,
-        blocks=tuple(blocks),
-        positional=_sinusoidal_positions(cfg.max_frames, d),
-    )
+
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.endswith("_weight"):
+            w = _glorot(rng, *shape)
+            return w * residual_scale if name in ("out_weight", "ffn_out_weight") else w
+        return (np.ones if name.endswith("_gain") else np.zeros)(shape, dtype=DTYPE)
+
+    def draw_all(kind: type[_Arrays]) -> dict[str, np.ndarray]:
+        return {name: draw(name, shape) for name, shape in kind.shapes(cfg).items()}
+
+    projection = draw_all(Encoder)
+    blocks = tuple(BlockParams(**draw_all(BlockParams)) for _ in range(cfg.num_layers))
+    return Encoder(config=cfg, blocks=blocks, **projection)
 
 
 def parameter_digest(enc: Encoder) -> str:
@@ -326,8 +337,10 @@ def _embed(enc: Encoder, frames, batched: bool) -> np.ndarray:
         raise ValueError(f"input dim {d_in} does not match encoder input_dim {cfg.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
-    embedded = matmul64(x, enc.input_weight.T) + enc.input_bias.astype(np.float64)
-    embedded += enc.positional[:t].astype(np.float64)
+    weight, bias, positions = enc.f64
+    embedded = x.astype(np.float64, copy=False) @ weight
+    embedded += bias
+    embedded += positions[:t]
     return embedded.astype(DTYPE)
 
 

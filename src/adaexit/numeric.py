@@ -14,17 +14,19 @@ first in the caller's) with preallocated float64 buffers and its own copy
 of the batch stream, so its bits do not depend on the CPU count.
 
 Inputs are checked at the module boundary, not inside the hot loops.
-`layer_norm`, `entropy`, `softmax` and `cross_entropy` validate what they
-are given, and softmax refuses non-finite logits; `train_linear_heads`
-checks its cache, labels, starting weights and hyperparameters once.
-`layer_norm64`, `entropy64`, `softmax64` and `cross_entropy64` are their
-unvalidated float64 cores. The encoder's blocks call `layer_norm64` and
-`softmax64`. Branch entropies call `softmax64` on their logits and
-`entropy64` on its rows; they skip softmax's finiteness scan and fail by
-layer on a non-finite entropy instead. The trainer calls `cross_entropy64`
-on its own buffers. Each core keeps the arithmetic of the checked call bit
-for bit and takes float32 or float64 parameters alike; the blocks and the
-branches pass float64 copies of theirs, cast once (`BlockParams.f64`,
+`layer_norm`, `softmax` and `cross_entropy` validate what they are given,
+and softmax refuses non-finite logits; `train_linear_heads` checks its
+cache, labels, starting weights and hyperparameters once. `layer_norm64`,
+`softmax64` and `cross_entropy64` are their unvalidated float64 cores.
+`entropy64`, the per-row entropy of probability rows, has no checked
+wrapper: its one caller, branch entropy, hands it `softmax64`'s rows. The
+encoder's blocks call `layer_norm64` and `softmax64`. Branch entropies call
+`softmax64` on their logits and `entropy64` on its rows; they skip
+softmax's finiteness scan and fail by layer on a non-finite entropy
+instead. The trainer calls `cross_entropy64` on its own buffers. Each core
+keeps the arithmetic of the checked call bit for bit and takes float32 or
+float64 parameters alike; the embedding, the blocks and the branches pass
+float64 copies of theirs, cast once (`Encoder.f64`, `BlockParams.f64`,
 `BranchSet.f64`).
 """
 
@@ -45,7 +47,6 @@ __all__ = [
     "cross_entropy",
     "cross_entropy64",
     "train_linear_heads",
-    "entropy",
     "entropy64",
     "layer_norm",
     "layer_norm64",
@@ -292,35 +293,15 @@ def _check_float32_range(mirror, scratch, step, first_head, lr) -> None:
     )
 
 
-def entropy(p: np.ndarray) -> float | np.ndarray:
-    """Shannon entropy in nats; zero-probability terms contribute 0.
-
-    Accepts a probability vector (returns a float) or a 2-D stack of rows
-    (returns a float64 vector of per-row entropies). Each row must sum to 1
-    within 1e-4 with nonnegative entries.
-    """
-    q = np.asarray(p, dtype=np.float64)
-    if q.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a stack of vectors, got ndim={q.ndim}")
-    if q.shape[-1] == 0 or q.size == 0:
-        raise ValueError("empty input")
-    if (q < 0).any():
-        raise ValueError("negative probability entry")
-    sums = q.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-4, rtol=0.0):
-        raise ValueError("probabilities do not sum to 1 within 1e-4")
-    h = entropy64(q)
-    return float(h) if q.ndim == 1 else h
-
-
 def entropy64(q: np.ndarray) -> np.ndarray:
-    """Unvalidated float64 core of `entropy`, per row; branch entropies call it on softmax rows.
+    """Shannon entropy in nats of each probability row; branch entropies call it on softmax rows.
 
-    A zero probability's log is taken at the smallest subnormal, so its
-    term is -0.0 where a masked log gave +0.0. The row sums keep their bits:
-    a probability row also holds a negative term, or a 1 whose +0.0 term
-    absorbs the signed zeros. NaN probabilities propagate to their row's
-    entropy.
+    Unvalidated: it does not check that a row is nonnegative and sums to 1,
+    as `softmax64`'s rows are. A zero probability's log is taken at the
+    smallest subnormal, so its term is -0.0 where a masked log gave +0.0.
+    The row sums keep their bits: a probability row also holds a negative
+    term, or a 1 whose +0.0 term absorbs the signed zeros. NaN
+    probabilities propagate to their row's entropy.
     """
     log_q = np.maximum(q, 5e-324)
     np.log(log_q, out=log_q)

@@ -12,7 +12,10 @@ counts gathered while the downstream head trained. Only calibrated
 policies are written to disk.
 
 `run_exit` is the serving path: it forwards one sample lazily and decides
-as it goes through `decide_exit`, which records an `ExitTrace`.
+as it goes through `decide_exit`, which records an `ExitTrace`: the exit
+layer, the entropies seen and whether the exit was forced. The layers
+computed are the exit layer, since none past it is, so the trace does not
+store them; `run_exit`'s computed states are exactly that many layers.
 `decide_exits` is the same rule over a whole (N, layers) entropy table of
 full forwards, vectorized: two arrays, each row's exit layer and whether
 it was forced, which are the exits `run_exit` gives. The offline passes
@@ -145,11 +148,13 @@ class ExitCounts:
 
 @dataclass(frozen=True)
 class ExitTrace:
-    """One sample's exit decision: where it left, what it saw, what it cost."""
+    """One sample's exit decision: where it left and what it saw.
+
+    What it cost is the exit layer: no layer past it is computed.
+    """
 
     exit_layer: int
     entropies: dict[int, float]  # layer -> sequence entropy, evaluated layers only
-    layers_computed: int
     forced: bool
 
 
@@ -174,11 +179,8 @@ def decide_exit(policy: ExitPolicy, entropy_at: Callable[[int], float]) -> ExitT
         e = float(entropy_at(k))
         entropies[k] = e
         if e < policy.threshold:
-            return ExitTrace(exit_layer=k, entropies=entropies, layers_computed=k, forced=False)
-    deepest = allowed[-1]
-    return ExitTrace(
-        exit_layer=deepest, entropies=entropies, layers_computed=deepest, forced=True
-    )
+            return ExitTrace(exit_layer=k, entropies=entropies, forced=False)
+    return ExitTrace(exit_layer=allowed[-1], entropies=entropies, forced=True)
 
 
 def decide_exits(policy: ExitPolicy, entropies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +220,6 @@ def run_exit(
         )
     inc = IncrementalForward(enc, frames)
     trace = decide_exit(policy, lambda k: entropy_from_hidden(branches, inc.hidden(k), k))
-    trace = replace(trace, layers_computed=inc.layers_done)
     return inc.states(), trace
 
 

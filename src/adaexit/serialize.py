@@ -16,29 +16,34 @@ fields, then flat float32 arrays in the declared order:
 
 The three head sections are declared once, in `_HEAD_SECTIONS` (tag, type,
 header dimensions, arrays with their shapes); the writer and the reader both
-loop over it. The encoder section is written by hand, since its shapes come
-from the config it stores.
+loop over it. The encoder section's arrays are declared in the encoder
+module (`Encoder.shapes` and `BlockParams.shapes`, in `EncoderConfig`
+dimensions); the reader builds the config from the header and reads each
+array by those shapes, drawing nothing.
 
 Datasets use the same framing with their own magic. Both formats
 round-trip bit-exactly and reject foreign magic, version mismatches, and
-truncation with the byte offset of the failure. A checkpoint array holding
-NaN or inf is refused by section and array name: a NaN probe bias would
-otherwise serve class 0 to every sample without a word. `load_checkpoint`
-and `load_dataset` put the file's name in front of every such error.
+truncation with the byte offset of the failure. They also refuse, at the
+header's offset, an encoder header that is not a valid `EncoderConfig` and a
+dataset that fails `FrameDataset`'s checks (labels out of range, say). A
+checkpoint array holding NaN or inf is refused by section and array name: a
+NaN probe bias would otherwise serve class 0 to every sample without a word.
+`load_checkpoint` and `load_dataset` put the file's name in front of every
+such error.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .branches import BranchSet
 from .data import FrameDataset
-from .encoder import BlockParams, Encoder, EncoderConfig, init_encoder
-from .errors import FormatError
+from .encoder import BlockParams, Encoder, EncoderConfig
+from .errors import ConfigError, FormatError
 from .probe import DownstreamHead
 from .teacher import TeacherHead
 
@@ -197,34 +202,20 @@ def _encoder_payload(enc: Encoder) -> bytes:
 
 
 def _read_encoder(r: _Reader) -> Encoder:
-    num_layers, model_dim, num_heads, ffn_dim, max_frames, input_dim = r.u32(6)
-    seed = r.u64()
-    cfg = EncoderConfig(
-        num_layers=num_layers,
-        model_dim=model_dim,
-        num_heads=num_heads,
-        ffn_dim=ffn_dim,
-        max_frames=max_frames,
-        input_dim=input_dim,
-        seed=seed,
-    )
-    template = init_encoder(cfg)
-    input_weight = r.param("input_weight", template.input_weight.shape)
-    input_bias = r.param("input_bias", template.input_bias.shape)
+    header_at = r.offset
+    dims, seed = r.u32(6), r.u64()
+    try:
+        cfg = EncoderConfig(*dims, seed)  # the header holds the config's fields in order
+    except ConfigError as err:
+        raise FormatError(f"section 'encoder' header: {err}", offset=header_at) from err
+    projection = {name: r.param(name, shape) for name, shape in Encoder.shapes(cfg).items()}
+    block_shapes = BlockParams.shapes(cfg)
     blocks = tuple(
-        BlockParams(**{
-            f.name: r.param(f"blocks[{i}].{f.name}", getattr(block, f.name).shape)
-            for f in fields(block)
-        })
-        for i, block in enumerate(template.blocks)
+        BlockParams(**{name: r.param(f"blocks[{i}].{name}", shape)
+                       for name, shape in block_shapes.items()})
+        for i in range(cfg.num_layers)
     )
-    return Encoder(
-        config=cfg,
-        input_weight=input_weight,
-        input_bias=input_bias,
-        blocks=blocks,
-        positional=template.positional,
-    )
+    return Encoder(config=cfg, blocks=blocks, **projection)
 
 
 def _head_payload(head, dims: tuple[str, ...], arrays: dict) -> bytes:
@@ -332,6 +323,7 @@ def dataset_to_bytes(data: FrameDataset) -> bytes:
 def dataset_from_bytes(data: bytes) -> FrameDataset:
     r = _Reader(data)
     _read_header(r, DATASET_MAGIC, "dataset")
+    header_at = r.offset
     n, frames, input_dim, num_classes, has_tags = r.u32(5)
     inputs = r.array((n, frames, input_dim))
     labels = r.array((n, frames), dtype=_I32)
@@ -342,7 +334,10 @@ def dataset_from_bytes(data: bytes) -> FrameDataset:
         raise FormatError(
             f"dataset stream has {len(data) - r.pos} trailing bytes", offset=r.offset
         )
-    return FrameDataset(inputs=inputs, labels=labels, num_classes=num_classes, tags=tags)
+    try:
+        return FrameDataset(inputs=inputs, labels=labels, num_classes=num_classes, tags=tags)
+    except ValueError as err:
+        raise FormatError(f"invalid dataset: {err}", offset=header_at) from err
 
 
 def save_dataset(data: FrameDataset, path: str | Path) -> None:

@@ -6,9 +6,10 @@ compares against `IncrementalForward` (through `forward_all`) and
 `sample_entropies` bit for bit, on the small test encoder and on the
 default-size one the pipeline runs.
 
-Both paths also equal the reference kernels kept here bit for bit: a block
-with three separate Q, K and V products and every parameter cast per call,
-and a branch entropy through the checked softmax and a where-masked log.
+Both paths also equal the reference kernels kept here bit for bit: an
+embedding and a block with every parameter cast per call, the block with
+three separate Q, K and V products, and a branch entropy through the
+checked softmax and a where-masked log.
 The fused QKV product's bits rest on the kernel BLAS picks for its width,
 so CI runs this file under a second OpenBLAS core type as well.
 """
@@ -33,6 +34,7 @@ from adaexit.encoder import (
     BlockParams,
     EncoderConfig,
     IncrementalForward,
+    _embed,
     embed_batch,
     forward_all,
     forward_batch,
@@ -186,8 +188,24 @@ class TestRunningMeans:
             running_means(np.ones(shape))
 
 
-# Reference kernels: the block and the branch entropy as they were computed
-# before the block's float64 arrays were cast once and Q, K and V fused.
+# Reference kernels: the embedding, the block and the branch entropy as they
+# were computed before their float64 arrays were cast once and Q, K and V fused.
+
+
+def _reference_positions(max_frames, dim):
+    pos = np.arange(max_frames, dtype=np.float64)[:, None]
+    idx = np.arange(dim, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
+    return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(np.float32)
+
+
+def _reference_embed(enc, x):
+    """The input projection and positions of a sample or a batch, every parameter cast per call."""
+    cfg = enc.config
+    positions = _reference_positions(cfg.max_frames, cfg.model_dim)
+    embedded = matmul64(x, enc.input_weight.T) + enc.input_bias.astype(np.float64)
+    embedded += positions[: x.shape[-2]].astype(np.float64)
+    return embedded.astype(np.float32)
 
 
 def _reference_layer_norm(x64, gain, bias, eps=1e-5):
@@ -232,8 +250,8 @@ def _reference_block(stream, block, num_heads):
 
 
 def _reference_forward(enc, inputs):
-    """Every layer of a (B, frames, input_dim) batch through `_reference_block`."""
-    stream = embed_batch(enc, inputs)
+    """Every layer of a (B, frames, input_dim) batch through the reference kernels."""
+    stream = _reference_embed(enc, inputs)
     layers = []
     for block in enc.blocks:
         stream = _reference_block(stream, block, enc.config.num_heads).astype(np.float32)
@@ -264,7 +282,8 @@ def _with_random_norms_and_biases(enc):
     """`enc` with every gain and bias drawn at random: the drawn encoder's are ones and zeros."""
     rng = np.random.default_rng(31)
     vectors = [name for name in TestDerivedFloat64Arrays.BLOCK_ARRAYS if not name.endswith("weight")]
-    return dataclasses.replace(enc, blocks=tuple(
+    input_bias = rng.standard_normal(enc.input_bias.shape).astype(np.float32)
+    return dataclasses.replace(enc, input_bias=input_bias, blocks=tuple(
         dataclasses.replace(block, **{
             name: (1 + 0.3 * rng.standard_normal(getattr(block, name).shape)).astype(np.float32)
             for name in vectors
@@ -274,6 +293,20 @@ def _with_random_norms_and_biases(enc):
 
 
 class TestAgainstReferenceKernels:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_embedding_equals_the_reference_embed(self, enc, perturbed):
+        enc = _with_random_norms_and_biases(enc) if perturbed else enc
+        cfg = enc.config
+        rng = np.random.default_rng(23)
+        # The second batch is as long as the encoder takes, so every position is embedded.
+        for inputs in (_batch(enc, rng, 7), rng.standard_normal((3, cfg.max_frames, cfg.input_dim))):
+            reference = _reference_embed(enc, inputs)
+            assert embed_batch(enc, inputs).tobytes() == reference.tobytes()
+            for b, x in enumerate(inputs):
+                # The per-sample path's embedding, and the reference's per sample.
+                assert _embed(enc, x, batched=False).tobytes() == reference[b].tobytes(), b
+                assert _reference_embed(enc, x).tobytes() == reference[b].tobytes(), b
+
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_layers_equal_the_reference_block(self, enc, perturbed):
         enc = _with_random_norms_and_biases(enc) if perturbed else enc

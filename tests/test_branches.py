@@ -18,7 +18,7 @@ from adaexit.branches import (
 )
 from adaexit.data import FrameDataset
 from adaexit.encoder import forward_all, parameter_digest
-from adaexit.numeric import entropy, softmax
+from adaexit.numeric import entropy64, softmax
 from adaexit.teacher import train_teacher
 
 from conftest import SMALL_ENCODER, truncated_forward
@@ -155,7 +155,7 @@ class TestBranchEntropy:
         hs = forward_all(small_encoder, small_dataset.inputs[0][:1])
         k = 2
         probs = softmax(branch_logits(trained, hs[k - 1], k))
-        assert branch_entropy(trained, hs, k) == pytest.approx(entropy(probs[0]), abs=1e-12)
+        assert branch_entropy(trained, hs, k) == pytest.approx(entropy64(probs[0]), abs=1e-12)
 
     def test_double_sum_oracle(self, small_encoder, trained, small_dataset):
         hs = forward_all(small_encoder, small_dataset.inputs[0][:3])

@@ -64,8 +64,52 @@ class TestInit:
         )
         assert parameter_digest(enc) == GOLDEN_DIGEST_SEED42
 
+    def test_drawn_arrays_have_their_declared_shapes(self):
+        # Every dimension differs, so a transposed or misnamed shape shows;
+        # the golden digest hashes bytes only and cannot see one.
+        cfg = EncoderConfig(
+            num_layers=3, model_dim=12, num_heads=3, ffn_dim=20, max_frames=9, input_dim=5, seed=4
+        )
+        enc = init_encoder(cfg)
+        assert encoder.Encoder.shapes(cfg) == {"input_weight": (12, 5), "input_bias": (12,)}
+        expected = {
+            "attn_norm_gain": (12,), "attn_norm_bias": (12,),
+            "q_weight": (12, 12), "q_bias": (12,), "k_weight": (12, 12), "k_bias": (12,),
+            "v_weight": (12, 12), "v_bias": (12,), "out_weight": (12, 12), "out_bias": (12,),
+            "ffn_norm_gain": (12,), "ffn_norm_bias": (12,),
+            "ffn_in_weight": (20, 12), "ffn_in_bias": (20,),
+            "ffn_out_weight": (12, 20), "ffn_out_bias": (12,),
+        }
+        assert list(encoder.BlockParams.shapes(cfg).items()) == list(expected.items())
+        assert enc.input_weight.shape == (12, 5) and enc.input_bias.shape == (12,)
+        assert len(enc.blocks) == 3
+        for block in enc.blocks:
+            for name, shape in expected.items():
+                a = getattr(block, name)
+                assert a.shape == shape and a.dtype == np.float32, name
+                if name.endswith("_gain"):
+                    assert (a == 1).all(), name
+                elif name.endswith("_bias"):
+                    assert (a == 0).all(), name
+        weight, bias, positions = enc.f64
+        assert weight.shape == (5, 12) and bias.shape == (12,) and positions.shape == (9, 12)
+        assert all(a.dtype == np.float64 for a in enc.f64)
+        assert np.array_equal(weight, enc.input_weight.T)
+
 
 class TestForward:
+    def test_longer_max_frames_by_replace_forwards(self, small_encoder, rng):
+        # The positions follow the config: a replaced config with more frames
+        # embeds them all, and the frames both configs take embed alike.
+        cfg = small_encoder.config
+        longer = replace(small_encoder, config=replace(cfg, max_frames=cfg.max_frames + 24))
+        x = _inputs(rng, frames=cfg.max_frames + 24)
+        hs = forward_all(longer, x)
+        assert hs.shape == (cfg.num_layers, cfg.max_frames + 24, cfg.model_dim)
+        assert np.isfinite(hs).all()
+        short = x[: cfg.max_frames]
+        assert np.array_equal(forward_all(longer, short), forward_all(small_encoder, short))
+
     def test_all_layers_returned(self, small_encoder, rng):
         hs = forward_all(small_encoder, _inputs(rng))
         assert len(hs) == SMALL_ENCODER.num_layers

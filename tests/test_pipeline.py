@@ -787,8 +787,9 @@ class TestBatchedPasses:
 
     def test_exit_traces_csv_is_one_decide_exit_trace_per_row(self, tiny_run):
         # The file's bytes as written from one `decide_exit` trace per entropy
-        # row of the training cache: the exit, the layers computed, the forced
-        # flag, and the entropy of each evaluated layer, blank past the exit.
+        # row of the training cache: the exit, the layers computed (the exit
+        # again: none past it), the forced flag, and the entropy of each
+        # evaluated layer, blank past the exit.
         cfg, paths = tiny_run
         ck = load_checkpoint(paths.checkpoint)
         train = load_dataset(paths.train_data)
@@ -799,7 +800,7 @@ class TestBatchedPasses:
         lines = [header]
         for i, row in enumerate(rows):
             t = decide_exit(policy, lambda k: row[k - 1])
-            cells = [i, t.exit_layer, t.layers_computed, int(t.forced)]
+            cells = [i, t.exit_layer, t.exit_layer, int(t.forced)]
             cells.extend(repr(t.entropies[k]) if k in t.entropies else "" for k in layers)
             lines.append(",".join(str(cell) for cell in cells))
         assert any(line.endswith(",") for line in lines), "no exit before the last layer"

@@ -81,14 +81,12 @@ class TestDecideExit:
         trace = decide_exit(policy, _entropy_seq([3.0] * 6))
         assert trace.exit_layer == 1
         assert not trace.forced
-        assert trace.layers_computed == 1
 
     def test_zero_threshold_forces_deepest(self):
         policy = ExitPolicy(threshold=0.0, ratio=0.0, num_layers=6)
         trace = decide_exit(policy, _entropy_seq([3.0, 2.0, 1.0, 0.5, 0.2, 0.1]))
         assert trace.exit_layer == 6
         assert trace.forced
-        assert trace.layers_computed == 6
 
     def test_first_crossing_wins(self):
         values = [3.0, 2.5, 1.9, 1.0, 0.5, 0.1]
@@ -421,7 +419,7 @@ class TestRunExit:
         policy = ExitPolicy(threshold=0.0, ratio=0.0, num_layers=enc.config.num_layers)
         hs, trace = run_exit(enc, branches, policy, small_dataset.inputs[0])
         assert trace.exit_layer == enc.config.num_layers
-        assert len(hs) == trace.exit_layer == trace.layers_computed
+        assert len(hs) == trace.exit_layer
 
     def test_span_start_computes_passthrough_layers(self, setup, small_dataset):
         enc, branches = setup

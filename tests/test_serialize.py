@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adaexit import encoder
 from adaexit.branches import BranchSet, train_branches
 from adaexit.encoder import BlockParams, EncoderConfig, init_encoder
 from adaexit.errors import FormatError
@@ -19,6 +20,7 @@ from adaexit.serialize import (
     dataset_from_bytes,
     dataset_to_bytes,
     load_checkpoint,
+    load_dataset,
     save_checkpoint,
 )
 from adaexit.teacher import TeacherHead, train_teacher
@@ -184,6 +186,27 @@ class TestCheckpointErrors:
         start = err.value.offset
         assert data[start : start + target.size * width] == target.astype("<f4").tobytes()
 
+    def test_load_draws_no_random_number(self, full_checkpoint, monkeypatch):
+        data = checkpoint_to_bytes(full_checkpoint)
+
+        def refuse(seed):
+            raise AssertionError(f"a checkpoint load drew from seed {seed}")
+
+        monkeypatch.setattr(encoder, "new_rng", refuse)
+        _assert_checkpoints_equal(full_checkpoint, checkpoint_from_bytes(data))
+
+    def test_invalid_encoder_header_named_by_file(self, small_encoder, tmp_path):
+        data = bytearray(checkpoint_to_bytes(Checkpoint(encoder=small_encoder)))
+        # The header's u32s follow magic, version, tag and length; num_heads is the third.
+        header_at = 8 + 4 + 4 + 8
+        data[header_at + 4 : header_at + 12] = struct.pack("<2I", 8, 3)
+        path = tmp_path / "ck.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"^ck\.bin: section 'encoder' header: model_dim 8 "
+                           r"not divisible by num_heads 3 \(at byte offset 24\)$") as err:
+            load_checkpoint(path)
+        assert err.value.offset == header_at
+
     def test_load_names_the_file(self, full_checkpoint, tmp_path):
         path = tmp_path / "ck.bin"
         path.write_bytes(checkpoint_to_bytes(full_checkpoint)[:100])
@@ -213,6 +236,18 @@ class TestDatasetBytes:
         data = b"NOTADATA" + dataset_to_bytes(small_dataset)[8:]
         with pytest.raises(FormatError, match="EXITDAT1"):
             dataset_from_bytes(data)
+
+    def test_labels_out_of_range_named_by_file(self, small_dataset, tmp_path):
+        data = bytearray(dataset_to_bytes(small_dataset))
+        # num_classes is the header's fourth u32, after magic and version.
+        header_at = 8 + 4
+        data[header_at + 12 : header_at + 16] = struct.pack("<I", 1)
+        path = tmp_path / "data.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"^data\.bin: invalid dataset: labels out of range "
+                           r"for num_classes \(at byte offset 12\)$") as err:
+            load_dataset(path)
+        assert err.value.offset == header_at
 
     def test_trailing_garbage(self, small_dataset):
         with pytest.raises(FormatError, match="trailing"):
