@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         "three stages, and benchmark exit behaviour under noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in {**stages(), "pipeline": run_pipeline}.items():
+    for name, (command, _) in {**stages(), "pipeline": (run_pipeline, ())}.items():
         _add_common(sub.add_parser(name, help=command.__doc__.partition("\n")[0]))
     return parser
 
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             run_pipeline(cfg, args.artifacts)
         else:
-            result = stages()[args.command](cfg, ArtifactPaths(args.artifacts))
+            result = stages()[args.command][0](cfg, ArtifactPaths(args.artifacts))
             for line in _RESULT_LINES.get(args.command, lambda _: ())(result):
                 print(line)
     except (ConfigError, DependencyError, FormatError, ValueError, OSError) as err:

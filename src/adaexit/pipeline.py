@@ -2,9 +2,13 @@
 
 `stages()` is the one list of stages, in run order, keyed by the command
 that runs each; every stage is `stage(cfg, paths, memo=None)` and reads all
-its settings from the config. `run_pipeline` saves the config and runs them
-all with one `Memo`, and the CLI builds one subcommand per entry, each run
-with a fresh memo.
+its settings from the config. Each entry also declares what its stage
+reads: files and checkpoint sections, by their `ARTIFACTS` names. A stage
+first loads and checks every declared input (`_inputs`), so a missing,
+malformed or stale input fails by name, naming the command that writes it,
+before the stage computes anything. `run_pipeline` saves the config and
+runs them all with one `Memo`, and the CLI builds one subcommand per entry,
+each run with a fresh memo.
 
 The memo holds what one run computes once: the training split's
 hidden-state cache, which the teacher, the branches and the downstream
@@ -357,11 +361,15 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 
 
 # Artifact name -> (file or directory under the artifacts root, the command that writes it).
+# "teacher", "branches" and "downstream" are the sections of checkpoint.bin past its encoder.
 ARTIFACTS = {
     "config_file": ("config.ini", "pipeline"),
     "train_data": ("train_data.bin", "synth"),
     "eval_data": ("eval_data.bin", "synth"),
     "checkpoint": ("checkpoint.bin", "train-teacher"),
+    "teacher": ("checkpoint.bin", "train-teacher"),
+    "branches": ("checkpoint.bin", "train-branches"),
+    "downstream": ("checkpoint.bin", "train-downstream"),
     "teacher_loss": ("teacher_loss.csv", "train-teacher"),
     "branch_loss": ("branch_loss.csv", "train-branches"),
     "profile_heldout": ("entropy_profile_heldout.csv", "eval"),
@@ -392,16 +400,6 @@ class ArtifactPaths:
         if name not in ARTIFACTS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return self.root / ARTIFACTS[name][0]
-
-
-def _require(paths: ArtifactPaths, name: str, stage: str) -> Path:
-    """The path of artifact `name`, or a DependencyError naming the command that writes it."""
-    path = getattr(paths, name)
-    if not path.exists():
-        raise DependencyError(
-            f"stage {stage!r} needs {path.name}; run {ARTIFACTS[name][1]!r} first"
-        )
-    return path
 
 
 def _write_json(path: Path, record) -> None:
@@ -474,6 +472,106 @@ class Memo:
         return self._values.get(_memo_key("entropies", enc, inputs, branches))
 
 
+_PROFILE_HEADER = "layer,mean_entropy"
+
+
+def _write_profile(path: Path, profile) -> None:
+    _write_csv(path, _PROFILE_HEADER, [(k + 1, repr(m)) for k, m in enumerate(profile.layer_means)])
+
+
+def _load_checkpoint(cfg: RunConfig, paths: ArtifactPaths) -> Checkpoint:
+    """The checkpoint, refused before any forward if its encoder is not the config's."""
+    ck = load_checkpoint(paths.checkpoint)
+    if ck.encoder.config != cfg.encoder_config():
+        raise DependencyError(
+            f"{paths.checkpoint.name} holds {ck.encoder.config}, "
+            f"the config asks for {cfg.encoder_config()}"
+        )
+    return ck
+
+
+def load_span_stats(cfg: RunConfig, paths: ArtifactPaths) -> ExitCounts:
+    """The exit counts 'train-downstream' wrote, one per layer of this run."""
+    path = paths.span_stats
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path.name}: not JSON ({err})") from err
+    values = raw.get("exit_counts") if isinstance(raw, dict) and len(raw) == 1 else None
+    if not isinstance(values, list):
+        raise FormatError(f'{path.name}: must be {{"exit_counts": [one count per layer]}}')
+    try:
+        counts = ExitCounts(tuple(values))
+    except ConfigError as err:
+        raise FormatError(f"{path.name}: {err}") from err
+    if len(counts.counts) != cfg.num_layers:
+        raise DependencyError(
+            f"{path.name} has {len(counts.counts)} layers, the config has {cfg.num_layers}"
+        )
+    return counts
+
+
+def _read_profile(cfg: RunConfig, paths: ArtifactPaths) -> EntropyProfile:
+    """The training profile 'train-branches' wrote; its repr floats read back bit-exact.
+
+    Line 1 must be the header; row k (line k + 1) must be `k,mean` with a
+    finite, nonnegative mean.
+    """
+    path = paths.profile_train
+    lines = path.read_text().splitlines() or [""]
+    if lines[0] != _PROFILE_HEADER:
+        raise FormatError(f"{path.name}: line 1 must be {_PROFILE_HEADER!r}, got {lines[0]!r}")
+    means = []
+    for k, line in enumerate(lines[1:], start=1):
+        layer, _, raw = line.partition(",")
+        try:
+            mean = float(raw)
+        except ValueError:
+            mean = math.nan
+        if layer != str(k) or not 0.0 <= mean < math.inf:
+            raise FormatError(
+                f"{path.name}: line {k + 1} must be '{k},<finite, nonnegative mean>', "
+                f"got {line!r}"
+            )
+        means.append(mean)
+    if len(means) != cfg.num_layers:
+        raise DependencyError(
+            f"{path.name} has {len(means)} layers, the config has {cfg.num_layers}"
+        )
+    return EntropyProfile.from_layer_means(means)
+
+
+# Artifact name -> its reader, which loads the file and checks it against the config.
+_READERS = {
+    "train_data": lambda cfg, paths: load_dataset(paths.train_data),
+    "eval_data": lambda cfg, paths: load_dataset(paths.eval_data),
+    "checkpoint": _load_checkpoint,
+    "profile_train": _read_profile,
+    "span_stats": load_span_stats,
+}
+
+
+def _inputs(cfg: RunConfig, paths: ArtifactPaths, command: str) -> list:
+    """What `command` reads by its entry in `stages()`, loaded and checked, in that order.
+
+    Each input's file must exist, or a DependencyError names the command
+    that writes it; then the input is read and checked against the config.
+    A checkpoint section, declared after "checkpoint", must be present, and
+    its value is the section. So a stage whose inputs fail computes nothing.
+    """
+    loaded = {}
+    for name in stages()[command][1]:
+        path, read, writer = getattr(paths, name), _READERS.get(name), ARTIFACTS[name][1]
+        if not path.exists():
+            raise DependencyError(f"stage {command!r} needs {path.name}; run {writer!r} first")
+        loaded[name] = read(cfg, paths) if read else getattr(loaded["checkpoint"], name)
+        if loaded[name] is None:
+            raise DependencyError(
+                f"stage {command!r} needs the {name} section of {path.name}; run {writer!r} first"
+            )
+    return list(loaded.values())
+
+
 def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Draw the full dataset once and split it into train and held-out files."""
     paths.root.mkdir(parents=True, exist_ok=True)
@@ -486,7 +584,7 @@ def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
 
 def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the final-layer teacher head on the ground-truth labels (stage 1a)."""
-    train = load_dataset(_require(paths, "train_data", "train-teacher"))
+    [train] = _inputs(cfg, paths, "train-teacher")
     enc = init_encoder(cfg.encoder_config())
     memo = Memo() if memo is None else memo
     result = train_teacher(
@@ -508,12 +606,11 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
 
 def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the exit branches on pseudo-labels and profile the training split (stage 1b)."""
-    train = load_dataset(_require(paths, "train_data", "train-branches"))
-    ck = _load_checkpoint(cfg, paths, "train-branches", "teacher")
+    train, ck, teacher = _inputs(cfg, paths, "train-branches")
     memo = Memo() if memo is None else memo
     result = train_branches(
         ck.encoder,
-        ck.teacher,
+        teacher,
         train,
         lr=cfg.branch_lr,
         batch_size=cfg.branch_batch,
@@ -524,7 +621,7 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = Non
     # A downstream head trained under the old branches is stale: drop it, as train-teacher
     # does, and the policy calibrated from the old profile with it.
     save_checkpoint(
-        Checkpoint(encoder=ck.encoder, teacher=ck.teacher, branches=result.branches),
+        Checkpoint(encoder=ck.encoder, teacher=teacher, branches=result.branches),
         paths.checkpoint,
     )
     paths.policy_file.unlink(missing_ok=True)
@@ -537,56 +634,20 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = Non
     _write_profile(paths.profile_train, result.profile)
 
 
-def _write_profile(path: Path, profile) -> None:
-    _write_csv(
-        path,
-        "layer,mean_entropy",
-        [(k + 1, repr(m)) for k, m in enumerate(profile.layer_means)],
-    )
-
-
-# Checkpoint section -> what a stage that reads it lacks without it, and the command to run.
-_SECTION_NEEDS = {
-    "teacher": "a teacher head; run 'train-teacher'",
-    "branches": "trained branches; run 'train-branches'",
-    "downstream": "a downstream head; run 'train-downstream'",
-}
-
-
-def _load_checkpoint(
-    cfg: RunConfig, paths: ArtifactPaths, stage: str, *sections: str
-) -> Checkpoint:
-    """The checkpoint, refused before any forward if its encoder is not the config's.
-
-    It must also hold each of `sections` ("teacher", "branches", "downstream").
-    """
-    path = _require(paths, "checkpoint", stage)
-    ck = load_checkpoint(path)
-    if ck.encoder.config != cfg.encoder_config():
-        raise DependencyError(
-            f"{path.name} holds {ck.encoder.config}, the config asks for {cfg.encoder_config()}"
-        )
-    for section in sections:
-        if getattr(ck, section) is None:
-            raise DependencyError(f"stage {stage!r} needs {_SECTION_NEEDS[section]}")
-    return ck
-
-
 def stage_calibrate(
     cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
 ) -> ExitPolicy:
     """Fix the threshold at the configured ratio from the training profile (stage 2a)."""
-    _load_checkpoint(cfg, paths, "calibrate", "branches")
-    policy = calibrate(_read_profile(cfg, paths, "calibrate"), cfg.ratio)
+    *_, profile = _inputs(cfg, paths, "calibrate")
+    policy = calibrate(profile, cfg.ratio)
     save_policy(policy, paths.policy_file)
     return policy
 
 
 def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the downstream head with exits active, recording span statistics (stage 2b)."""
-    train = load_dataset(_require(paths, "train_data", "train-downstream"))
-    ck = _load_checkpoint(cfg, paths, "train-downstream", "branches")
-    policy = calibrate(_read_profile(cfg, paths, "train-downstream"), cfg.ratio)
+    train, ck, branches, profile = _inputs(cfg, paths, "train-downstream")
+    policy = calibrate(profile, cfg.ratio)
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
@@ -594,7 +655,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
     # The run's last reader of the training cache: it takes it and normalizes it in place.
     result = train_downstream(
         ck.encoder,
-        ck.branches,
+        branches,
         policy,
         head,
         train,
@@ -605,76 +666,26 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
         task=cfg.task,
         renormalize=cfg.renormalize,
         cache=memo.take_hidden_states(ck.encoder, train.inputs),
-        entropies=memo.kept_entropy_table(ck.encoder, ck.branches, train.inputs),
+        entropies=memo.kept_entropy_table(ck.encoder, branches, train.inputs),
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
     _write_json(paths.span_stats, {"exit_counts": list(result.span_stats.counts)})
     # A row's evaluated entropies are those of its allowed layers up to its exit.
     allowed = set(policy.allowed)
     rows = [
-        [i, k, k, int(forced)]
+        [i, k, int(forced)]
         + [repr(e) if j in allowed and j <= k else "" for j, e in enumerate(row, start=1)]
         for i, (row, k, forced) in enumerate(
             zip(result.entropies.tolist(), result.exits.tolist(), result.forced.tolist())
         )
     ]
     entropy_cols = ",".join(f"e{k}" for k in range(1, cfg.num_layers + 1))
-    _write_csv(
-        paths.exit_traces, f"sample_id,exit_layer,layers_computed,forced,{entropy_cols}", rows
-    )
+    _write_csv(paths.exit_traces, f"sample_id,exit_layer,forced,{entropy_cols}", rows)
     _write_csv(
         paths.downstream_loss,
         "step,loss",
         [(i, repr(loss)) for i, loss in enumerate(result.losses)],
     )
-
-
-def load_span_stats(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> ExitCounts:
-    """The exit counts 'train-downstream' wrote, one per layer of this run."""
-    path = _require(paths, "span_stats", stage)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path.name}: not JSON ({err})") from err
-    values = raw.get("exit_counts") if isinstance(raw, dict) and len(raw) == 1 else None
-    if not isinstance(values, list):
-        raise FormatError(f'{path.name}: must be {{"exit_counts": [one count per layer]}}')
-    try:
-        counts = ExitCounts(tuple(values))
-    except ConfigError as err:
-        raise FormatError(f"{path.name}: {err}") from err
-    if len(counts.counts) != cfg.num_layers:
-        raise DependencyError(
-            f"{path.name} has {len(counts.counts)} layers, the config has {cfg.num_layers}"
-        )
-    return counts
-
-
-def _read_profile(cfg: RunConfig, paths: ArtifactPaths, stage: str) -> EntropyProfile:
-    """The training profile 'train-branches' wrote; its repr floats read back bit-exact.
-
-    Row k (line k + 1, after the header) must be `k,mean` with a finite,
-    nonnegative mean.
-    """
-    path = _require(paths, "profile_train", stage)
-    means = []
-    for k, line in enumerate(path.read_text().splitlines()[1:], start=1):
-        layer, _, raw = line.partition(",")
-        try:
-            mean = float(raw)
-        except ValueError:
-            mean = math.nan
-        if layer != str(k) or not 0.0 <= mean < math.inf:
-            raise FormatError(
-                f"{path.name}: line {k + 1} must be '{k},<finite, nonnegative mean>', "
-                f"got {line!r}"
-            )
-        means.append(mean)
-    if len(means) != cfg.num_layers:
-        raise DependencyError(
-            f"{path.name} has {len(means)} layers, the config has {cfg.num_layers}"
-        )
-    return EntropyProfile.from_layer_means(means)
 
 
 def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> dict:
@@ -685,15 +696,10 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -
     is replayed over one per-layer table of the held-out split, whose
     entropy rows also give the held-out profile.
     """
-    heldout = load_dataset(_require(paths, "eval_data", "eval"))
-    ck = _load_checkpoint(cfg, paths, "eval", "branches", "downstream")
-    profile = _read_profile(cfg, paths, "eval")
-    stats = load_span_stats(cfg, paths, "eval")
-    table = build_layer_table(
-        ck.encoder, ck.branches, heldout, ck.downstream, cfg.task, cfg.renormalize
-    )
+    heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "eval")
+    table = build_layer_table(ck.encoder, branches, heldout, head, cfg.task, cfg.renormalize)
     if memo is not None:
-        memo.put_entropy_table(ck.encoder, ck.branches, heldout.inputs, table.entropies)
+        memo.put_entropy_table(ck.encoder, branches, heldout.inputs, table.entropies)
     _write_profile(paths.profile_heldout, EntropyProfile.from_rows(table.entropies))
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
     # A record of an earlier run (a strategy since dropped, a pair now an error) must not linger.
@@ -739,16 +745,14 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
     Clean inputs are the held-out ones unchanged, so under `run_pipeline`
     the clean level's table is the one eval built.
     """
-    heldout = load_dataset(_require(paths, "eval_data", "noise-sweep"))
-    ck = _load_checkpoint(cfg, paths, "noise-sweep", "branches")
-    profile = _read_profile(cfg, paths, "noise-sweep")
+    heldout, ck, branches, profile = _inputs(cfg, paths, "noise-sweep")
     policy = calibrate(profile, cfg.sweep_ratio)
     memo = Memo() if memo is None else memo
     dist_rows = []
     summary_rows = []
     results = []
     for spec, _ in cfg.mixture_spec().parts:
-        table = memo.entropy_table(ck.encoder, ck.branches, add_noise(heldout, spec).inputs)
+        table = memo.entropy_table(ck.encoder, branches, add_noise(heldout, spec).inputs)
         counts = ExitCounts.of(decide_exits(policy, table)[0], cfg.num_layers)
         label = spec.label()
         dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))
@@ -778,16 +782,11 @@ def compare_static(
     alongside theirs. Every row is one policy replayed over one per-layer
     table of the mixture.
     """
-    heldout = load_dataset(_require(paths, "eval_data", "compare-static"))
-    ck = _load_checkpoint(cfg, paths, "compare-static", "branches", "downstream")
-    profile = _read_profile(cfg, paths, "compare-static")
-    stats = load_span_stats(cfg, paths, "compare-static")
+    heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "compare-static")
     base = calibrate(profile, cfg.ratio)
     mixture = cfg.mixture_spec()
     mixed = make_mixture(heldout, mixture, cfg.noise_seed + 1)
-    table = build_layer_table(
-        ck.encoder, ck.branches, mixed, ck.downstream, cfg.task, cfg.renormalize
-    )
+    table = build_layer_table(ck.encoder, branches, mixed, head, cfg.task, cfg.renormalize)
     tags = np.array(mixed.tags)
     groups: list[tuple[str, np.ndarray | None]] = [("all", None)]
     for spec, _ in mixture.parts:
@@ -839,21 +838,26 @@ def compare_static(
     return rows
 
 
-def stages() -> dict[str, Callable[[RunConfig, ArtifactPaths, Memo | None], object]]:
-    """Command name -> stage, in run order.
+def stages() -> dict[str, tuple[Callable[..., object], tuple[str, ...]]]:
+    """Command name -> (stage, the `ARTIFACTS` names it reads), in run order.
 
-    Built on each call from this module's attributes, so a stage patched
-    onto the module (a tracer's wrapper, a test's counter) is the one run.
+    The names are the one declaration of a stage's inputs; `_inputs` loads
+    and checks them in this order. Built on each call from this module's
+    attributes, so a stage patched onto the module (a tracer's wrapper, a
+    test's counter) is the one run.
     """
+    report = ("eval_data", "checkpoint", "branches", "downstream", "profile_train", "span_stats")
     return {
-        "synth": stage_synth,
-        "train-teacher": stage_teacher,
-        "train-branches": stage_branches,
-        "calibrate": stage_calibrate,
-        "train-downstream": stage_downstream,
-        "eval": stage_eval,
-        "noise-sweep": noise_sweep,
-        "compare-static": compare_static,
+        "synth": (stage_synth, ()),
+        "train-teacher": (stage_teacher, ("train_data",)),
+        "train-branches": (stage_branches, ("train_data", "checkpoint", "teacher")),
+        "calibrate": (stage_calibrate, ("checkpoint", "branches", "profile_train")),
+        "train-downstream": (
+            stage_downstream, ("train_data", "checkpoint", "branches", "profile_train")
+        ),
+        "eval": (stage_eval, report),
+        "noise-sweep": (noise_sweep, ("eval_data", "checkpoint", "branches", "profile_train")),
+        "compare-static": (compare_static, report),
     }
 
 
@@ -869,7 +873,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> ArtifactPaths:
     save_config(cfg, paths.config_file)
     memo = Memo()
     started = time.perf_counter()
-    for name, stage in stages().items():
+    for name, (stage, _) in stages().items():
         t0 = time.perf_counter()
         stage(cfg, paths, memo)
         print(f"[pipeline] {name}: {time.perf_counter() - t0:.1f}s")

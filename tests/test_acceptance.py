@@ -108,7 +108,7 @@ def full_run(stage1_runs):
         "paths": paths,
         "checkpoint": load_checkpoint(paths.checkpoint),
         "policy": load_policy(paths.policy_file),
-        "stats": load_span_stats(cfg, paths, "acceptance"),
+        "stats": load_span_stats(cfg, paths),
     }
 
 

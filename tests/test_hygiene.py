@@ -100,14 +100,14 @@ def test_no_private_name_imported_from_another_module(path):
 def test_catches_a_private_import():
     tree = ast.parse(
         "from __future__ import annotations\n"
-        "from .pipeline import ArtifactPaths, _require\n"
+        "from .pipeline import ArtifactPaths, _inputs\n"
         "from adaexit.policy import _format_float\n"
         "from os.path import _joinrealpath\n"
         "def f():\n"
         "    from . import _helpers\n"
     )
     assert private_imports(tree) == [
-        "_format_float (line 3)", "_helpers (line 6)", "_require (line 2)"
+        "_format_float (line 3)", "_helpers (line 6)", "_inputs (line 2)"
     ]
 
 

@@ -33,7 +33,6 @@ from adaexit.pipeline import (
     stage_calibrate,
     stage_downstream,
     stage_eval,
-    stage_synth,
     stage_teacher,
     stages,
 )
@@ -329,13 +328,11 @@ class TestConfig:
 class TestStages:
     def test_artifacts_exist(self, tiny_run):
         _, paths = tiny_run
-        for attr in (
-            "train_data", "eval_data", "checkpoint", "teacher_loss", "branch_loss",
-            "profile_heldout", "profile_train", "policy_file", "span_stats",
-            "exit_traces", "downstream_loss", "exit_distribution", "exit_summary",
-            "comparison_csv", "comparison_json", "timing_file", "config_file",
-        ):
-            assert getattr(paths, attr).exists(), attr
+        ck = load_checkpoint(paths.checkpoint)
+        for name, (file, _) in ARTIFACTS.items():
+            assert getattr(paths, name).exists(), name
+            if file == ARTIFACTS["checkpoint"][0] and name != "checkpoint":
+                assert getattr(ck, name) is not None, name
 
     def test_artifact_table_matches_written_files(self, tiny_run):
         _, paths = tiny_run
@@ -477,32 +474,44 @@ class TestStages:
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert len(rows) == cfg.num_train
         exits = [int(row["exit_layer"]) for row in rows]
-        assert load_span_stats(cfg, paths, "test") == ExitCounts.of(exits, cfg.num_layers)
-        assert all(row["layers_computed"] == row["exit_layer"] for row in rows)
+        assert load_span_stats(cfg, paths) == ExitCounts.of(exits, cfg.num_layers)
 
     def test_policy_file_matches_config_ratio(self, tiny_run):
         cfg, paths = tiny_run
         policy = load_policy(paths.policy_file)
         assert policy.ratio == cfg.ratio
 
-    def test_dependency_error_names_missing_stage(self, tiny_cfg, tmp_path):
-        paths = ArtifactPaths(tmp_path / "empty")
-        paths.root.mkdir()
-        with pytest.raises(DependencyError, match="synth"):
-            stage_teacher(tiny_cfg, paths)
-        stage_synth(tiny_cfg, paths)
-        with pytest.raises(DependencyError, match="train-teacher"):
-            stage_branches(tiny_cfg, paths)
-        with pytest.raises(DependencyError, match="train-teacher"):
-            stage_eval(tiny_cfg, paths)
-        stage_teacher(tiny_cfg, paths)
-        with pytest.raises(DependencyError, match="train-branches"):
-            stage_calibrate(tiny_cfg, paths)
-        stage_branches(tiny_cfg, paths)
-        for report in (stage_eval, compare_static):
-            with pytest.raises(DependencyError, match="run 'train-downstream'"):
-                report(tiny_cfg, paths)
-        noise_sweep(tiny_cfg, paths)
+    def test_each_stage_runs_on_its_declared_inputs_alone(self, tiny_cfg, tmp_path):
+        # The stages run in order in one directory. Before each runs there, a
+        # fresh directory gets only the files it declares, as they stand then;
+        # run there with no memo, it writes the same bytes. A stage that read
+        # an undeclared file, or one no earlier stage writes, fails here.
+        shared = ArtifactPaths(tmp_path / "shared")
+        done = set()
+        for command, (stage, reads) in stages().items():
+            assert {ARTIFACTS[name][1] for name in reads} <= done, command
+            alone = ArtifactPaths(tmp_path / command)
+            alone.root.mkdir()
+            for name in reads:
+                shutil.copy(getattr(shared, name), getattr(alone, name))
+            stage(tiny_cfg, shared)
+            stage(tiny_cfg, alone)
+            for name, (_, writer) in ARTIFACTS.items():
+                assert writer != command or getattr(alone, name).exists(), (command, name)
+            for path in alone.root.rglob("*"):
+                if path.is_file() and path.name != "timing.json":
+                    twin = shared.root / path.relative_to(alone.root)
+                    assert path.read_bytes() == twin.read_bytes(), (command, path.name)
+            done.add(command)
+
+    def test_noise_sweep_reads_nothing_train_downstream_writes(self):
+        # So a scheduler may run the two side by side.
+        reads = stages()["noise-sweep"][1]
+        assert all(ARTIFACTS[name][1] != "train-downstream" for name in reads)
+
+
+# Every (command, input) pair that `stages()` declares.
+DECLARED = [(command, name) for command, (_, reads) in stages().items() for name in reads]
 
 
 def _drop(key):
@@ -533,6 +542,24 @@ class TestStaleInputs:
     def forwarded(self, monkeypatch):
         return _count_forwards(monkeypatch)
 
+    @pytest.mark.parametrize("command, name", DECLARED, ids=[f"{c}:{n}" for c, n in DECLARED])
+    def test_each_missing_input_names_its_writer_before_any_forward(
+        self, copy, forwarded, command, name
+    ):
+        # A file is removed; a checkpoint section is dropped from the checkpoint.
+        cfg, paths = copy
+        path = getattr(paths, name)
+        if name == "checkpoint" or path != paths.checkpoint:
+            path.unlink()
+            needs = path.name
+        else:
+            save_checkpoint(replace(load_checkpoint(path), **{name: None}), path)
+            needs = f"the {name} section of {path.name}"
+        message = f"stage {command!r} needs {needs}; run {ARTIFACTS[name][1]!r} first"
+        with pytest.raises(DependencyError, match=f"^{re.escape(message)}$"):
+            stages()[command][0](cfg, paths)
+        assert forwarded == []
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -554,7 +581,7 @@ class TestStaleInputs:
         change(raw)
         paths.span_stats.write_text(json.dumps(raw))
         with pytest.raises(FormatError, match=r"^span_stats\.json: " + message):
-            load_span_stats(cfg, paths, "test")
+            load_span_stats(cfg, paths)
 
     def test_span_stats_of_another_depth_rejected_by_name(self, copy):
         cfg, paths = copy
@@ -562,7 +589,7 @@ class TestStaleInputs:
         with pytest.raises(
             DependencyError, match=r"^span_stats\.json has 3 layers, the config has 8$"
         ):
-            load_span_stats(cfg, paths, "test")
+            load_span_stats(cfg, paths)
 
     @pytest.mark.parametrize("text, message", [
         ("{", "not JSON"),
@@ -572,7 +599,7 @@ class TestStaleInputs:
         cfg, paths = copy
         paths.span_stats.write_text(text)
         with pytest.raises(FormatError, match=r"^span_stats\.json: " + message):
-            load_span_stats(cfg, paths, "test")
+            load_span_stats(cfg, paths)
 
     @pytest.mark.parametrize(
         "counts, error, detail",
@@ -604,6 +631,24 @@ class TestStaleInputs:
                 match=rf"entropy_profile_train\.csv has {rows} layers, the config has 8",
             ):
                 report(cfg, paths)
+        assert forwarded == []
+
+    @pytest.mark.parametrize(
+        "first, got", [("bogus,header", "'bogus,header'"), (None, "'1,")], ids=["bogus", "none"]
+    )
+    def test_profile_header_checked_before_any_forward(self, copy, forwarded, first, got):
+        # Line 1 used to be skipped unread: a bogus header loaded, and a file
+        # without one failed on line 2 as if its first row were missing.
+        cfg, paths = copy
+        lines = paths.profile_train.read_text().splitlines()
+        lines[:1] = [first] if first else []
+        paths.profile_train.write_text("\n".join(lines) + "\n")
+        message = rf"^entropy_profile_train\.csv: line 1 must be 'layer,mean_entropy', got {got}"
+        readers = [stage for stage, reads in stages().values() if "profile_train" in reads]
+        assert readers
+        for stage in readers:
+            with pytest.raises(FormatError, match=message):
+                stage(cfg, paths)
         assert forwarded == []
 
     def test_checkpoint_of_another_encoder_fails_before_any_forward(self, copy, forwarded):
@@ -702,7 +747,7 @@ class TestStaleInputs:
         stage_branches(retrained, paths)
         assert not paths.policy_file.exists()
         policy = stage_calibrate(retrained, paths)
-        assert policy == calibrate(_read_profile(retrained, paths, "test"), cfg.ratio)
+        assert policy == calibrate(_read_profile(retrained, paths), cfg.ratio)
         assert load_policy(paths.policy_file) == policy
         assert policy.threshold != old.threshold
 
@@ -747,7 +792,7 @@ class TestBatchedPasses:
         cfg, paths = tiny_run
         ck = load_checkpoint(paths.checkpoint)
         heldout = load_dataset(paths.eval_data)
-        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.sweep_ratio)
+        policy = calibrate(_read_profile(cfg, paths), cfg.sweep_ratio)
         expected = []
         for spec, _ in cfg.mixture_spec().parts:
             noisy = add_noise(heldout, spec).inputs
@@ -772,7 +817,7 @@ class TestBatchedPasses:
         cfg, paths = tiny_run
         ck = load_checkpoint(paths.checkpoint)
         train = load_dataset(paths.train_data)
-        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.ratio)
+        policy = calibrate(_read_profile(cfg, paths), cfg.ratio)
         head = init_downstream_head(cfg.num_layers, train.num_classes, cfg.model_dim, 0)
         result = train_downstream(
             ck.encoder, ck.branches, policy, head, train, lr=0.1, steps=0, seed=0
@@ -787,20 +832,19 @@ class TestBatchedPasses:
 
     def test_exit_traces_csv_is_one_decide_exit_trace_per_row(self, tiny_run):
         # The file's bytes as written from one `decide_exit` trace per entropy
-        # row of the training cache: the exit, the layers computed (the exit
-        # again: none past it), the forced flag, and the entropy of each
-        # evaluated layer, blank past the exit.
+        # row of the training cache: the exit, the forced flag, and the entropy
+        # of each evaluated layer, blank past the exit.
         cfg, paths = tiny_run
         ck = load_checkpoint(paths.checkpoint)
         train = load_dataset(paths.train_data)
-        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.ratio)
+        policy = calibrate(_read_profile(cfg, paths), cfg.ratio)
         rows = batch_entropies(ck.branches, hidden_state_cache(ck.encoder, train.inputs))
         layers = range(1, cfg.num_layers + 1)
-        header = ",".join(["sample_id,exit_layer,layers_computed,forced"] + [f"e{k}" for k in layers])
+        header = ",".join(["sample_id,exit_layer,forced"] + [f"e{k}" for k in layers])
         lines = [header]
         for i, row in enumerate(rows):
             t = decide_exit(policy, lambda k: row[k - 1])
-            cells = [i, t.exit_layer, t.exit_layer, int(t.forced)]
+            cells = [i, t.exit_layer, int(t.forced)]
             cells.extend(repr(t.entropies[k]) if k in t.entropies else "" for k in layers)
             lines.append(",".join(str(cell) for cell in cells))
         assert any(line.endswith(",") for line in lines), "no exit before the last layer"
@@ -818,8 +862,8 @@ class TestReplay:
         return cfg, paths, ck, heldout
 
     def _policies(self, cfg, paths, ck):
-        profile = _read_profile(cfg, paths, "test")
-        stats = load_span_stats(cfg, paths, "test")
+        profile = _read_profile(cfg, paths)
+        stats = load_span_stats(cfg, paths)
         policies = []
         for ratio in cfg.eval_ratios:
             base = calibrate(profile, ratio)
@@ -836,7 +880,7 @@ class TestReplay:
     def test_profile_csv_calibrates_like_a_fresh_profile(self, loaded):
         cfg, paths, ck, _ = loaded
         fresh = entropy_profile(ck.encoder, ck.branches, load_dataset(paths.train_data))
-        read = _read_profile(cfg, paths, "test")
+        read = _read_profile(cfg, paths)
         assert read.layer_means == fresh.layer_means
         for ratio in (*cfg.eval_ratios, cfg.sweep_ratio, cfg.ratio):
             assert calibrate(read, ratio) == calibrate(fresh, ratio)
@@ -875,7 +919,7 @@ class TestReplay:
 
     def test_noise_sweep_exits_equal_served_exits(self, loaded):
         cfg, paths, ck, heldout = loaded
-        policy = calibrate(_read_profile(cfg, paths, "test"), cfg.sweep_ratio)
+        policy = calibrate(_read_profile(cfg, paths), cfg.sweep_ratio)
         for level in (None, *cfg.snr_levels):
             noised = add_noise(
                 heldout, NoiseSpec(snr_db=level, kind=cfg.noise_kind, seed=cfg.noise_seed)
@@ -906,7 +950,7 @@ class TestMemo:
 
         monkeypatch.setattr(probe, "batch_entropies", counting)
         by_stage, rows_by_stage = {}, {}
-        for name, stage in stages().items():
+        for name, (stage, _) in stages().items():
             def recording(cfg, paths, memo, name=name, stage=stage):
                 start, rows_start = len(forwarded), len(entropy_rows)
                 stage(cfg, paths, memo)
@@ -1032,8 +1076,7 @@ class TestCli:
         args = ["--artifacts", str(artifacts)]
         for key, value in TINY.items():
             args.extend(["--set", f"{key}={value}"])
-        for command in ("synth", "train-teacher", "train-branches", "calibrate",
-                        "train-downstream", "eval", "noise-sweep", "compare-static"):
+        for command in stages():
             assert main([command, *args]) == 0, command
         reference = run_pipeline(tiny_cfg, tmp_path / "pipeline").root
 
@@ -1060,7 +1103,8 @@ class TestCli:
     def test_subcommands_are_the_stages_and_pipeline(self):
         # Each named as in the table, with the first line of its docstring as help.
         sub = next(a for a in build_parser()._actions if a.dest == "command")
-        commands = {**stages(), "pipeline": run_pipeline}
+        commands = {name: stage for name, (stage, _) in stages().items()}
+        commands["pipeline"] = run_pipeline
         assert list(sub.choices) == list(commands)
         assert {a.dest: a.help for a in sub._choices_actions} == {
             name: command.__doc__.partition("\n")[0] for name, command in commands.items()
@@ -1075,7 +1119,7 @@ class TestCli:
         # A table built once at import would keep the original functions, so a
         # tracer patching the module's attributes would see no stage run.
         calls = []
-        for name, stage in stages().items():
+        for name, (stage, _) in stages().items():
             monkeypatch.setattr(
                 pipeline,
                 stage.__name__,
