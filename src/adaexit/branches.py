@@ -15,8 +15,9 @@ and run them through numeric's unvalidated cores, `softmax64` and
 `entropy64`. Finite hidden states give finite logits, so the checked
 `softmax`'s finiteness scan is skipped; a non-finite hidden state makes a
 non-finite entropy, which fails by layer. Every whole-dataset pass uses
-`batch_entropies`: `entropy_table` forwards a dataset in batched chunks and
-returns its (N, layers) entropies. A profile is the column running mean of
+`batch_entropies`: `entropy_table` forwards a dataset in batched chunks, on
+every usable CPU (`encoder.map_chunks`), and returns its (N, layers)
+entropies. A profile is the column running mean of
 per-sample entropy rows (`EntropyProfile.from_rows`), wherever those rows
 already exist: training profiles the training split from the hidden-state
 cache it trained on, and `entropy_profile` is the profile of an
@@ -32,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import FORWARD_CHUNK, Encoder, cache_of, forward_batch
+from .encoder import Encoder, cache_of, forward_batch, map_chunks
 from .numeric import (
     DTYPE,
     entropy64,
@@ -174,10 +175,9 @@ def train_branches(
         (step, k + 1, float(loss)) for step, row in enumerate(losses) for k, loss in enumerate(row)
     ]
     trained = BranchSet(weights=weights, biases=biases)
-    entropies = np.concatenate([
-        batch_entropies(trained, cache[:, lo : lo + FORWARD_CHUNK])
-        for lo in range(0, data.num_sequences, FORWARD_CHUNK)
-    ])
+    entropies = np.concatenate(
+        map_chunks(lambda chunk: batch_entropies(trained, cache[:, chunk]), data.num_sequences)
+    )
     return BranchTrainResult(
         branches=trained,
         loss_rows=loss_rows,
@@ -257,13 +257,18 @@ def batch_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
 
 
 def entropy_table(enc: Encoder, branches: BranchSet, inputs: np.ndarray) -> np.ndarray:
-    """Every layer's branch entropy for every sequence, (N, num_layers), in batched forwards."""
+    """Every layer's branch entropy for every sequence, (N, num_layers), in batched forwards.
+
+    The chunks run on every usable CPU (`encoder.map_chunks`).
+    """
     if not len(inputs):
         raise ValueError("empty dataset")
-    return np.concatenate([
-        batch_entropies(branches, forward_batch(enc, inputs[lo : lo + FORWARD_CHUNK]))
-        for lo in range(0, len(inputs), FORWARD_CHUNK)
-    ])
+    return np.concatenate(
+        map_chunks(
+            lambda chunk: batch_entropies(branches, forward_batch(enc, inputs[chunk])),
+            len(inputs),
+        )
+    )
 
 
 def entropy_profile(enc: Encoder, branches: BranchSet, data: FrameDataset) -> EntropyProfile:

@@ -12,6 +12,8 @@ one-head-per-layer call. The trainer splits its heads into contiguous
 groups, one per usable CPU, and trains each group in its own thread (the
 first in the caller's) with preallocated float64 buffers and its own copy
 of the batch stream, so its bits do not depend on the CPU count.
+`on_usable_cpus` is that rule for any list of independent items: the
+trainer's head groups, and the chunks of every whole-dataset pass.
 
 Inputs are checked at the module boundary, not inside the hot loops.
 `layer_norm`, `softmax` and `cross_entropy` validate what they are given,
@@ -23,7 +25,9 @@ wrapper: its one caller, branch entropy, hands it `softmax64`'s rows. The
 encoder's blocks call `layer_norm64` and `softmax64`. Branch entropies call
 `softmax64` on their logits and `entropy64` on its rows; they skip
 softmax's finiteness scan and fail by layer on a non-finite entropy
-instead. The trainer calls `cross_entropy64` on its own buffers. Each core
+instead. The trainer and the downstream probe's step call `cross_entropy64`
+on their own buffers; the checked `cross_entropy` has no caller in the
+package and stays as the validated entry and the tests' reference. Each core
 keeps the arithmetic of the checked call bit for bit and takes float32 or
 float64 parameters alike; the embedding, the blocks and the branches pass
 float64 copies of theirs, cast once (`Encoder.f64`, `BlockParams.f64`,
@@ -47,6 +51,7 @@ __all__ = [
     "cross_entropy",
     "cross_entropy64",
     "train_linear_heads",
+    "on_usable_cpus",
     "entropy64",
     "layer_norm",
     "layer_norm64",
@@ -154,11 +159,46 @@ def cross_entropy64(x, picks, picked, rowmax, rowsum, out=None, loss=None):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; the trainer runs one head group per CPU."""
+    """CPUs this process may run on; `on_usable_cpus` runs one share of its items per CPU."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
+
+
+def on_usable_cpus(work, items) -> list:
+    """`[work(item) for item in items]`, with the items shared out over the usable CPUs.
+
+    Share s takes items s, s + shares, s + 2 * shares, ..., one share per
+    usable CPU (at most one per item). The first share runs in the caller's
+    thread and the others in a pool of shares - 1 threads, so one CPU or one
+    item starts no thread and runs the items in order. `work` must be safe
+    to run on distinct items at once; callers hand it numpy work on disjoint
+    slices, and numpy releases the GIL inside its loops and BLAS calls. When
+    items fail, the exception of the lowest-index failing item is raised:
+    the one that the serial loop raises.
+    """
+    items = list(items)
+    shares = max(1, min(len(items), _usable_cpus()))
+    results = [None] * len(items)
+    failures = {}
+
+    def run(share):
+        for i in range(share, len(items), shares):
+            try:
+                results[i] = work(items[i])
+            except Exception as err:  # kept, and raised below in item order
+                failures[i] = err
+                return  # the share's later items cannot fail first
+
+    with ThreadPoolExecutor(max(1, shares - 1)) as pool:
+        rest = [pool.submit(run, share) for share in range(1, shares)]
+        run(0)
+        for future in rest:
+            future.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def train_linear_heads(
@@ -188,11 +228,7 @@ def train_linear_heads(
             cache[lo:hi], labels, weights[lo:hi], biases[lo:hi], lr, steps, batch_size, seed, lo
         )
 
-    # The first group runs in the caller's thread: one group starts no thread.
-    with ThreadPoolExecutor(max(1, groups - 1)) as pool:
-        rest = [pool.submit(train, g) for g in range(1, groups)]
-        parts = [train(0)] + [future.result() for future in rest]
-    w, b, losses = zip(*parts)
+    w, b, losses = zip(*on_usable_cpus(train, range(groups)))
     return np.concatenate(w), np.concatenate(b), np.concatenate(losses, axis=1)
 
 

@@ -9,7 +9,9 @@ each sample's exit layer is a fixed property of the data and is computed
 once, from the training split's hidden-state cache (the pipeline's one
 forward of that split, which the teacher and the branches trained on):
 `policy.decide_exits` over its entropy rows gives `run_exit`'s exits, and
-the cache, normalized in place, holds every prefix as a view. Evaluation
+the cache, normalized in place, holds every prefix as a view. Each SGD
+step then computes its whole batch at once (`_ProbeStep`), with the bits
+of a loop over the batch's samples. Evaluation
 reports accuracy alongside exit depth and compute-saved accounting (all
 read from one `policy.ExitCounts`), with a statically truncated twin for
 baseline comparisons.
@@ -20,13 +22,18 @@ reference paths, one sample at a time. The eval and static-comparison
 reports instead build one `LayerTable` per dataset from batched full
 forwards, one row per sample: the branch
 entropy at every layer and, by the prefix property, the probe's correct
-count at every exit depth. `replay_evaluate` and `replay_timing` are pure
+count at every exit depth. The training cache's entropies and
+normalization and the table's forwards run in chunks on every usable CPU
+(`encoder.map_chunks`), the caller's thread taking the first share; a
+chunk's work calls no public entry point of this module, since a tracer
+keeps one span stack. `replay_evaluate` and `replay_timing` are pure
 functions of that table: each decides every row at once with
 `policy.decide_exits`, with no per-row trace. `replay_evaluate` gives
 `evaluate`'s record for any policy; replaying the policy pinned to layer k
 (`policy.fixed_exit_policy`) gives every number of `evaluate_static`'s
 record at k. `replay_timing` prices a policy from the table's three
-wall-time totals, each measured per chunk and summed.
+wall-time totals, each measured per chunk and summed over chunks that may
+run at once, so a total can exceed the wall time of the build.
 """
 
 from __future__ import annotations
@@ -38,16 +45,9 @@ import numpy as np
 
 from .branches import BranchSet, batch_entropies
 from .data import FrameDataset
-from .encoder import (
-    FORWARD_CHUNK,
-    Encoder,
-    IncrementalForward,
-    cache_of,
-    embed_batch,
-    run_blocks,
-)
+from .encoder import Encoder, IncrementalForward, cache_of, embed_batch, map_chunks, run_blocks
 from .errors import ConfigError
-from .numeric import DTYPE, cross_entropy, layer_norm, matmul64, new_rng, sgd_step, softmax
+from .numeric import DTYPE, cross_entropy64, layer_norm, matmul64, new_rng, sgd_step, softmax
 from .policy import ExitCounts, ExitPolicy, decide_exits, run_exit
 
 __all__ = [
@@ -93,7 +93,9 @@ class LayerTable:
     """Per-sample, per-layer facts of one full forward over a dataset.
 
     Row i is sample i; column k-1 is layer k. The build's three wall-time
-    totals are the table's only non-deterministic fields.
+    totals are the table's only non-deterministic fields. Each sums the
+    per-chunk times of chunks that ran on every usable CPU at once, so it
+    can exceed the wall time of the build.
     """
 
     entropies: np.ndarray  # (N, L) float64 branch entropy of layer k
@@ -174,43 +176,6 @@ def _sequence_label(labels: np.ndarray, num_classes: int) -> int:
     return int(np.bincount(labels, minlength=num_classes).argmax())
 
 
-def _loss_and_grads(head, feats64, labels, task):
-    """Loss, feature gradient, and probe gradients for one sample.
-
-    feats64: (frames, dim) float64 features; the sequence task scores the
-    one row of frame-pooled features. Returns
-    (loss, d_features, d_probe_weight, d_probe_bias).
-    """
-    frames = feats64.shape[0]
-    w64 = head.probe_weight.astype(np.float64)
-    if task == "frame":
-        logits = feats64 @ w64.T + head.probe_bias.astype(np.float64)
-        loss, dlogits = cross_entropy(logits, labels)
-        return float(loss), dlogits @ w64, dlogits.T @ feats64, dlogits.sum(axis=0)
-    pooled = feats64.mean(axis=0)
-    logits = w64 @ pooled + head.probe_bias.astype(np.float64)
-    loss, dlogits = cross_entropy(logits[None], np.array([int(labels)]))
-    dlogits = dlogits[0]
-    d_feats = np.tile((dlogits @ w64) / frames, (frames, 1))
-    return float(loss), d_feats, np.outer(dlogits, pooled), dlogits
-
-
-def _layer_weight_grad(head, prefix, d_feats, renormalize):
-    """Gradient of the loss w.r.t. the raw layer weights for one sample."""
-    length = prefix.shape[0]
-    per_layer = np.einsum("ktd,td->k", prefix.astype(np.float64), d_feats)
-    grad = np.zeros(head.num_layers, dtype=np.float64)
-    if renormalize:
-        weights = softmax(head.layer_weights[:length])
-        grad[:length] = weights * (per_layer - float(weights @ per_layer))
-    else:
-        weights = softmax(head.layer_weights)
-        contrib = np.zeros(head.num_layers, dtype=np.float64)
-        contrib[:length] = per_layer
-        grad = weights * (contrib - float(weights @ contrib))
-    return grad
-
-
 def train_downstream(
     enc: Encoder,
     branches: BranchSet,
@@ -234,8 +199,10 @@ def train_downstream(
     `data`'s `encoder.hidden_state_cache` (built here when not given): the
     branch entropies of its layers give `run_exit`'s exits, and then the
     cache is layer-normalized in place, one layer of one chunk at a time,
-    so a sample's prefix is the view of its layers up to its exit. A given
-    cache is overwritten. `entropies`, when given, are those (N, num_layers)
+    the chunks on every usable CPU (`encoder.map_chunks`), so a sample's
+    prefix is the view of its layers up to its exit. Each SGD step is one
+    `_ProbeStep` over the batch. A given cache is overwritten.
+    `entropies`, when given, are those (N, num_layers)
     float64 entropy rows, already computed from the cache under `branches`
     (`BranchTrainResult.entropies`); that they are is the caller's promise.
     The exit counts (one exit per sample) are the span statistics used by
@@ -253,56 +220,170 @@ def train_downstream(
             f"entropies must be float64 (N, num_layers) = {expected}, "
             f"got {entropies.dtype} {entropies.shape}"
         )
-    rows = []
-    for lo in range(0, data.num_sequences, FORWARD_CHUNK):
-        chunk = cache[:, lo : lo + FORWARD_CHUNK]
-        if entropies is None:
-            rows.append(batch_entropies(branches, chunk))
-        for layer in chunk:  # a layer at a time: float64 temporaries of one layer only
+    given = entropies is not None
+
+    def prologue(chunk):
+        states = cache[:, chunk]
+        rows = None if given else batch_entropies(branches, states)
+        for layer in states:  # a layer at a time: float64 temporaries of one layer only
             layer[...] = layer_norm(layer)
-    if entropies is None:
+        return rows
+
+    rows = map_chunks(prologue, data.num_sequences)
+    if not given:
         entropies = np.concatenate(rows)
     exits, forced = decide_exits(policy, entropies)
-    prefixes = [cache[:k, i] for i, k in enumerate(exits.tolist())]
-    span_stats = ExitCounts.of(exits, policy.num_layers)
     if task == "sequence":
-        sample_labels = [
-            _sequence_label(data.labels[i], data.num_classes)
-            for i in range(data.num_sequences)
-        ]
-    rng = new_rng(seed)
-    layer_weights = head.layer_weights
-    probe_weight = head.probe_weight
-    probe_bias = head.probe_bias
-    losses: list[float] = []
-    for _ in range(steps):
-        batch = rng.integers(0, data.num_sequences, size=batch_size)
-        current = DownstreamHead(layer_weights, probe_weight, probe_bias)
-        g_lw = np.zeros(head.num_layers, dtype=np.float64)
-        g_pw = np.zeros_like(probe_weight, dtype=np.float64)
-        g_pb = np.zeros_like(probe_bias, dtype=np.float64)
-        batch_loss = 0.0
-        for i in batch:
-            prefix = prefixes[i]
-            feats = weighted_features(current, prefix, renormalize)
-            labels = sample_labels[i] if task == "sequence" else data.labels[i]
-            loss, d_feats, d_pw, d_pb = _loss_and_grads(current, feats, labels, task)
-            batch_loss += loss
-            g_pw += d_pw
-            g_pb += d_pb
-            g_lw += _layer_weight_grad(current, prefix, d_feats, renormalize)
-        layer_weights = sgd_step(layer_weights, g_lw / batch_size, lr)
-        probe_weight = sgd_step(probe_weight, g_pw / batch_size, lr)
-        probe_bias = sgd_step(probe_bias, g_pb / batch_size, lr)
-        losses.append(batch_loss / batch_size)
+        labels = np.array([_sequence_label(y, data.num_classes) for y in data.labels])
+    else:
+        labels = data.labels
+    trained, losses = _train_probe(
+        cache, exits, labels, head, lr, steps, batch_size, seed, renormalize
+    )
     return DownstreamTrainResult(
-        head=DownstreamHead(layer_weights, probe_weight, probe_bias),
-        span_stats=span_stats,
+        head=trained,
+        span_stats=ExitCounts.of(exits, policy.num_layers),
         losses=losses,
         entropies=entropies,
         exits=exits,
         forced=forced,
     )
+
+
+def _train_probe(cache, exits, labels, head, lr, steps, batch_size, seed, renormalize):
+    """The probe's SGD loop: `_ProbeStep` gradients, one batch drawn from `seed` a step.
+
+    Returns the trained head and each step's mean batch loss.
+    """
+    step_grads = _ProbeStep(cache, exits, labels, head.num_labels, batch_size, renormalize)
+    rng = new_rng(seed)
+    losses: list[float] = []
+    for step in range(steps):
+        loss, g_lw, g_pw, g_pb = step_grads(head, rng.integers(0, len(exits), size=batch_size))
+        if not np.isfinite(loss):
+            raise ValueError(
+                f"downstream probe diverged at step {step}: its loss is not finite (lr={lr:g})"
+            )
+        head = DownstreamHead(
+            sgd_step(head.layer_weights, g_lw, lr),
+            sgd_step(head.probe_weight, g_pw, lr),
+            sgd_step(head.probe_bias, g_pb, lr),
+        )
+        losses.append(loss)
+    return head, losses
+
+
+class _ProbeStep:
+    """A batch's mean probe loss and gradients over the normalized cache, in reused buffers.
+
+    labels are (N, frames) frame labels, or (N,) sequence labels; sample i's
+    prefix is cache[:exits[i], i]. A call groups its batch by exit depth k.
+    Per depth, one einsum over the gathered float32 prefixes gives the
+    group's features. The logits, the loss and its gradients are stacked
+    over the batch (a stacked matmul is one product per sample), and the
+    loss, probe and layer-weight terms are summed in batch order. So every
+    number is that of a loop over the batch's samples: each sample meets
+    the kernels such a loop calls, on the same operands. The layer-weight
+    einsum stays per sample, over the prefix cast to float64: numpy's einsum
+    splits a reduction longer than its 8192-element buffer differently once
+    samples share the call.
+    """
+
+    def __init__(self, cache, exits, labels, num_labels, batch_size, renormalize):
+        num_layers, _, frames, dim = cache.shape
+        self.cache, self.exits, self.labels, self.renormalize = cache, exits, labels, renormalize
+        self.sequence = labels.ndim == 1
+        rows = 1 if self.sequence else frames  # the rows a sample's loss averages
+        # Each depth's gathered prefixes, back to back: at most every layer of every sample.
+        self.gathered = np.empty(num_layers * batch_size * frames * dim, dtype=DTYPE)
+        self.prefix64 = np.empty((num_layers, frames, dim))
+        self.feats = np.empty((batch_size, frames, dim))
+        self.d_feats = np.empty((batch_size, frames, dim))
+        self.pooled = np.empty((batch_size, dim))
+        self.d_pooled = np.empty((batch_size, 1, dim))
+        self.batch_labels = np.empty((batch_size, *labels.shape[1:]), dtype=labels.dtype)
+        self.logits = np.empty((batch_size, rows, num_labels))
+        self.row_starts = np.arange(0, self.logits.size, num_labels).reshape(batch_size, rows)
+        self.picks = np.empty_like(self.row_starts)
+        self.picked, self.loss = np.empty((batch_size, rows)), np.empty(batch_size)
+        self.rowmax, self.rowsum = np.empty((2, batch_size, rows, 1))
+        self.d_pw = np.empty((batch_size, num_labels, dim))
+        # The sequence task's bias gradient is its one logit row's.
+        self.d_pb = self.logits[:, 0] if self.sequence else np.empty((batch_size, num_labels))
+        self.per_layer = np.empty((batch_size, num_layers))
+        self.dots = np.empty((batch_size, 1))
+        self.lw_terms = np.empty((batch_size, num_layers))
+
+    def __call__(self, head: DownstreamHead, batch: np.ndarray):
+        """The batch's mean loss, and its mean layer-weight, probe-weight and bias gradients.
+
+        batch holds batch_size sample indices, repeats allowed.
+        """
+        num_layers, _, frames, dim = self.cache.shape
+        batch_size = len(batch)
+        feats, d_feats, logits, d_pb = self.feats, self.d_feats, self.logits, self.d_pb
+        per_layer, dots, lw_terms = self.per_layer, self.dots, self.lw_terms
+        depths = self.exits[batch]
+        order = np.argsort(depths, kind="stable")  # by depth; batch order within a depth
+        grouped = batch[order]
+        ends = np.cumsum(np.bincount(depths, minlength=num_layers + 1)).tolist()
+        every = softmax(head.layer_weights)
+        w64, b64 = head.probe_weight.astype(np.float64), head.probe_bias.astype(np.float64)
+        groups = []
+        offset = 0
+        for k, lo, hi in zip(range(1, num_layers + 1), ends, ends[1:]):
+            if lo == hi:
+                continue
+            prefixes = self.gathered[offset : offset + k * (hi - lo) * frames * dim]
+            prefixes = prefixes.reshape(k, hi - lo, frames, dim)
+            offset += prefixes.size
+            np.take(self.cache[:k], grouped[lo:hi], axis=1, out=prefixes, mode="clip")
+            # Depth k's softmax over the layer weights; its first k entries weight the prefix.
+            weights = softmax(head.layer_weights[:k]) if self.renormalize else every
+            np.einsum("k,kgtd->gtd", weights[:k], prefixes, out=feats[lo:hi])
+            groups.append((k, lo, hi, prefixes, weights))
+        np.take(self.labels, grouped, axis=0, out=self.batch_labels, mode="clip")
+        np.add(self.row_starts, self.batch_labels.reshape(self.row_starts.shape), out=self.picks)
+        if self.sequence:  # one matrix-vector product per sample, over its pooled frames
+            feats.mean(axis=1, out=self.pooled)
+            np.matmul(w64, self.pooled[:, :, None], out=logits.reshape(batch_size, -1, 1))
+        else:
+            np.matmul(feats, w64.T, out=logits)
+        logits += b64
+        cross_entropy64(
+            logits, self.picks, self.picked, self.rowmax, self.rowsum, out=logits, loss=self.loss
+        )
+        if self.sequence:
+            np.multiply(d_pb[:, :, None], self.pooled[:, None, :], out=self.d_pw)
+            np.matmul(logits, w64, out=self.d_pooled)
+            self.d_pooled /= frames
+            np.copyto(d_feats, self.d_pooled)  # every frame's share of the pooled gradient
+        else:
+            np.matmul(logits.transpose(0, 2, 1), feats, out=self.d_pw)
+            logits.sum(axis=1, out=d_pb)
+            np.matmul(logits, w64, out=d_feats)
+        for k, lo, hi, prefixes, weights in groups:
+            for j in range(lo, hi):
+                np.copyto(self.prefix64[:k], prefixes[:, j - lo])
+                np.einsum("ktd,td->k", self.prefix64[:k], d_feats[j], out=per_layer[j, :k])
+            # Depth k's softmax covers layers 1..k, or all of them unrenormalized.
+            span = k if self.renormalize else num_layers
+            per_layer[lo:hi, k:] = 0.0
+            np.matmul(weights, per_layer[lo:hi, :span, None], out=dots[lo:hi])
+            np.subtract(per_layer[lo:hi, :span], dots[lo:hi], out=lw_terms[lo:hi, :span])
+            lw_terms[lo:hi, :span] *= weights
+            lw_terms[lo:hi, span:] = 0.0
+        loss = 0.0
+        g_lw = np.zeros(num_layers)
+        g_pw = np.zeros(self.d_pw.shape[1:])
+        g_pb = np.zeros(d_pb.shape[1:])
+        by_row = self.loss.tolist()
+        for j in np.argsort(order).tolist():  # each sample's row, in batch order
+            loss += by_row[j]
+            g_pw += self.d_pw[j]
+            g_pb += d_pb[j]
+            g_lw += lw_terms[j]
+        return loss / batch_size, g_lw / batch_size, g_pw / batch_size, g_pb / batch_size
 
 
 def _predictions(head, feats, labels, task, num_classes):
@@ -423,22 +504,27 @@ def build_layer_table(
     Each entropy row is the sample's row of `batch_entropies`, bit for bit
     `sample_entropies` of its L hidden layers: the same hidden matrices a
     lazy forward computes (batch invariance, prefix property), so replayed
-    exits equal those of `run_exit`. The prefix is normalized once
-    at depth L and the features for exit depth k weight its first k layers,
-    bit-identical to the features of a pass truncated at k. Samples are
-    forwarded in batched chunks; each chunk's projection, blocks and
-    entropies are timed and the times summed. Chunks stream into (N, L)
-    arrays; no hidden states outlive their chunk.
+    exits equal those of `run_exit`. The layers are normalized once at
+    depth L, and the features for exit depth k weight their first k layers:
+    one einsum per depth over a chunk, bit-identical to the features of a
+    pass truncated at k, then scored with `evaluate`'s arithmetic. Samples
+    are forwarded in batched chunks on every usable CPU
+    (`encoder.map_chunks`); each chunk's projection, blocks and entropies
+    are timed, and the times summed over chunks that may have run at once.
+    Chunks stream into (N, L) arrays; no hidden states outlive their chunk.
     """
     _check_dataset(data, task)
     n = data.num_sequences
     num_layers = enc.config.num_layers
     entropies = np.empty((n, num_layers), dtype=np.float64)
     correct = np.empty((n, num_layers), dtype=np.int64)
-    scored = np.empty(n, dtype=np.int64)
-    embed_seconds = block_seconds = branch_seconds = 0.0
-    for lo in range(0, n, FORWARD_CHUNK):
-        chunk = slice(lo, lo + FORWARD_CHUNK)
+    scored = np.full(n, 1 if task == "sequence" else data.labels.shape[1], dtype=np.int64)
+    weights = [prefix_weights(head, k, renormalize) for k in range(1, num_layers + 1)]
+    w64, b64 = head.probe_weight.astype(np.float64), head.probe_bias.astype(np.float64)
+    if task == "sequence":
+        targets = np.array([_sequence_label(y, data.num_classes) for y in data.labels])
+
+    def chunk_facts(chunk):
         t0 = time.perf_counter()
         stream = embed_batch(enc, data.inputs[chunk])
         t1 = time.perf_counter()
@@ -446,16 +532,18 @@ def build_layer_table(
         t2 = time.perf_counter()
         entropies[chunk] = batch_entropies(branches, states)
         t3 = time.perf_counter()
-        embed_seconds += t1 - t0
-        block_seconds += t2 - t1
-        branch_seconds += t3 - t2
-        for j, i in enumerate(range(lo, lo + len(stream))):
-            normed = normalize_prefix(states[:, j], num_layers)
-            for k in range(1, num_layers + 1):
-                feats = weighted_features(head, normed[:k], renormalize)
-                correct[i, k - 1], scored[i] = _predictions(
-                    head, feats, data.labels[i], task, data.num_classes
-                )
+        normed = layer_norm(states)
+        for k, w in enumerate(weights, start=1):
+            logits = np.einsum("k,kbtd->btd", w, normed[:k]) @ w64.T
+            logits += b64
+            if task == "sequence":
+                correct[chunk, k - 1] = logits.mean(axis=1).argmax(axis=1) == targets[chunk]
+            else:
+                hits = logits.argmax(axis=2) == data.labels[chunk]
+                correct[chunk, k - 1] = hits.sum(axis=1)
+        return t1 - t0, t2 - t1, t3 - t2
+
+    embed_seconds, block_seconds, branch_seconds = map(sum, zip(*map_chunks(chunk_facts, n)))
     return LayerTable(
         entropies=entropies,
         correct=correct,

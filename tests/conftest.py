@@ -6,6 +6,7 @@ import pytest
 from adaexit.data import SynthDatasetSpec, synth_dataset
 from adaexit.encoder import EncoderConfig, IncrementalForward, init_encoder
 from adaexit.policy import run_exit
+from adaexit.probe import _ProbeStep
 
 SMALL_ENCODER = EncoderConfig(
     num_layers=4,
@@ -56,6 +57,20 @@ def assert_served_exits(enc, branches, policy, inputs, entropies, exits, forced)
         assert trace.entropies == {k: float(row[k - 1]) for k in evaluated}, i
         assert list(trace.entropies) == evaluated, i
     return served
+
+
+def probe_step(prefixes, labels, head, renormalize=True):
+    """`probe._ProbeStep` over a batch of the given normalized prefixes, sample j at row j.
+
+    Call it as step(head, np.arange(len(prefixes))) for the batch's mean loss and gradients.
+    """
+    frames, dim = prefixes[0].shape[1:]
+    cache = np.zeros((head.num_layers, len(prefixes), frames, dim), dtype=np.float32)
+    for j, prefix in enumerate(prefixes):
+        cache[: len(prefix), j] = prefix
+    exits = np.array([len(prefix) for prefix in prefixes])
+    labels = np.asarray(labels)
+    return _ProbeStep(cache, exits, labels, head.num_labels, len(prefixes), renormalize)
 
 
 @pytest.fixture(scope="session")

@@ -44,13 +44,15 @@ from adaexit.policy import (
     load_policy,
     run_exit,
 )
-from adaexit.probe import evaluate, evaluate_static, normalize_prefix, weighted_features
+from adaexit.probe import evaluate, evaluate_static, normalize_prefix
 from adaexit.serialize import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     load_checkpoint,
     load_dataset,
 )
+
+from conftest import probe_step
 
 SEED_FAMILIES = (1, 2, 3)
 
@@ -233,7 +235,7 @@ def test_criterion_4_entropy_bounds_and_calibration(stage1_runs):
 def test_criterion_5_gradient_checks(stage1_runs):
     from adaexit.branches import branch_logits
     from adaexit.numeric import softmax
-    from adaexit.probe import DownstreamHead, _layer_weight_grad, _loss_and_grads
+    from adaexit.probe import DownstreamHead
     from adaexit.teacher import pseudo_labels
 
     family = SEED_FAMILIES[0]
@@ -281,26 +283,16 @@ def test_criterion_5_gradient_checks(stage1_runs):
         probe_weight=(rng.standard_normal((heldout.num_classes, 64)) * 0.2).astype(np.float32),
         probe_bias=np.zeros(heldout.num_classes, dtype=np.float32),
     )
-    prefixes = [
-        normalize_prefix(forward_all(ck.encoder, heldout.inputs[i]), 4) for i in (0, 1)
-    ]
-    labels = [heldout.labels[i] for i in (0, 1)]
+    step = probe_step(
+        [normalize_prefix(forward_all(ck.encoder, heldout.inputs[i]), 4) for i in (0, 1)],
+        heldout.labels[:2], head,
+    )
+    batch = np.arange(2)
 
     def ds_loss(hd):
-        total = 0.0
-        for prefix, lab in zip(prefixes, labels):
-            feats = weighted_features(hd, prefix)
-            loss, *_ = _loss_and_grads(hd, feats, lab, "frame")
-            total += loss
-        return total / 2
+        return step(hd, batch)[0]
 
-    g_lw = np.zeros(8, dtype=np.float64)
-    g_pw = np.zeros_like(head.probe_weight, dtype=np.float64)
-    for prefix, lab in zip(prefixes, labels):
-        feats = weighted_features(head, prefix)
-        _, d_feats, d_pw, _ = _loss_and_grads(head, feats, lab, "frame")
-        g_pw += d_pw / 2
-        g_lw += _layer_weight_grad(head, prefix, d_feats, True) / 2
+    _, g_lw, g_pw, _ = step(head, batch)
     for idx in range(4):
         lw = head.layer_weights.copy()
         lw[idx] += h

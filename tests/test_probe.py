@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from adaexit.branches import sample_entropies, train_branches
-from adaexit.encoder import forward_all, parameter_digest
+from adaexit.encoder import forward_all, hidden_state_cache, parameter_digest
 from adaexit.errors import ConfigError
-from adaexit.numeric import layer_norm
+from adaexit.numeric import cross_entropy, layer_norm, new_rng, sgd_step, softmax
 from adaexit.policy import ExitPolicy, decide_exits, fixed_exit_policy
 from adaexit.probe import (
+    TASKS,
     DownstreamHead,
     LayerTable,
     build_layer_table,
@@ -21,12 +23,14 @@ from adaexit.probe import (
     prefix_weights,
     replay_evaluate,
     replay_timing,
+    _ProbeStep,
+    _train_probe,
     train_downstream,
     weighted_features,
 )
 from adaexit.teacher import train_teacher
 
-from conftest import SMALL_ENCODER, assert_served_exits, truncated_forward
+from conftest import SMALL_ENCODER, assert_served_exits, probe_step, truncated_forward
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,78 @@ def _random_head(rng, num_layers=SMALL_ENCODER.num_layers, num_labels=5,
         probe_weight=rng.standard_normal((num_labels, dim)).astype(np.float32) * np.float32(0.2),
         probe_bias=rng.standard_normal(num_labels).astype(np.float32) * np.float32(0.1),
     )
+
+
+def reference_loss_and_grads(head, feats64, labels, task):
+    """One sample's loss, feature gradient and probe gradients: the per-sample loop's kernel."""
+    frames = feats64.shape[0]
+    w64 = head.probe_weight.astype(np.float64)
+    if task == "frame":
+        logits = feats64 @ w64.T + head.probe_bias.astype(np.float64)
+        loss, dlogits = cross_entropy(logits, labels)
+        return float(loss), dlogits @ w64, dlogits.T @ feats64, dlogits.sum(axis=0)
+    pooled = feats64.mean(axis=0)
+    logits = w64 @ pooled + head.probe_bias.astype(np.float64)
+    loss, dlogits = cross_entropy(logits[None], np.array([int(labels)]))
+    dlogits = dlogits[0]
+    d_feats = np.tile((dlogits @ w64) / frames, (frames, 1))
+    return float(loss), d_feats, np.outer(dlogits, pooled), dlogits
+
+
+def reference_layer_weight_grad(head, prefix, d_feats, renormalize):
+    """Gradient of one sample's loss w.r.t. the raw layer weights."""
+    length = prefix.shape[0]
+    per_layer = np.einsum("ktd,td->k", prefix.astype(np.float64), d_feats)
+    grad = np.zeros(head.num_layers, dtype=np.float64)
+    if renormalize:
+        weights = softmax(head.layer_weights[:length])
+        grad[:length] = weights * (per_layer - float(weights @ per_layer))
+    else:
+        weights = softmax(head.layer_weights)
+        contrib = np.zeros(head.num_layers, dtype=np.float64)
+        contrib[:length] = per_layer
+        grad = weights * (contrib - float(weights @ contrib))
+    return grad
+
+
+def reference_step(cache, exits, labels, head, batch, renormalize):
+    """A batch's mean loss and gradients one sample at a time: the probe step before batching."""
+    task = "sequence" if labels.ndim == 1 else "frame"
+    g_lw = np.zeros(head.num_layers, dtype=np.float64)
+    g_pw = np.zeros_like(head.probe_weight, dtype=np.float64)
+    g_pb = np.zeros_like(head.probe_bias, dtype=np.float64)
+    batch_loss = 0.0
+    for i in batch:
+        prefix = cache[: exits[i], i]
+        feats = weighted_features(head, prefix, renormalize)
+        loss, d_feats, d_pw, d_pb = reference_loss_and_grads(head, feats, labels[i], task)
+        batch_loss += loss
+        g_pw += d_pw
+        g_pb += d_pb
+        g_lw += reference_layer_weight_grad(head, prefix, d_feats, renormalize)
+    n = len(batch)
+    return batch_loss / n, g_lw / n, g_pw / n, g_pb / n
+
+
+def reference_sgd(head, grads, lr):
+    _, g_lw, g_pw, g_pb = grads
+    return DownstreamHead(
+        sgd_step(head.layer_weights, g_lw, lr),
+        sgd_step(head.probe_weight, g_pw, lr),
+        sgd_step(head.probe_bias, g_pb, lr),
+    )
+
+
+def reference_train_probe(cache, exits, labels, head, lr, steps, batch_size, seed, renormalize):
+    """The probe's SGD loop over `reference_step`, as `train_downstream` ran it before batching."""
+    rng = new_rng(seed)
+    losses = []
+    for _ in range(steps):
+        batch = rng.integers(0, len(exits), size=batch_size)
+        grads = reference_step(cache, exits, labels, head, batch, renormalize)
+        head = reference_sgd(head, grads, lr)
+        losses.append(grads[0])
+    return head, losses
 
 
 class TestNormalizePrefix:
@@ -227,32 +303,20 @@ class TestTrainDownstream:
 
     def test_gradients_match_finite_differences(self, stack, small_dataset):
         # Two-sample toy batch; checks probe weight and raw layer weight grads.
-        from adaexit.probe import _layer_weight_grad, _loss_and_grads
-
         enc, branches = stack
         rng = np.random.default_rng(3)
         head = _random_head(rng, num_labels=small_dataset.num_classes)
         samples = [0, 1]
-        prefixes = [
-            normalize_prefix(forward_all(enc, small_dataset.inputs[i]), 3) for i in samples
-        ]
-        labels = [small_dataset.labels[i] for i in samples]
+        step = probe_step(
+            [normalize_prefix(forward_all(enc, small_dataset.inputs[i]), 3) for i in samples],
+            small_dataset.labels[samples], head, renormalize=True,
+        )
+        batch = np.arange(len(samples))
 
         def total_loss(h):
-            total = 0.0
-            for prefix, lab in zip(prefixes, labels):
-                feats = weighted_features(h, prefix).astype(np.float64)
-                loss, *_ = _loss_and_grads(h, feats, lab, "frame")
-                total += loss
-            return total / len(samples)
+            return step(h, batch)[0]
 
-        g_pw = np.zeros_like(head.probe_weight, dtype=np.float64)
-        g_lw = np.zeros(head.num_layers, dtype=np.float64)
-        for prefix, lab in zip(prefixes, labels):
-            feats = weighted_features(head, prefix).astype(np.float64)
-            _, d_feats, d_pw, _ = _loss_and_grads(head, feats, lab, "frame")
-            g_pw += d_pw / len(samples)
-            g_lw += _layer_weight_grad(head, prefix, d_feats, True) / len(samples)
+        _, g_lw, g_pw, _ = step(head, batch)
 
         h = 1e-3
         for c, j in [(0, 0), (1, 3), (2, 7)]:
@@ -283,6 +347,90 @@ class TestTrainDownstream:
         )
         tenth = len(result.losses) // 10
         assert np.mean(result.losses[-tenth:]) < np.mean(result.losses[:tenth])
+
+
+def _normalized_cache(enc, data):
+    cache = hidden_state_cache(enc, data.inputs)
+    for layer in cache:
+        layer[...] = layer_norm(layer)
+    return cache
+
+
+def _labels(data, task):
+    if task == "frame":
+        return data.labels
+    return np.array([np.bincount(y, minlength=data.num_classes).argmax() for y in data.labels])
+
+
+class TestBatchedProbeStep:
+    """`_train_probe` against the per-sample loop kept here, bit for bit."""
+
+    def _assert_same(self, cache, exits, labels, head, steps, batch_size, renormalize, lr=0.5):
+        # Every step's float64 loss and gradients, before float32 rounding hides a last bit...
+        step = _ProbeStep(cache, exits, labels, head.num_labels, batch_size, renormalize)
+        rng = new_rng(8)
+        current = head
+        for _ in range(steps):
+            batch = rng.integers(0, len(exits), size=batch_size)
+            expect = reference_step(cache, exits, labels, current, batch, renormalize)
+            got = step(current, batch)
+            for a, b in zip(got, expect, strict=True):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            current = reference_sgd(current, expect, lr)
+        # ...and the training loop around them.
+        args = (cache, exits, labels, head, lr, steps, batch_size, 8, renormalize)
+        got, got_losses = _train_probe(*args)
+        expect, expect_losses = reference_train_probe(*args)
+        for name in ("layer_weights", "probe_weight", "probe_bias"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+        assert got_losses == expect_losses
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("exit_kind", ["mixed", "one-depth"])
+    @pytest.mark.parametrize("batch_size", [1, 8, 64])
+    def test_equals_per_sample_loop(
+        self, small_encoder, small_dataset, task, renormalize, exit_kind, batch_size
+    ):
+        # 64 draws from 40 samples repeat some; every depth occurs when mixed.
+        rng = np.random.default_rng(17)
+        cache = _normalized_cache(small_encoder, small_dataset)
+        n, num_layers = small_dataset.num_sequences, SMALL_ENCODER.num_layers
+        if exit_kind == "mixed":
+            exits = rng.permutation(np.arange(n) % num_layers + 1)
+        else:
+            exits = np.full(n, 2)
+        head = _random_head(rng, num_labels=small_dataset.num_classes)
+        self._assert_same(
+            cache, exits, _labels(small_dataset, task), head, 12, batch_size, renormalize
+        )
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_equals_per_sample_loop_past_einsum_buffer(self, task):
+        # frames * model_dim = 9600 exceeds numpy einsum's 8192-element buffer,
+        # where a layer-weight einsum shared by samples would round differently.
+        rng = np.random.default_rng(23)
+        num_layers, n, frames, dim, classes = 3, 6, 150, 64, 4
+        cache = layer_norm(rng.standard_normal((num_layers, n, frames, dim)))
+        exits = np.array([1, 2, 3, 3, 2, 3])
+        labels = rng.integers(0, classes, size=(n, frames)).astype(np.int32)
+        if task == "sequence":
+            labels = labels[:, 0]
+        head = _random_head(rng, num_layers=num_layers, num_labels=classes, dim=dim)
+        for renormalize in (True, False):
+            self._assert_same(cache, exits, labels, head, 4, 5, renormalize)
+
+    def test_diverging_lr_fails_by_name(self, stack, policy, small_dataset):
+        enc, branches = stack
+        head = init_downstream_head(
+            SMALL_ENCODER.num_layers, small_dataset.num_classes, SMALL_ENCODER.model_dim, 7
+        )
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^downstream probe diverged at step \d+"):
+                train_downstream(
+                    enc, branches, policy, head, small_dataset, lr=1e39, steps=20, seed=8
+                )
 
 
 class TestEvaluate:
