@@ -15,13 +15,16 @@ and run them through numeric's unvalidated cores, `softmax64` and
 `entropy64`. Finite hidden states give finite logits, so the checked
 `softmax`'s finiteness scan is skipped; a non-finite hidden state makes a
 non-finite entropy, which fails by layer. Every whole-dataset pass uses
-`batch_entropies`: `entropy_table` forwards a dataset in batched chunks, on
-every usable CPU (`encoder.map_chunks`), and returns its (N, layers)
-entropies. A profile is the column running mean of
-per-sample entropy rows (`EntropyProfile.from_rows`), wherever those rows
-already exist: training profiles the training split from the hidden-state
-cache it trained on, and `entropy_profile` is the profile of an
-`entropy_table`.
+`batch_entropies`: `entropy_table` returns a dataset's (N, layers)
+entropies in batched chunks, on every usable CPU (`encoder.map_chunks`).
+It reads through the encoder's kept arrays (`Encoder.kept`): the table it
+keeps for those inputs and branches, else one computed off the encoder's
+kept hidden-state cache of the inputs, else batched forwards; a computed
+table is kept. A profile is the column running mean of
+per-sample entropy rows (`EntropyProfile.from_rows`): `train_branches`
+profiles the training split from the cache it trained on, and
+`entropy_profile` is the profile of an `entropy_table`, so after training
+it forwards nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, cache_of, forward_batch, map_chunks
+from .encoder import FORWARD_CHUNK, Encoder, forward_batch, hidden_state_cache, map_chunks
 from .numeric import (
     DTYPE,
     entropy64,
@@ -96,8 +99,7 @@ class BranchSet:
 class BranchTrainResult:
     branches: BranchSet
     loss_rows: list[tuple[int, int, float]]  # (step, layer, mean batch loss)
-    entropies: np.ndarray  # (N, num_layers) float64: the training split under the branches
-    profile: EntropyProfile  # the column means of `entropies`
+    profile: EntropyProfile  # the training split's per-layer mean entropy under the branches
 
 
 @dataclass(frozen=True)
@@ -151,23 +153,28 @@ def train_branches(
     batch_size: int,
     steps: int,
     seed: int,
-    *,
-    cache: np.ndarray | None = None,
 ) -> BranchTrainResult:
     """Train all branches jointly against pseudo-labels, one shared batch per step.
 
     Per layer the loss is the frame-averaged cross-entropy between the
     branch posterior and the teacher's argmax at the deepest layer,
-    averaged over the batch. The result's profile is read from the cached
-    layers, bit-identical to `entropy_profile` over `data`. `cache` is
-    `data`'s `encoder.hidden_state_cache`, built here when not given.
+    averaged over the batch. The branches train on `data`'s
+    `encoder.hidden_state_cache`, the encoder's kept one when the teacher
+    built it. The pseudo-labels are taken FORWARD_CHUNK sequences at a time,
+    in the caller's thread, so no float64 copy of the whole last layer is
+    made. The result's profile is that of `entropy_table`, read off the
+    cache and kept on the encoder, so `entropy_profile` of the trained
+    branches over `data` forwards nothing.
     """
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
     num_layers = enc.config.num_layers
     branches = init_branches(num_layers, head.num_classes, enc.config.model_dim)
-    cache = cache_of(enc, data.inputs, cache)
-    targets = pseudo_labels(head, cache[-1])
+    cache = hidden_state_cache(enc, data.inputs)
+    targets = np.empty(cache.shape[1:3], dtype=np.int32)
+    for lo in range(0, data.num_sequences, FORWARD_CHUNK):
+        chunk = slice(lo, lo + FORWARD_CHUNK)
+        targets[chunk] = pseudo_labels(head, cache[-1, chunk])
     weights, biases, losses = train_linear_heads(
         cache, targets, branches.weights, branches.biases, lr, steps, batch_size, seed
     )
@@ -175,14 +182,10 @@ def train_branches(
         (step, k + 1, float(loss)) for step, row in enumerate(losses) for k, loss in enumerate(row)
     ]
     trained = BranchSet(weights=weights, biases=biases)
-    entropies = np.concatenate(
-        map_chunks(lambda chunk: batch_entropies(trained, cache[:, chunk]), data.num_sequences)
-    )
     return BranchTrainResult(
         branches=trained,
         loss_rows=loss_rows,
-        entropies=entropies,
-        profile=EntropyProfile.from_rows(entropies),
+        profile=EntropyProfile.from_rows(entropy_table(enc, trained, data.inputs)),
     )
 
 
@@ -257,18 +260,26 @@ def batch_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
 
 
 def entropy_table(enc: Encoder, branches: BranchSet, inputs: np.ndarray) -> np.ndarray:
-    """Every layer's branch entropy for every sequence, (N, num_layers), in batched forwards.
+    """Every layer's branch entropy for every sequence, (N, num_layers) float64, read-only.
 
-    The chunks run on every usable CPU (`encoder.map_chunks`).
+    The encoder's kept table for `inputs` and `branches` when it has one;
+    otherwise computed in chunks on every usable CPU (`encoder.map_chunks`),
+    off the encoder's kept hidden-state cache when it is `inputs`' one and
+    from batched forwards when not, and kept.
     """
     if not len(inputs):
         raise ValueError("empty dataset")
-    return np.concatenate(
-        map_chunks(
-            lambda chunk: batch_entropies(branches, forward_batch(enc, inputs[chunk])),
-            len(inputs),
-        )
-    )
+    kept = enc.kept
+    table = kept.table(inputs, branches)
+    if table is None:
+        cache = kept.cache(inputs)
+
+        def states(chunk):
+            return forward_batch(enc, inputs[chunk]) if cache is None else cache[:, chunk]
+
+        rows = map_chunks(lambda chunk: batch_entropies(branches, states(chunk)), len(inputs))
+        table = kept.keep_table(inputs, branches, np.concatenate(rows))
+    return table
 
 
 def entropy_profile(enc: Encoder, branches: BranchSet, data: FrameDataset) -> EntropyProfile:

@@ -39,8 +39,21 @@ and a checkpoint refuses non-finite arrays.
 
 `hidden_state_cache` is every layer of every sequence of a dataset, the one
 (num_layers, N, frames, model_dim) cache that the teacher, the branches and
-the downstream head train on; `cache_of` checks a cache handed to one of
-them, or builds it.
+the downstream head train on.
+
+An encoder is frozen, so what it derives from a dataset is fixed, and it
+keeps that on itself (`Encoder.kept`, a `KeptArrays`), as it keeps
+`Encoder.f64`: the hidden-state cache of the last dataset it forwarded
+whole (N·L·T·d float32: 8.2 MB at perfbench's serve config, 131 MB at the
+default), until another dataset's cache replaces it or
+`probe.train_downstream`, its last reader, takes it to normalize in place;
+and the (N, L) float64 entropy table of every (inputs, branches) pair
+computed on it (`branches.entropy_table`, `probe.build_layer_table`), for
+the encoder's lifetime. Each is read-only and keyed by SHA-256 digests of
+the input bytes and, for a table, of the branch arrays; a mismatch (inputs
+edited in place, other branches, another encoder object, such as one made
+by `dataclasses.replace`) recomputes. Nothing is kept process-wide, and
+only the caller's thread touches the kept arrays, never `map_chunks` work.
 """
 
 from __future__ import annotations
@@ -69,7 +82,7 @@ __all__ = [
     "run_blocks",
     "forward_batch",
     "hidden_state_cache",
-    "cache_of",
+    "KeptArrays",
     "parameter_digest",
 ]
 
@@ -225,6 +238,11 @@ class Encoder(_Arrays):
         positions = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(DTYPE)
         weight, bias = self.input_weight.astype(np.float64).T, self.input_bias.astype(np.float64)
         return weight, bias, positions.astype(np.float64)
+
+    @cached_property
+    def kept(self) -> KeptArrays:
+        """What this encoder derived from datasets (see the module docstring); empty at first."""
+        return KeptArrays()
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in checkpoint order: input projection, then each block's fields."""
@@ -435,35 +453,77 @@ def map_chunks(work, num_sequences: int) -> list:
     )
 
 
+def _digest(*arrays: np.ndarray) -> bytes:
+    """SHA-256 over each array's dtype, shape and bytes: the key of a kept array."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class KeptArrays:
+    """One encoder's hidden-state cache and entropy tables, each under digests of its sources.
+
+    `branches` is a `branches.BranchSet`, keyed by its weights and biases.
+    """
+
+    def __init__(self):
+        self._cache: tuple[bytes, np.ndarray] | None = None
+        self._tables: dict[tuple[bytes, bytes], np.ndarray] = {}
+
+    def cache(self, inputs: np.ndarray) -> np.ndarray | None:
+        """The kept hidden-state cache if it is `inputs`' one; None otherwise. Builds nothing."""
+        if self._cache is not None and self._cache[0] == _digest(inputs):
+            return self._cache[1]
+        return None
+
+    def take_cache(self, inputs: np.ndarray) -> np.ndarray:
+        """`inputs`' hidden-state cache off the encoder, writable: its taker may overwrite it."""
+        cache = self.cache(inputs)
+        if cache is None:
+            raise ValueError("the encoder keeps no hidden-state cache of these inputs")
+        self._cache = None
+        cache.flags.writeable = True
+        return cache
+
+    def table(self, inputs: np.ndarray, branches) -> np.ndarray | None:
+        """The kept entropy table of `inputs` under `branches`, or None. Builds nothing."""
+        return self._tables.get(self._table_key(inputs, branches))
+
+    def keep_table(self, inputs: np.ndarray, branches, table: np.ndarray) -> np.ndarray:
+        """Keep `table` as the entropy table of `inputs` under `branches`; returns it, read-only."""
+        self._tables[self._table_key(inputs, branches)] = _read_only(table)
+        return table
+
+    @staticmethod
+    def _table_key(inputs, branches) -> tuple[bytes, bytes]:
+        return _digest(inputs), _digest(branches.weights, branches.biases)
+
+
 def hidden_state_cache(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
-    """Every layer of every sequence, (num_layers, N, frames, model_dim) float32.
+    """Every layer of every sequence, (num_layers, N, frames, model_dim) float32, read-only.
 
-    Batched forwards of FORWARD_CHUNK sequences (`map_chunks`), each chunk's
-    layers written straight into the cache.
+    The encoder's kept cache when it is `inputs`' one. Otherwise batched
+    forwards of FORWARD_CHUNK sequences (`map_chunks`), each chunk's layers
+    written straight into a new cache, which replaces the kept one: the old
+    cache is let go before the forward, so two are never held by the encoder.
     """
-    num_sequences, frames = inputs.shape[:2]
-    cfg = enc.config
-    out = np.empty((cfg.num_layers, num_sequences, frames, cfg.model_dim), dtype=DTYPE)
-    map_chunks(
-        lambda chunk: run_blocks(enc, embed_batch(enc, inputs[chunk]), out[:, chunk]),
-        num_sequences,
-    )
-    return out
-
-
-def cache_of(enc: Encoder, inputs: np.ndarray, cache: np.ndarray | None) -> np.ndarray:
-    """`cache`, refused by name unless it is a float32 cache of `inputs`' shape; fresh if None.
-
-    A given cache must be (num_layers, N, frames, model_dim) for `enc` and
-    `inputs`; that it holds their layers is the caller's promise.
-    """
+    kept = enc.kept
+    cache = kept.cache(inputs)
     if cache is None:
-        return hidden_state_cache(enc, inputs)
-    cfg = enc.config
-    expected = (cfg.num_layers, *inputs.shape[:2], cfg.model_dim)
-    if cache.shape != expected or cache.dtype != DTYPE:
-        raise ValueError(
-            f"cache must be float32 (num_layers, N, frames, model_dim) = {expected}, "
-            f"got {cache.dtype} {cache.shape}"
+        kept._cache = None
+        num_sequences, frames = inputs.shape[:2]
+        cfg = enc.config
+        cache = np.empty((cfg.num_layers, num_sequences, frames, cfg.model_dim), dtype=DTYPE)
+        map_chunks(
+            lambda chunk: run_blocks(enc, embed_batch(enc, inputs[chunk]), cache[:, chunk]),
+            num_sequences,
         )
+        kept._cache = _digest(inputs), _read_only(cache)
     return cache

@@ -10,15 +10,14 @@ before the stage computes anything. `run_pipeline` saves the config and
 runs them all with one `Memo`, and the CLI builds one subcommand per entry,
 each run with a fresh memo.
 
-The memo holds what one run computes once: the training split's
-hidden-state cache, which the teacher, the branches and the downstream
-head all train on; the training split's entropy table, which
+The memo holds the run's one encoder: the first `Encoder` object seen with
+given config and parameters, used by every later stage in place of the
+equal one it loads. So the stages share what it keeps (`Encoder.kept`):
+the training split's hidden-state cache, which the teacher, the branches
+and the downstream head train on and train-downstream takes last, to
+normalize in place; the training split's entropy table, which
 train-branches computes for its profile and train-downstream decides its
-exits from; and eval's held-out entropy table, which is the noise sweep's
-clean level. Each value is keyed by digests of what it was computed from,
-so a stage never reads a value computed from another encoder, other
-branches or other inputs. Train-downstream is the cache's last reader: it
-takes it out of the memo and normalizes it in place.
+exits from; and eval's held-out table, the noise sweep's clean level.
 
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
@@ -41,7 +40,7 @@ noise mixture) once into a per-layer table and replay every policy over
 it, the static baseline as the policy pinned to one layer; eval writes the
 held-out profile from its table. The noise sweep replays one policy per
 noise level over that level's entropy table (`branches.entropy_table`,
-eval's for the clean level when the memo holds it), which gives the exits
+eval's for the clean level when the memo's encoder keeps it), which gives the exits
 `run_exit` would.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
@@ -56,7 +55,6 @@ evaluated.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import json
 import math
 import time
@@ -67,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branches import BranchSet, EntropyProfile, entropy_table, train_branches
+from .branches import EntropyProfile, entropy_table, train_branches
 from .data import (
     MixtureSpec,
     NoiseSpec,
@@ -76,7 +74,7 @@ from .data import (
     make_mixture,
     synth_dataset,
 )
-from .encoder import Encoder, EncoderConfig, hidden_state_cache, init_encoder, parameter_digest
+from .encoder import Encoder, EncoderConfig, init_encoder, parameter_digest
 from .errors import ConfigError, DependencyError, FormatError
 from .policy import (
     SPAN_KINDS,
@@ -412,64 +410,26 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _digest(*arrays: np.ndarray) -> str:
-    """SHA-256 over each array's dtype, shape and bytes."""
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
-
-
-def _memo_key(kind: str, enc: Encoder, inputs: np.ndarray, branches: BranchSet | None = None):
-    # The encoder's config too: its head count shapes the forward but draws no parameter.
-    heads = () if branches is None else (branches.weights, branches.biases)
-    return kind, repr(enc.config), parameter_digest(enc), _digest(inputs), _digest(*heads)
-
-
 class Memo:
-    """What one pipeline run computes once and hands from stage to stage.
+    """The run's one encoder, shared by its stages so that they share its kept arrays.
 
-    Each value is kept under the digests of what it was computed from (the
-    encoder's config and parameters, the input bytes, the branches where
-    they matter), so a lookup from anything else misses and builds afresh:
-    a stale value is never served. A stage given no memo starts an empty
-    one, which gives what a stage run on its own has always given.
+    A stage given no memo uses the encoder it builds or loads, which gives
+    what a stage run on its own has always given.
     """
 
     def __init__(self):
-        self._values: dict[tuple[str, ...], np.ndarray] = {}
+        self._encoders: dict[tuple[str, str], Encoder] = {}
 
-    def _get(self, key: tuple[str, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
-        if key not in self._values:
-            self._values[key] = build()
-        return self._values[key]
+    def encoder(self, enc: Encoder) -> Encoder:
+        """The first encoder seen with `enc`'s config and parameters: `enc`, if it is the first.
 
-    def hidden_states(self, enc: Encoder, inputs: np.ndarray) -> np.ndarray:
-        """`encoder.hidden_state_cache(enc, inputs)`, built on a miss and kept."""
-        return self._get(_memo_key("hidden", enc, inputs), lambda: hidden_state_cache(enc, inputs))
+        The config too: its head count shapes the forward but draws no parameter.
+        """
+        return self._encoders.setdefault((repr(enc.config), parameter_digest(enc)), enc)
 
-    def take_hidden_states(self, enc: Encoder, inputs: np.ndarray) -> np.ndarray:
-        """The same cache, taken out of the memo (or built): its taker may overwrite it."""
-        cache = self._values.pop(_memo_key("hidden", enc, inputs), None)
-        return hidden_state_cache(enc, inputs) if cache is None else cache
 
-    def entropy_table(self, enc: Encoder, branches: BranchSet, inputs: np.ndarray) -> np.ndarray:
-        """`branches.entropy_table(enc, branches, inputs)`, built on a miss and kept."""
-        key = _memo_key("entropies", enc, inputs, branches)
-        return self._get(key, lambda: entropy_table(enc, branches, inputs))
-
-    def put_entropy_table(
-        self, enc: Encoder, branches: BranchSet, inputs: np.ndarray, table: np.ndarray
-    ) -> None:
-        """Keep `table` as the entropy table of `inputs` under `enc` and `branches`."""
-        self._values[_memo_key("entropies", enc, inputs, branches)] = table
-
-    def kept_entropy_table(
-        self, enc: Encoder, branches: BranchSet, inputs: np.ndarray
-    ) -> np.ndarray | None:
-        """The entropy table kept for `inputs` under `enc` and `branches`, or None; builds nothing."""
-        return self._values.get(_memo_key("entropies", enc, inputs, branches))
+def _encoder(memo: Memo | None, enc: Encoder) -> Encoder:
+    return enc if memo is None else memo.encoder(enc)
 
 
 _PROFILE_HEADER = "layer,mean_entropy"
@@ -585,8 +545,7 @@ def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
 def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the final-layer teacher head on the ground-truth labels (stage 1a)."""
     [train] = _inputs(cfg, paths, "train-teacher")
-    enc = init_encoder(cfg.encoder_config())
-    memo = Memo() if memo is None else memo
+    enc = _encoder(memo, init_encoder(cfg.encoder_config()))
     result = train_teacher(
         enc,
         train,
@@ -594,7 +553,6 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
         steps=cfg.teacher_steps,
         seed=cfg.teacher_seed,
         batch_size=cfg.teacher_batch,
-        cache=memo.hidden_states(enc, train.inputs),
     )
     save_checkpoint(Checkpoint(encoder=enc, teacher=result.head), paths.checkpoint)
     _write_csv(
@@ -607,25 +565,22 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
 def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
     """Train the exit branches on pseudo-labels and profile the training split (stage 1b)."""
     train, ck, teacher = _inputs(cfg, paths, "train-branches")
-    memo = Memo() if memo is None else memo
+    enc = _encoder(memo, ck.encoder)
     result = train_branches(
-        ck.encoder,
+        enc,
         teacher,
         train,
         lr=cfg.branch_lr,
         batch_size=cfg.branch_batch,
         steps=cfg.branch_steps,
         seed=cfg.branch_seed,
-        cache=memo.hidden_states(ck.encoder, train.inputs),
     )
     # A downstream head trained under the old branches is stale: drop it, as train-teacher
     # does, and the policy calibrated from the old profile with it.
     save_checkpoint(
-        Checkpoint(encoder=ck.encoder, teacher=teacher, branches=result.branches),
-        paths.checkpoint,
+        Checkpoint(encoder=enc, teacher=teacher, branches=result.branches), paths.checkpoint
     )
     paths.policy_file.unlink(missing_ok=True)
-    memo.put_entropy_table(ck.encoder, result.branches, train.inputs, result.entropies)
     _write_csv(
         paths.branch_loss,
         "step,layer,loss",
@@ -651,10 +606,9 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
-    memo = Memo() if memo is None else memo
     # The run's last reader of the training cache: it takes it and normalizes it in place.
     result = train_downstream(
-        ck.encoder,
+        _encoder(memo, ck.encoder),
         branches,
         policy,
         head,
@@ -665,8 +619,6 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
         batch_size=cfg.downstream_batch,
         task=cfg.task,
         renormalize=cfg.renormalize,
-        cache=memo.take_hidden_states(ck.encoder, train.inputs),
-        entropies=memo.kept_entropy_table(ck.encoder, branches, train.inputs),
     )
     save_checkpoint(replace(ck, downstream=result.head), paths.checkpoint)
     _write_json(paths.span_stats, {"exit_counts": list(result.span_stats.counts)})
@@ -697,9 +649,8 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -
     entropy rows also give the held-out profile.
     """
     heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "eval")
-    table = build_layer_table(ck.encoder, branches, heldout, head, cfg.task, cfg.renormalize)
-    if memo is not None:
-        memo.put_entropy_table(ck.encoder, branches, heldout.inputs, table.entropies)
+    enc = _encoder(memo, ck.encoder)
+    table = build_layer_table(enc, branches, heldout, head, cfg.task, cfg.renormalize)
     _write_profile(paths.profile_heldout, EntropyProfile.from_rows(table.entropies))
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
     # A record of an earlier run (a strategy since dropped, a pair now an error) must not linger.
@@ -747,12 +698,12 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
     """
     heldout, ck, branches, profile = _inputs(cfg, paths, "noise-sweep")
     policy = calibrate(profile, cfg.sweep_ratio)
-    memo = Memo() if memo is None else memo
+    enc = _encoder(memo, ck.encoder)
     dist_rows = []
     summary_rows = []
     results = []
     for spec, _ in cfg.mixture_spec().parts:
-        table = memo.entropy_table(ck.encoder, branches, add_noise(heldout, spec).inputs)
+        table = entropy_table(enc, branches, add_noise(heldout, spec).inputs)
         counts = ExitCounts.of(decide_exits(policy, table)[0], cfg.num_layers)
         label = spec.label()
         dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))
@@ -786,7 +737,8 @@ def compare_static(
     base = calibrate(profile, cfg.ratio)
     mixture = cfg.mixture_spec()
     mixed = make_mixture(heldout, mixture, cfg.noise_seed + 1)
-    table = build_layer_table(ck.encoder, branches, mixed, head, cfg.task, cfg.renormalize)
+    enc = _encoder(memo, ck.encoder)
+    table = build_layer_table(enc, branches, mixed, head, cfg.task, cfg.renormalize)
     tags = np.array(mixed.tags)
     groups: list[tuple[str, np.ndarray | None]] = [("all", None)]
     for spec, _ in mixture.parts:
@@ -864,9 +816,9 @@ def stages() -> dict[str, tuple[Callable[..., object], tuple[str, ...]]]:
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> ArtifactPaths:
     """Save the config, then run every stage in order, printing each one's wall time.
 
-    The stages share one memo, so the training split is forwarded once for
-    the teacher, the branches and the downstream head, and the sweep's
-    clean level reuses eval's entropy table.
+    The stages share one memo, and so one encoder and its kept arrays: the
+    training split is forwarded once for the teacher, the branches and the
+    downstream head, and the sweep's clean level reuses eval's entropy table.
     """
     paths = ArtifactPaths(Path(out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)

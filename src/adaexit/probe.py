@@ -6,10 +6,11 @@ model_dim) array, and `normalize_prefix` normalizes its first k rows in one
 `numeric.layer_norm` call. Exits stay active while the head
 trains; the encoder, branches, and threshold are all frozen by then, so
 each sample's exit layer is a fixed property of the data and is computed
-once, from the training split's hidden-state cache (the pipeline's one
-forward of that split, which the teacher and the branches trained on):
-`policy.decide_exits` over its entropy rows gives `run_exit`'s exits, and
-the cache, normalized in place, holds every prefix as a view. Each SGD
+once, from the training split's hidden-state cache, the one the encoder
+keeps after the teacher and the branches trained on it (`Encoder.kept`):
+`policy.decide_exits` over its entropy table, the one `train_branches`
+kept, gives `run_exit`'s exits, and the cache, taken off the encoder and
+normalized in place, holds every prefix as a view. Each SGD
 step then computes its whole batch at once (`_ProbeStep`), with the bits
 of a loop over the batch's samples. Evaluation
 reports accuracy alongside exit depth and compute-saved accounting (all
@@ -22,7 +23,8 @@ reference paths, one sample at a time. The eval and static-comparison
 reports instead build one `LayerTable` per dataset from batched full
 forwards, one row per sample: the branch
 entropy at every layer and, by the prefix property, the probe's correct
-count at every exit depth. The training cache's entropies and
+count at every exit depth; its entropies are kept on the encoder, as
+`branches.entropy_table` keeps its own. The training cache's
 normalization and the table's forwards run in chunks on every usable CPU
 (`encoder.map_chunks`), the caller's thread taking the first share; a
 chunk's work calls no public entry point of this module, since a tracer
@@ -43,9 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import BranchSet, batch_entropies
+from .branches import BranchSet, batch_entropies, entropy_table
 from .data import FrameDataset
-from .encoder import Encoder, IncrementalForward, cache_of, embed_batch, map_chunks, run_blocks
+from .encoder import (
+    Encoder,
+    IncrementalForward,
+    embed_batch,
+    hidden_state_cache,
+    map_chunks,
+    run_blocks,
+)
 from .errors import ConfigError
 from .numeric import DTYPE, cross_entropy64, layer_norm, matmul64, new_rng, sgd_step, softmax
 from .policy import ExitCounts, ExitPolicy, decide_exits, run_exit
@@ -188,50 +197,36 @@ def train_downstream(
     batch_size: int = 32,
     task: str = "frame",
     renormalize: bool = True,
-    *,
-    cache: np.ndarray | None = None,
-    entropies: np.ndarray | None = None,
 ) -> DownstreamTrainResult:
     """Train the probe and layer weights with early exit active on every sample.
 
     Exit decisions depend only on frozen components, so each sample's exit
-    layer and normalized prefix are computed once up front, from `cache`,
-    `data`'s `encoder.hidden_state_cache` (built here when not given): the
-    branch entropies of its layers give `run_exit`'s exits, and then the
-    cache is layer-normalized in place, one layer of one chunk at a time,
-    the chunks on every usable CPU (`encoder.map_chunks`), so a sample's
-    prefix is the view of its layers up to its exit. Each SGD step is one
-    `_ProbeStep` over the batch. A given cache is overwritten.
-    `entropies`, when given, are those (N, num_layers)
-    float64 entropy rows, already computed from the cache under `branches`
-    (`BranchTrainResult.entropies`); that they are is the caller's promise.
-    The exit counts (one exit per sample) are the span statistics used by
-    inference-time constraints.
+    layer and normalized prefix are computed once up front, from `data`'s
+    `encoder.hidden_state_cache`, the encoder's kept one when the teacher
+    or the branches built it: `branches.entropy_table` of its layers (the
+    table `train_branches` kept, when it trained these branches on `data`)
+    gives `run_exit`'s exits. Then this head, the cache's last reader, takes
+    the cache off the encoder and layer-normalizes it in place, one layer of
+    one chunk at a time, the chunks on every usable CPU
+    (`encoder.map_chunks`), so a sample's prefix is the view of its layers
+    up to its exit; a cache handed out before is overwritten with it. Each
+    SGD step is one `_ProbeStep` over the batch. The exit counts (one exit
+    per sample) are the span statistics used by inference-time constraints.
     """
     _check_dataset(data, task)
     if policy.num_layers != enc.config.num_layers:
         raise ConfigError(
             f"policy is for {policy.num_layers} layers, encoder has {enc.config.num_layers}"
         )
-    cache = cache_of(enc, data.inputs, cache)
-    expected = (data.num_sequences, enc.config.num_layers)
-    if entropies is not None and (entropies.shape != expected or entropies.dtype != np.float64):
-        raise ValueError(
-            f"entropies must be float64 (N, num_layers) = {expected}, "
-            f"got {entropies.dtype} {entropies.shape}"
-        )
-    given = entropies is not None
+    hidden_state_cache(enc, data.inputs)  # kept: the entropy table reads it when not kept itself
+    entropies = entropy_table(enc, branches, data.inputs)
+    cache = enc.kept.take_cache(data.inputs)
 
-    def prologue(chunk):
-        states = cache[:, chunk]
-        rows = None if given else batch_entropies(branches, states)
-        for layer in states:  # a layer at a time: float64 temporaries of one layer only
+    def normalize(chunk):
+        for layer in cache[:, chunk]:  # a layer at a time: float64 temporaries of one layer only
             layer[...] = layer_norm(layer)
-        return rows
 
-    rows = map_chunks(prologue, data.num_sequences)
-    if not given:
-        entropies = np.concatenate(rows)
+    map_chunks(normalize, data.num_sequences)
     exits, forced = decide_exits(policy, entropies)
     if task == "sequence":
         labels = np.array([_sequence_label(y, data.num_classes) for y in data.labels])
@@ -512,6 +507,8 @@ def build_layer_table(
     (`encoder.map_chunks`); each chunk's projection, blocks and entropies
     are timed, and the times summed over chunks that may have run at once.
     Chunks stream into (N, L) arrays; no hidden states outlive their chunk.
+    The entropy table is kept on the encoder (`Encoder.kept`), where
+    `branches.entropy_table` of the same inputs and branches reads it.
     """
     _check_dataset(data, task)
     n = data.num_sequences
@@ -545,7 +542,7 @@ def build_layer_table(
 
     embed_seconds, block_seconds, branch_seconds = map(sum, zip(*map_chunks(chunk_facts, n)))
     return LayerTable(
-        entropies=entropies,
+        entropies=enc.kept.keep_table(data.inputs, branches, entropies),
         correct=correct,
         scored=scored,
         task=task,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameDataset
-from .encoder import Encoder, cache_of
+from .encoder import Encoder, hidden_state_cache
 from .numeric import DTYPE, matmul64, new_rng, train_linear_heads
 
 __all__ = [
@@ -63,20 +63,18 @@ def train_teacher(
     steps: int,
     seed: int,
     batch_size: int = 32,
-    *,
-    cache: np.ndarray | None = None,
 ) -> TeacherTrainResult:
     """Minibatch gradient descent on frame-level cross-entropy at the deepest layer.
 
-    `cache` is `data`'s `encoder.hidden_state_cache`, built here when not
-    given; the teacher reads its last layer.
+    The teacher reads the last layer of `data`'s `encoder.hidden_state_cache`,
+    which stays kept on the encoder for the branches and the downstream head.
     """
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
     if int(data.labels.max()) >= data.num_classes:
         raise ValueError("labels exceed num_classes")
     head = init_teacher_head(data.num_classes, enc.config.model_dim, seed)
-    cache = cache_of(enc, data.inputs, cache)
+    cache = hidden_state_cache(enc, data.inputs)
     weights, biases, losses = train_linear_heads(
         cache[-1:], data.labels, head.weight[None], head.bias[None], lr, steps, batch_size, seed
     )

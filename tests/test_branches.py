@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from adaexit import branches as branches_module
 from adaexit.branches import (
     BranchSet,
     EntropyProfile,
@@ -17,9 +18,15 @@ from adaexit.branches import (
     train_branches,
 )
 from adaexit.data import FrameDataset
-from adaexit.encoder import forward_all, parameter_digest
-from adaexit.numeric import entropy64, softmax
-from adaexit.teacher import train_teacher
+from adaexit.encoder import (
+    FORWARD_CHUNK,
+    forward_all,
+    hidden_state_cache,
+    init_encoder,
+    parameter_digest,
+)
+from adaexit.numeric import entropy64, softmax, train_linear_heads
+from adaexit.teacher import pseudo_labels, train_teacher
 
 from conftest import SMALL_ENCODER, truncated_forward
 
@@ -142,7 +149,27 @@ class TestTraining:
         result = train_branches(
             small_encoder, teacher, small_dataset, lr=0.05, batch_size=8, steps=20, seed=6
         )
-        assert result.profile == entropy_profile(small_encoder, result.branches, small_dataset)
+        # A fresh encoder keeps no cache or table: its profile is forwarded anew.
+        fresh = init_encoder(SMALL_ENCODER)
+        assert result.profile == entropy_profile(fresh, result.branches, small_dataset)
+
+    def test_chunked_pseudo_labels_equal_one_call_over_the_cache(
+        self, small_encoder, teacher, small_dataset, monkeypatch
+    ):
+        # The targets the trainer is given, labelled FORWARD_CHUNK sequences
+        # at a time, are those of one call over the whole last layer, at a
+        # size that is not a multiple of the chunk.
+        given = []
+
+        def capture(cache, labels, *args):
+            given.append(labels)
+            return train_linear_heads(cache, labels, *args)
+
+        monkeypatch.setattr(branches_module, "train_linear_heads", capture)
+        data = small_dataset.subset(range(2 * FORWARD_CHUNK + 3))
+        train_branches(small_encoder, teacher, data, lr=0.05, batch_size=8, steps=1, seed=6)
+        whole = pseudo_labels(teacher, hidden_state_cache(small_encoder, data.inputs)[-1])
+        assert given[0].dtype == whole.dtype and np.array_equal(given[0], whole)
 
 
 class TestBranchEntropy:

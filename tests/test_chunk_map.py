@@ -7,7 +7,9 @@ pass gives the bytes of its one-CPU run (chunks in order, in the caller's
 thread) at 1, 2 and 3 workers, including fewer sequences than one chunk
 and a count that is not a multiple of it. A failing pass raises the error
 of its lowest-index failing chunk, as the serial loop does, and no worker
-calls a public entry point that a tracer wraps.
+calls a public entry point that a tracer wraps. Each run is on a fresh
+encoder object (`dataclasses.replace`), which keeps nothing of an earlier
+run (`Encoder.kept`), so every run computes its pass.
 
 CI also runs this file under `taskset -c 0`, where one CPU is usable.
 """
@@ -64,10 +66,10 @@ POLICY = ExitPolicy(threshold=0.5, ratio=0.7, num_layers=SMALL_ENCODER.num_layer
 
 def _downstream(task, renormalize):
     def run(enc, data, teacher, trained, head):
-        cache = hidden_state_cache(enc, data.inputs)
+        cache = hidden_state_cache(enc, data.inputs)  # normalized in place by the head
         result = train_downstream(
             enc, trained, POLICY, head, data, lr=0.5, steps=6, seed=8, batch_size=4,
-            task=task, renormalize=renormalize, cache=cache,
+            task=task, renormalize=renormalize,
         )
         return [cache, result.entropies, result.exits, result.forced, result.losses,
                 result.head.layer_weights, result.head.probe_weight, result.head.probe_bias]
@@ -85,12 +87,13 @@ def _table(task, renormalize):
 
 def _branch_training(enc, data, teacher, trained, head):
     result = train_branches(enc, teacher, data, lr=0.05, batch_size=4, steps=5, seed=6)
-    return [result.entropies, result.profile.layer_means, result.branches.weights]
+    entropies = entropy_table(enc, result.branches, data.inputs)  # kept by the training
+    return [entropies, result.profile.layer_means, result.branches.weights]
 
 
 # Each wired pass, as a function of (encoder, dataset, teacher, branches, probe head)
 # returning the arrays it computes.
-PASSES = {
+_PASSES = {
     "hidden_state_cache": lambda enc, data, *_: [hidden_state_cache(enc, data.inputs)],
     "entropy_table": lambda enc, data, teacher, trained, head: [
         entropy_table(enc, trained, data.inputs)
@@ -101,6 +104,14 @@ PASSES = {
     "build_layer_table/frame": _table("frame", True),
     "build_layer_table/sequence/global": _table("sequence", False),
 }
+
+
+def _on_a_fresh_encoder(run):
+    return lambda enc, *args: run(dataclasses.replace(enc), *args)
+
+
+# The same, each on a fresh encoder object, which keeps nothing of an earlier run.
+PASSES = {name: _on_a_fresh_encoder(run) for name, run in _PASSES.items()}
 
 
 def _bytes(arrays) -> list[bytes]:
@@ -185,16 +196,18 @@ class TestDeterministicErrors:
         self, small_encoder, small_dataset, stack, head, monkeypatch, workers
     ):
         # A NaN hidden state at layer 3 in the middle chunk, and one at layer 1
-        # in the last: the serial pass meets the middle chunk first.
+        # in the last, written into the cache a fresh encoder keeps: the serial
+        # pass meets the middle chunk first.
         _, trained = stack
-        cache = hidden_state_cache(small_encoder, small_dataset.inputs)
+        enc = dataclasses.replace(small_encoder)
+        cache = hidden_state_cache(enc, small_dataset.inputs)
+        cache.flags.writeable = True
         cache[2, FORWARD_CHUNK + 1, 4, 0] = np.nan
         cache[0, 2 * FORWARD_CHUNK + 2, 0, 5] = np.nan
         _use_workers(monkeypatch, workers)
         with pytest.raises(ValueError, match="^layer 3 branch entropy is not finite"):
             train_downstream(
-                small_encoder, trained, POLICY, head, small_dataset, lr=0.5, steps=1, seed=8,
-                cache=cache.copy(),
+                enc, trained, POLICY, head, small_dataset, lr=0.5, steps=1, seed=8
             )
 
 

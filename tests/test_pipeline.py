@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaexit import branches as branches_module
 from adaexit import encoder, pipeline, probe
 from adaexit.branches import BranchSet, batch_entropies, entropy_profile, entropy_table
 from adaexit.cli import build_parser, main
@@ -822,9 +823,10 @@ class TestBatchedPasses:
         result = train_downstream(
             ck.encoder, ck.branches, policy, head, train, lr=0.1, steps=0, seed=0
         )
-        assert np.array_equal(
-            result.entropies, entropy_table(ck.encoder, ck.branches, train.inputs)
-        )
+        # A freshly loaded encoder keeps nothing, so its table is forwarded anew.
+        forwarded = entropy_table(load_checkpoint(paths.checkpoint).encoder, ck.branches,
+                                  train.inputs)
+        assert np.array_equal(result.entropies, forwarded)
         assert_served_exits(
             ck.encoder, ck.branches, policy, train.inputs,
             result.entropies, result.exits, result.forced,
@@ -932,23 +934,22 @@ class TestReplay:
 
 
 class TestMemo:
-    """One memo per run: each value is computed once and served only for what built it."""
+    """One memo per run: the run's one encoder, whose kept arrays its stages share."""
 
     def test_run_forwards_the_training_split_once(self, tiny_cfg, tmp_path, monkeypatch):
         # The teacher's forward of the training split is the only one: the
         # branches and the downstream head read its cache. The sweep's clean
         # level is eval's table, so its forwards are the noised levels only.
-        # The downstream head decides its exits from the entropy rows that
+        # The downstream head decides its exits from the entropy table that
         # train-branches computed, and computes none itself.
         forwarded = _count_forwards(monkeypatch)
         entropy_rows = []
-        original = probe.batch_entropies
+        for module in (branches_module, probe):
+            def counting(branches, states, original=module.batch_entropies):
+                entropy_rows.append(states.shape[1])
+                return original(branches, states)
 
-        def counting(branches, states):
-            entropy_rows.append(states.shape[1])
-            return original(branches, states)
-
-        monkeypatch.setattr(probe, "batch_entropies", counting)
+            monkeypatch.setattr(module, "batch_entropies", counting)
         by_stage, rows_by_stage = {}, {}
         for name, (stage, _) in stages().items():
             def recording(cfg, paths, memo, name=name, stage=stage):
@@ -969,13 +970,16 @@ class TestMemo:
         assert not set(heldout).intersection(sweep)
         for name in ("synth", "train-branches", "calibrate", "train-downstream"):
             assert by_stage[name] == [], name
+        assert sum(rows_by_stage["train-branches"]) == tiny_cfg.num_train
         assert rows_by_stage["train-downstream"] == []
 
-    def test_values_of_other_sources_are_never_served(self, tiny_run, tmp_path):
-        # A memo filled from another encoder (other parameters, or the same
-        # parameters run with another head count), from other inputs and from
-        # other branches: every stage misses, recomputes, and writes the bytes
-        # of the run that had a fresh memo.
+    def test_arrays_of_other_sources_are_never_served(self, tiny_run, tmp_path):
+        # A memo whose encoders keep arrays of other sources: encoders of
+        # other parameters, or of the same parameters run with another head
+        # count, keeping the run's own inputs and branches; and the run's
+        # encoder keeping other inputs and other branches. Every stage
+        # misses, recomputes, and writes the bytes of the run that had a
+        # fresh memo.
         cfg, paths = tiny_run
         copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
         ck = load_checkpoint(paths.checkpoint)
@@ -986,18 +990,22 @@ class TestMemo:
         assert parameter_digest(two_heads) == parameter_digest(ck.encoder)
         other_branches = BranchSet(ck.branches.weights + 1, ck.branches.biases)
         memo = Memo()
-        for enc, inputs in ((reseeded, train), (two_heads, train), (ck.encoder, train[::-1])):
-            memo.hidden_states(enc, inputs)
+        run = memo.encoder(ck.encoder)
+        for enc in (reseeded, two_heads):
+            assert memo.encoder(enc) is enc
+            hidden_state_cache(enc, train)
+        hidden_state_cache(run, train[::-1])
         for enc, branches, inputs in (
             (reseeded, ck.branches, heldout),
             (two_heads, ck.branches, heldout),
-            (ck.encoder, other_branches, heldout),
-            (ck.encoder, ck.branches, heldout[::-1]),
+            (run, other_branches, heldout),
+            (run, ck.branches, heldout[::-1]),
             (reseeded, ck.branches, train),
-            (ck.encoder, other_branches, train),
-            (ck.encoder, ck.branches, train[::-1]),
+            (two_heads, ck.branches, train),
+            (run, other_branches, train),
+            (run, ck.branches, train[::-1]),
         ):
-            memo.put_entropy_table(enc, branches, inputs, np.zeros((len(inputs), cfg.num_layers)))
+            enc.kept.keep_table(inputs, branches, np.zeros((len(inputs), cfg.num_layers)))
         for stage in (stage_teacher, stage_branches, stage_calibrate, stage_downstream, noise_sweep):
             stage(cfg, copy, memo)
         for path in paths.root.rglob("*"):
@@ -1015,31 +1023,33 @@ class TestMemo:
         train = load_dataset(paths.train_data).inputs
         other_branches = BranchSet(ck.branches.weights + 1, ck.branches.biases)
         memo = Memo()
+        enc = memo.encoder(ck.encoder)
         garbage = np.zeros((len(train), cfg.num_layers))
-        memo.put_entropy_table(ck.encoder, other_branches, train, garbage)
-        assert memo.kept_entropy_table(ck.encoder, ck.branches, train) is None
-        assert memo.kept_entropy_table(ck.encoder, other_branches, train) is garbage
+        enc.kept.keep_table(train, other_branches, garbage)
+        assert enc.kept.table(train, ck.branches) is None
+        assert enc.kept.table(train, other_branches) is garbage
         stage_downstream(cfg, copy, memo)
         for name in ("checkpoint", "span_stats", "exit_traces", "downstream_loss"):
             assert getattr(copy, name).read_bytes() == getattr(paths, name).read_bytes(), name
 
-    def test_a_hit_is_the_value_kept_and_take_hands_it_over(self, small_encoder, small_dataset):
+    def test_a_second_run_in_the_process_forwards_again(self, tiny_cfg, tmp_path, monkeypatch):
+        # Nothing outlives a run: each run's memo and encoder are its own.
+        forwarded = _count_forwards(monkeypatch)
+        counts = []
+        for name in ("a", "b"):
+            start = len(forwarded)
+            paths = run_pipeline(tiny_cfg, tmp_path / name)
+            train = {x.tobytes() for x in load_dataset(paths.train_data).inputs}
+            counts.append(sum(x in train for x in forwarded[start:]))
+        assert counts == [tiny_cfg.num_train] * 2
+
+    def test_the_first_encoder_of_a_config_and_parameters_is_the_runs(self, small_encoder):
         memo = Memo()
-        inputs = small_dataset.inputs
-        cache = memo.hidden_states(small_encoder, inputs)
-        assert np.array_equal(cache, hidden_state_cache(small_encoder, inputs))
-        assert memo.hidden_states(small_encoder, inputs.copy()) is cache
-        assert memo.take_hidden_states(small_encoder, inputs) is cache
-        rebuilt = memo.take_hidden_states(small_encoder, inputs)
-        assert rebuilt is not cache and np.array_equal(rebuilt, cache)
-        zero = BranchSet(
-            np.zeros((4, 5, 16), dtype=np.float32), np.zeros((4, 5), dtype=np.float32)
-        )
-        table = np.ones((small_dataset.num_sequences, 4))
-        memo.put_entropy_table(small_encoder, zero, inputs, table)
-        assert memo.entropy_table(small_encoder, zero, inputs) is table
-        fresh = memo.entropy_table(small_encoder, zero, inputs[:-1])
-        assert np.array_equal(fresh, entropy_table(small_encoder, zero, inputs[:-1]))
+        assert memo.encoder(small_encoder) is small_encoder
+        assert memo.encoder(init_encoder(small_encoder.config)) is small_encoder
+        one_head = init_encoder(replace(small_encoder.config, num_heads=1))
+        assert memo.encoder(one_head) is one_head
+        assert Memo().encoder(init_encoder(small_encoder.config)) is not small_encoder
 
 
 class TestDeterminism:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from adaexit.branches import sample_entropies, train_branches
+from adaexit import branches as branches_module
+from adaexit.branches import entropy_table, sample_entropies, train_branches
 from adaexit.encoder import forward_all, hidden_state_cache, parameter_digest
 from adaexit.errors import ConfigError
 from adaexit.numeric import cross_entropy, layer_norm, new_rng, sgd_step, softmax
@@ -265,19 +267,26 @@ class TestTrainDownstream:
         assert np.array_equal(result.exits, exits) and np.array_equal(result.forced, forced)
         assert result.span_stats.num_samples == small_dataset.num_sequences
 
-    def test_given_entropy_rows_give_the_computed_result(self, stack, policy, small_dataset):
+    def test_kept_entropy_table_gives_the_computed_result(self, stack, policy, small_dataset):
+        # An encoder that keeps the table (as `train_branches` leaves it)
+        # decides its exits from it and computes no entropy.
         enc, branches = stack
         head = init_downstream_head(
             SMALL_ENCODER.num_layers, small_dataset.num_classes, SMALL_ENCODER.model_dim, 7
         )
 
-        def train(**given):
+        def train(on):
             return train_downstream(
-                enc, branches, policy, head, small_dataset, lr=0.5, steps=15, seed=8, **given
+                on, branches, policy, head, small_dataset, lr=0.5, steps=15, seed=8
             )
 
-        computed = train()
-        given = train(entropies=computed.entropies.copy())
+        computed = train(dataclasses.replace(enc))
+        keeping = dataclasses.replace(enc)
+        kept = entropy_table(keeping, branches, small_dataset.inputs)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(branches_module, "batch_entropies", None)
+            given = train(keeping)
+        assert given.entropies is kept
         assert given.entropies.tobytes() == computed.entropies.tobytes()
         assert np.array_equal(given.exits, computed.exits)
         assert np.array_equal(given.forced, computed.forced)
@@ -285,21 +294,6 @@ class TestTrainDownstream:
         assert given.losses == computed.losses
         for name in ("layer_weights", "probe_weight", "probe_bias"):
             assert getattr(given.head, name).tobytes() == getattr(computed.head, name).tobytes()
-
-    def test_given_entropy_rows_of_wrong_shape_or_dtype_refused(
-        self, stack, policy, small_dataset
-    ):
-        enc, branches = stack
-        head = init_downstream_head(
-            SMALL_ENCODER.num_layers, small_dataset.num_classes, SMALL_ENCODER.model_dim, 7
-        )
-        rows = np.zeros((small_dataset.num_sequences, SMALL_ENCODER.num_layers))
-        for bad in (rows[:-1], rows[:, :-1], rows[None], rows.astype(np.float32)):
-            with pytest.raises(ValueError, match=r"^entropies must be float64 \(N, num_layers\)"):
-                train_downstream(
-                    enc, branches, policy, head, small_dataset, lr=0.5, steps=1, seed=8,
-                    entropies=bad,
-                )
 
     def test_gradients_match_finite_differences(self, stack, small_dataset):
         # Two-sample toy batch; checks probe weight and raw layer weight grads.
@@ -350,7 +344,7 @@ class TestTrainDownstream:
 
 
 def _normalized_cache(enc, data):
-    cache = hidden_state_cache(enc, data.inputs)
+    cache = hidden_state_cache(enc, data.inputs).copy()  # the encoder keeps the read-only one
     for layer in cache:
         layer[...] = layer_norm(layer)
     return cache
