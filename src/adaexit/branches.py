@@ -269,17 +269,16 @@ def entropy_table(enc: Encoder, branches: BranchSet, inputs: np.ndarray) -> np.n
     """
     if not len(inputs):
         raise ValueError("empty dataset")
-    kept = enc.kept
-    table = kept.table(inputs, branches)
-    if table is None:
-        cache = kept.cache(inputs)
 
+    def compute(cache: np.ndarray | None) -> np.ndarray:
         def states(chunk):
             return forward_batch(enc, inputs[chunk]) if cache is None else cache[:, chunk]
 
-        rows = map_chunks(lambda chunk: batch_entropies(branches, states(chunk)), len(inputs))
-        table = kept.keep_table(inputs, branches, np.concatenate(rows))
-    return table
+        return np.concatenate(
+            map_chunks(lambda chunk: batch_entropies(branches, states(chunk)), len(inputs))
+        )
+
+    return enc.kept.table(inputs, branches, compute)
 
 
 def entropy_profile(enc: Encoder, branches: BranchSet, data: FrameDataset) -> EntropyProfile:

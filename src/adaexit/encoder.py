@@ -27,10 +27,9 @@ checkpoint reader reads by `Encoder.shapes` and `BlockParams.shapes`.
 The embedding computes in float64 from `Encoder.f64` (the input
 projection, and the positions, derived from the config, not stored) and
 a block from its own float64 arrays, `BlockParams.f64`, each cast once
-on first use and kept (blocks with equal arrays, as in an encoder
-redrawn from its seed or reloaded from its checkpoint, share one copy);
-the checkpoint, `parameter_arrays` and `parameter_digest` see only the
-float32 fields.
+on first use and kept by its object, so an encoder redrawn from its seed
+or reloaded from its checkpoint casts its own; the checkpoint,
+`parameter_arrays` and `parameter_digest` see only the float32 fields.
 Q, K and V are one stacked (3d, d) weight, so attention runs one
 (frames, d) @ (d, 3d) product and takes Q, K and V as views of it. The
 blocks call numeric's unvalidated cores, `layer_norm64` and `softmax64`:
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -164,19 +162,9 @@ class BlockParams(_Arrays):
         `parameter_digest` see the float32 arrays only, and a block built by
         `dataclasses.replace` derives its copy from its own arrays. The
         parameters are frozen: an in-place edit of a float32 array after the
-        first forward is not seen. Blocks with equal arrays share one copy,
-        kept while any of them holds it.
+        first forward is not seen.
         """
-        h = hashlib.sha256()
-        for f in fields(self):
-            a = getattr(self, f.name)
-            h.update(f"{f.name}{a.dtype.str}{a.shape}".encode())
-            h.update(np.ascontiguousarray(a))
-        key = h.digest()
-        shared = _SHARED_F64.get(key)
-        if shared is None:
-            shared = _SHARED_F64[key] = Block64.cast(self)
-        return shared
+        return Block64.cast(self)
 
 
 @dataclass(frozen=True)
@@ -208,12 +196,6 @@ class Block64:
             qkv_bias=np.concatenate([arrays.pop(f"{x}_bias") for x in "qkv"]),
             **{name: a.T if name.endswith("_weight") else a for name, a in arrays.items()},
         )
-
-
-# Every encoder drawn from one seed or loaded from one checkpoint has the same
-# blocks, and a process may hold several at once: serving set-up trains a new
-# model while the old one still serves. Keyed by a SHA-256 of a block's arrays.
-_SHARED_F64: weakref.WeakValueDictionary[bytes, Block64] = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -470,40 +452,52 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class KeptArrays:
     """One encoder's hidden-state cache and entropy tables, each under digests of its sources.
 
-    `branches` is a `branches.BranchSet`, keyed by its weights and biases.
+    Every method hashes the inputs it is given once, and a table's branches
+    (a `branches.BranchSet`, by its weights and biases) once; each kept
+    array is written here and nowhere else.
     """
 
     def __init__(self):
         self._cache: tuple[bytes, np.ndarray] | None = None
         self._tables: dict[tuple[bytes, bytes], np.ndarray] = {}
 
-    def cache(self, inputs: np.ndarray) -> np.ndarray | None:
-        """The kept hidden-state cache if it is `inputs`' one; None otherwise. Builds nothing."""
-        if self._cache is not None and self._cache[0] == _digest(inputs):
-            return self._cache[1]
-        return None
+    def _kept_cache(self, key: bytes) -> np.ndarray | None:
+        return self._cache[1] if self._cache is not None and self._cache[0] == key else None
 
-    def take_cache(self, inputs: np.ndarray) -> np.ndarray:
-        """`inputs`' hidden-state cache off the encoder, writable: its taker may overwrite it."""
-        cache = self.cache(inputs)
-        if cache is None:
-            raise ValueError("the encoder keeps no hidden-state cache of these inputs")
+    def cache(self, inputs: np.ndarray, build=None) -> np.ndarray | None:
+        """`inputs`' kept hidden-state cache; else None, or, given `build`, `build()`, kept.
+
+        The built cache replaces the kept one, which is let go before the
+        build, so two are never held.
+        """
+        key = _digest(inputs)
+        cache = self._kept_cache(key)
+        if cache is None and build is not None:
+            self._cache = None
+            cache = build()
+            self._cache = key, _read_only(cache)
+        return cache
+
+    def take_cache(self, cache: np.ndarray) -> np.ndarray:
+        """The kept hidden-state cache `cache` off the encoder, writable: its taker may overwrite it."""
+        if self._cache is None or self._cache[1] is not cache:
+            raise ValueError("the encoder does not keep this hidden-state cache")
         self._cache = None
         cache.flags.writeable = True
         return cache
 
-    def table(self, inputs: np.ndarray, branches) -> np.ndarray | None:
-        """The kept entropy table of `inputs` under `branches`, or None. Builds nothing."""
-        return self._tables.get(self._table_key(inputs, branches))
+    def table(self, inputs: np.ndarray, branches, build=None) -> np.ndarray | None:
+        """The kept entropy table of `inputs` under `branches`; else None, or, given `build`, kept.
 
-    def keep_table(self, inputs: np.ndarray, branches, table: np.ndarray) -> np.ndarray:
-        """Keep `table` as the entropy table of `inputs` under `branches`; returns it, read-only."""
-        self._tables[self._table_key(inputs, branches)] = _read_only(table)
+        `build(cache)` computes the table from `inputs`' kept hidden-state
+        cache, or from forwards when that is None.
+        """
+        key = _digest(inputs)
+        tables_key = key, _digest(branches.weights, branches.biases)
+        table = self._tables.get(tables_key)
+        if table is None and build is not None:
+            table = self._tables[tables_key] = _read_only(build(self._kept_cache(key)))
         return table
-
-    @staticmethod
-    def _table_key(inputs, branches) -> tuple[bytes, bytes]:
-        return _digest(inputs), _digest(branches.weights, branches.biases)
 
 
 def hidden_state_cache(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
@@ -514,10 +508,8 @@ def hidden_state_cache(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
     written straight into a new cache, which replaces the kept one: the old
     cache is let go before the forward, so two are never held by the encoder.
     """
-    kept = enc.kept
-    cache = kept.cache(inputs)
-    if cache is None:
-        kept._cache = None
+
+    def forward() -> np.ndarray:
         num_sequences, frames = inputs.shape[:2]
         cfg = enc.config
         cache = np.empty((cfg.num_layers, num_sequences, frames, cfg.model_dim), dtype=DTYPE)
@@ -525,5 +517,6 @@ def hidden_state_cache(enc: Encoder, inputs: np.ndarray) -> np.ndarray:
             lambda chunk: run_blocks(enc, embed_batch(enc, inputs[chunk]), cache[:, chunk]),
             num_sequences,
         )
-        kept._cache = _digest(inputs), _read_only(cache)
-    return cache
+        return cache
+
+    return enc.kept.cache(inputs, forward)

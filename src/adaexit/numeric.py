@@ -345,7 +345,7 @@ def entropy64(q: np.ndarray) -> np.ndarray:
     return -log_q.sum(axis=-1)
 
 
-def layer_norm64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def layer_norm64(x64: np.ndarray, gain: np.ndarray | float, bias: np.ndarray | float, eps=1e-5):
     """Unvalidated float64 core of `layer_norm`; the encoder's blocks call it directly."""
     # np.mean and np.var's own arithmetic (sum, then divide by the width), with
     # the centred rows computed once: the same bits as x64.var().
@@ -360,33 +360,18 @@ def layer_norm64(x64: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     return c
 
 
-def layer_norm(
-    v: np.ndarray,
-    gain: np.ndarray | None = None,
-    bias: np.ndarray | None = None,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Normalize each row to zero mean / unit variance, then scale and shift.
+def layer_norm(v: np.ndarray) -> np.ndarray:
+    """Normalize each row to zero mean / unit variance: `layer_norm64` at unit gain, zero bias.
 
-    Accepts any stack of rows; gain and bias default to ones and zeros.
-    Statistics are computed in float64; the result is float32.
+    Accepts any stack of rows. Statistics are computed in float64; the
+    result is float32.
     """
     x = np.asarray(v)
     if x.ndim == 0:
         raise ValueError("expected a vector or a stack of vectors, got a scalar")
     if x.shape[-1] == 0 or x.size == 0:
         raise ValueError("empty input")
-    width = x.shape[-1]
-    gain = np.ones(width, dtype=DTYPE) if gain is None else np.asarray(gain)
-    bias = np.zeros(width, dtype=DTYPE) if bias is None else np.asarray(bias)
-    if gain.shape != (width,) or bias.shape != (width,):
-        raise ValueError(
-            f"gain/bias length mismatch: input width {width}, "
-            f"gain {gain.shape}, bias {bias.shape}"
-        )
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    return layer_norm64(x.astype(np.float64), gain, bias, eps).astype(DTYPE)
+    return layer_norm64(x.astype(np.float64), 1.0, 0.0).astype(DTYPE)
 
 
 def running_mean(values) -> float:

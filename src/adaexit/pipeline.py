@@ -1,23 +1,24 @@
 """End-to-end pipeline: dataset synthesis, three training stages, and reports.
 
 `stages()` is the one list of stages, in run order, keyed by the command
-that runs each; every stage is `stage(cfg, paths, memo=None)` and reads all
+that runs each; every stage is `stage(cfg, paths, enc=None)` and reads all
 its settings from the config. Each entry also declares what its stage
 reads: files and checkpoint sections, by their `ARTIFACTS` names. A stage
 first loads and checks every declared input (`_inputs`), so a missing,
 malformed or stale input fails by name, naming the command that writes it,
 before the stage computes anything. `run_pipeline` saves the config and
-runs them all with one `Memo`, and the CLI builds one subcommand per entry,
-each run with a fresh memo.
+runs them all, each given the run's encoder, and the CLI builds one
+subcommand per entry, each run with none.
 
-The memo holds the run's one encoder: the first `Encoder` object seen with
-given config and parameters, used by every later stage in place of the
-equal one it loads. So the stages share what it keeps (`Encoder.kept`):
-the training split's hidden-state cache, which the teacher, the branches
-and the downstream head train on and train-downstream takes last, to
-normalize in place; the training split's entropy table, which
-train-branches computes for its profile and train-downstream decides its
-exits from; and eval's held-out table, the noise sweep's clean level.
+A stage given the run's encoder uses it in place of the checkpoint's, or
+of the one train-teacher draws, when their config and parameters are
+equal. So the stages share what it keeps (`Encoder.kept`): the training
+split's hidden-state cache, which the teacher, the branches and the
+downstream head train on and train-downstream takes last, to normalize in
+place; the training split's entropy table, which train-branches computes
+for its profile and train-downstream decides its exits from; and eval's
+held-out table, the noise sweep's clean level. A stage given none uses
+the encoder it loads or draws.
 
 Stage 1 trains the teacher and the exit branches; training the branches
 also profiles per-layer entropy on the training split, from the cache it
@@ -40,8 +41,8 @@ noise mixture) once into a per-layer table and replay every policy over
 it, the static baseline as the policy pinned to one layer; eval writes the
 held-out profile from its table. The noise sweep replays one policy per
 noise level over that level's entropy table (`branches.entropy_table`,
-eval's for the clean level when the memo's encoder keeps it), which gives the exits
-`run_exit` would.
+eval's for the clean level when the run's encoder keeps it), which gives the
+exits `run_exit` would.
 
 All metric JSONs and CSVs are byte-deterministic for a fixed config;
 wall-clock measurements go to a separate timing file, which is the one
@@ -111,7 +112,6 @@ __all__ = [
     "load_config",
     "save_config",
     "apply_overrides",
-    "Memo",
     "stage_synth",
     "stage_teacher",
     "stage_branches",
@@ -410,33 +410,21 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-class Memo:
-    """The run's one encoder, shared by its stages so that they share its kept arrays.
-
-    A stage given no memo uses the encoder it builds or loads, which gives
-    what a stage run on its own has always given.
-    """
-
-    def __init__(self):
-        self._encoders: dict[tuple[str, str], Encoder] = {}
-
-    def encoder(self, enc: Encoder) -> Encoder:
-        """The first encoder seen with `enc`'s config and parameters: `enc`, if it is the first.
-
-        The config too: its head count shapes the forward but draws no parameter.
-        """
-        return self._encoders.setdefault((repr(enc.config), parameter_digest(enc)), enc)
-
-
-def _encoder(memo: Memo | None, enc: Encoder) -> Encoder:
-    return enc if memo is None else memo.encoder(enc)
-
-
 _PROFILE_HEADER = "layer,mean_entropy"
 
 
 def _write_profile(path: Path, profile) -> None:
     _write_csv(path, _PROFILE_HEADER, [(k + 1, repr(m)) for k, m in enumerate(profile.layer_means)])
+
+
+def _run_encoder(enc: Encoder | None, own: Encoder) -> Encoder:
+    """The run's encoder `enc` in place of `own` when their config and parameters are equal.
+
+    The config too: its head count shapes the forward but draws no parameter.
+    """
+    if enc is None or enc.config != own.config:
+        return own
+    return enc if parameter_digest(enc) == parameter_digest(own) else own
 
 
 def _load_checkpoint(cfg: RunConfig, paths: ArtifactPaths) -> Checkpoint:
@@ -501,7 +489,8 @@ def _read_profile(cfg: RunConfig, paths: ArtifactPaths) -> EntropyProfile:
     return EntropyProfile.from_layer_means(means)
 
 
-# Artifact name -> its reader, which loads the file and checks it against the config.
+# Artifact name -> its reader, which loads the file; the readers of the checkpoint, the
+# profile and the span statistics also check it against the config.
 _READERS = {
     "train_data": lambda cfg, paths: load_dataset(paths.train_data),
     "eval_data": lambda cfg, paths: load_dataset(paths.eval_data),
@@ -511,28 +500,62 @@ _READERS = {
 }
 
 
-def _inputs(cfg: RunConfig, paths: ArtifactPaths, command: str) -> list:
+def _dataset_dims(num_sequences: int, cfg: RunConfig) -> dict:
+    return {
+        "num_sequences": num_sequences,
+        "frames": cfg.frames,
+        "input_dim": cfg.input_dim,
+        "num_classes": cfg.num_classes,
+    }
+
+
+# Dataset or checkpoint section -> {attribute: the config's value}, its dimensions.
+_DIMS = {
+    "train_data": lambda cfg: _dataset_dims(cfg.num_train, cfg),
+    "eval_data": lambda cfg: _dataset_dims(cfg.num_eval, cfg),
+    "teacher": lambda cfg: {"num_classes": cfg.num_classes},
+    "branches": lambda cfg: {"num_layers": cfg.num_layers, "num_classes": cfg.num_classes},
+    "downstream": lambda cfg: {"num_layers": cfg.num_layers, "num_labels": cfg.num_classes},
+}
+
+
+def _show(dims: dict) -> str:
+    return ", ".join(f"{dim}={value}" for dim, value in dims.items())
+
+
+def _inputs(cfg: RunConfig, paths: ArtifactPaths, command: str, enc: Encoder | None) -> list:
     """What `command` reads by its entry in `stages()`, loaded and checked, in that order.
 
     Each input's file must exist, or a DependencyError names the command
-    that writes it; then the input is read and checked against the config.
-    A checkpoint section, declared after "checkpoint", must be present, and
-    its value is the section. So a stage whose inputs fail computes nothing.
+    that writes it; then the input is read and checked against the config,
+    a dataset's or a section's dimensions by `_DIMS`. A checkpoint section,
+    declared after "checkpoint", must be present, and its value is the
+    section. So a stage whose inputs fail computes nothing. The checkpoint's
+    encoder is `enc`, the run's, when their config and parameters are equal.
     """
     loaded = {}
     for name in stages()[command][1]:
         path, read, writer = getattr(paths, name), _READERS.get(name), ARTIFACTS[name][1]
         if not path.exists():
             raise DependencyError(f"stage {command!r} needs {path.name}; run {writer!r} first")
+        what = path.name if read else f"the {name} section of {path.name}"
         loaded[name] = read(cfg, paths) if read else getattr(loaded["checkpoint"], name)
         if loaded[name] is None:
+            raise DependencyError(f"stage {command!r} needs {what}; run {writer!r} first")
+        want = _DIMS[name](cfg) if name in _DIMS else {}
+        held = {dim: getattr(loaded[name], dim) for dim in want}
+        if held != want:
             raise DependencyError(
-                f"stage {command!r} needs the {name} section of {path.name}; run {writer!r} first"
+                f"{what} holds {_show(held)}, the config asks for {_show(want)}; "
+                f"run {writer!r} again"
             )
+    if "checkpoint" in loaded:
+        ck = loaded["checkpoint"]
+        loaded["checkpoint"] = replace(ck, encoder=_run_encoder(enc, ck.encoder))
     return list(loaded.values())
 
 
-def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
+def stage_synth(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None) -> None:
     """Draw the full dataset once and split it into train and held-out files."""
     paths.root.mkdir(parents=True, exist_ok=True)
     full = synth_dataset(cfg.dataset_spec())
@@ -542,10 +565,10 @@ def stage_synth(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
     )
 
 
-def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
+def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None) -> None:
     """Train the final-layer teacher head on the ground-truth labels (stage 1a)."""
-    [train] = _inputs(cfg, paths, "train-teacher")
-    enc = _encoder(memo, init_encoder(cfg.encoder_config()))
+    [train] = _inputs(cfg, paths, "train-teacher", enc)
+    enc = _run_encoder(enc, init_encoder(cfg.encoder_config()))
     result = train_teacher(
         enc,
         train,
@@ -562,12 +585,11 @@ def stage_teacher(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
     )
 
 
-def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
+def stage_branches(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None) -> None:
     """Train the exit branches on pseudo-labels and profile the training split (stage 1b)."""
-    train, ck, teacher = _inputs(cfg, paths, "train-branches")
-    enc = _encoder(memo, ck.encoder)
+    train, ck, teacher = _inputs(cfg, paths, "train-branches", enc)
     result = train_branches(
-        enc,
+        ck.encoder,
         teacher,
         train,
         lr=cfg.branch_lr,
@@ -578,7 +600,8 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = Non
     # A downstream head trained under the old branches is stale: drop it, as train-teacher
     # does, and the policy calibrated from the old profile with it.
     save_checkpoint(
-        Checkpoint(encoder=enc, teacher=teacher, branches=result.branches), paths.checkpoint
+        Checkpoint(encoder=ck.encoder, teacher=teacher, branches=result.branches),
+        paths.checkpoint,
     )
     paths.policy_file.unlink(missing_ok=True)
     _write_csv(
@@ -590,25 +613,25 @@ def stage_branches(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = Non
 
 
 def stage_calibrate(
-    cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
+    cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None
 ) -> ExitPolicy:
     """Fix the threshold at the configured ratio from the training profile (stage 2a)."""
-    *_, profile = _inputs(cfg, paths, "calibrate")
+    *_, profile = _inputs(cfg, paths, "calibrate", enc)
     policy = calibrate(profile, cfg.ratio)
     save_policy(policy, paths.policy_file)
     return policy
 
 
-def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> None:
+def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None) -> None:
     """Train the downstream head with exits active, recording span statistics (stage 2b)."""
-    train, ck, branches, profile = _inputs(cfg, paths, "train-downstream")
+    train, ck, branches, profile = _inputs(cfg, paths, "train-downstream", enc)
     policy = calibrate(profile, cfg.ratio)
     head = init_downstream_head(
         cfg.num_layers, train.num_classes, cfg.model_dim, cfg.head_seed
     )
     # The run's last reader of the training cache: it takes it and normalizes it in place.
     result = train_downstream(
-        _encoder(memo, ck.encoder),
+        ck.encoder,
         branches,
         policy,
         head,
@@ -640,7 +663,7 @@ def stage_downstream(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = N
     )
 
 
-def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> dict:
+def stage_eval(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None) -> dict:
     """Evaluate every (strategy, inference ratio) pair on the held-out split (stage 3).
 
     Span statistics always come from the training-time ratio; only the
@@ -648,9 +671,8 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -
     is replayed over one per-layer table of the held-out split, whose
     entropy rows also give the held-out profile.
     """
-    heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "eval")
-    enc = _encoder(memo, ck.encoder)
-    table = build_layer_table(enc, branches, heldout, head, cfg.task, cfg.renormalize)
+    heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "eval", enc)
+    table = build_layer_table(ck.encoder, branches, heldout, head, cfg.task, cfg.renormalize)
     _write_profile(paths.profile_heldout, EntropyProfile.from_rows(table.entropies))
     paths.metrics_dir.mkdir(parents=True, exist_ok=True)
     # A record of an earlier run (a strategy since dropped, a pair now an error) must not linger.
@@ -687,7 +709,7 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -
     return summary
 
 
-def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) -> list[dict]:
+def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None) -> list[dict]:
     """Exit-layer distribution per noise level of the mixture (clean first), at the sweep ratio.
 
     Uses the unconstrained policy so the full spread of exits is visible.
@@ -696,14 +718,13 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
     Clean inputs are the held-out ones unchanged, so under `run_pipeline`
     the clean level's table is the one eval built.
     """
-    heldout, ck, branches, profile = _inputs(cfg, paths, "noise-sweep")
+    heldout, ck, branches, profile = _inputs(cfg, paths, "noise-sweep", enc)
     policy = calibrate(profile, cfg.sweep_ratio)
-    enc = _encoder(memo, ck.encoder)
     dist_rows = []
     summary_rows = []
     results = []
     for spec, _ in cfg.mixture_spec().parts:
-        table = entropy_table(enc, branches, add_noise(heldout, spec).inputs)
+        table = entropy_table(ck.encoder, branches, add_noise(heldout, spec).inputs)
         counts = ExitCounts.of(decide_exits(policy, table)[0], cfg.num_layers)
         label = spec.label()
         dist_rows.extend((label, k, repr(f)) for k, f in enumerate(counts.fractions, start=1))
@@ -723,7 +744,7 @@ def noise_sweep(cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None) 
 
 
 def compare_static(
-    cfg: RunConfig, paths: ArtifactPaths, memo: Memo | None = None
+    cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None
 ) -> list[dict]:
     """Accuracy of each span strategy vs. a fixed-depth truncation on the noise mixture.
 
@@ -733,12 +754,11 @@ def compare_static(
     alongside theirs. Every row is one policy replayed over one per-layer
     table of the mixture.
     """
-    heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "compare-static")
+    heldout, ck, branches, head, profile, stats = _inputs(cfg, paths, "compare-static", enc)
     base = calibrate(profile, cfg.ratio)
     mixture = cfg.mixture_spec()
     mixed = make_mixture(heldout, mixture, cfg.noise_seed + 1)
-    enc = _encoder(memo, ck.encoder)
-    table = build_layer_table(enc, branches, mixed, head, cfg.task, cfg.renormalize)
+    table = build_layer_table(ck.encoder, branches, mixed, head, cfg.task, cfg.renormalize)
     tags = np.array(mixed.tags)
     groups: list[tuple[str, np.ndarray | None]] = [("all", None)]
     for spec, _ in mixture.parts:
@@ -816,18 +836,19 @@ def stages() -> dict[str, tuple[Callable[..., object], tuple[str, ...]]]:
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> ArtifactPaths:
     """Save the config, then run every stage in order, printing each one's wall time.
 
-    The stages share one memo, and so one encoder and its kept arrays: the
-    training split is forwarded once for the teacher, the branches and the
-    downstream head, and the sweep's clean level reuses eval's entropy table.
+    Every stage is given the run's encoder, drawn here from the config, and
+    so shares its kept arrays: the training split is forwarded once for the
+    teacher, the branches and the downstream head, and the sweep's clean
+    level reuses eval's entropy table.
     """
     paths = ArtifactPaths(Path(out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, paths.config_file)
-    memo = Memo()
     started = time.perf_counter()
+    enc = init_encoder(cfg.encoder_config())
     for name, (stage, _) in stages().items():
         t0 = time.perf_counter()
-        stage(cfg, paths, memo)
+        stage(cfg, paths, enc)
         print(f"[pipeline] {name}: {time.perf_counter() - t0:.1f}s")
     print(f"[pipeline] total {time.perf_counter() - started:.1f}s")
     return paths

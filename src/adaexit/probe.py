@@ -213,14 +213,14 @@ def train_downstream(
     SGD step is one `_ProbeStep` over the batch. The exit counts (one exit
     per sample) are the span statistics used by inference-time constraints.
     """
-    _check_dataset(data, task)
+    _check_dataset(data, head, task)
     if policy.num_layers != enc.config.num_layers:
         raise ConfigError(
             f"policy is for {policy.num_layers} layers, encoder has {enc.config.num_layers}"
         )
-    hidden_state_cache(enc, data.inputs)  # kept: the entropy table reads it when not kept itself
+    cache = hidden_state_cache(enc, data.inputs)  # kept: the entropy table reads it if need be
     entropies = entropy_table(enc, branches, data.inputs)
-    cache = enc.kept.take_cache(data.inputs)
+    enc.kept.take_cache(cache)
 
     def normalize(chunk):
         for layer in cache[:, chunk]:  # a layer at a time: float64 temporaries of one layer only
@@ -391,11 +391,16 @@ def _predictions(head, feats, labels, task, num_classes):
     return int(pooled.argmax() == _sequence_label(labels, num_classes)), 1
 
 
-def _check_dataset(data: FrameDataset, task: str) -> None:
+def _check_dataset(data: FrameDataset, head: DownstreamHead, task: str) -> None:
     if data.num_sequences == 0:
         raise ValueError("empty dataset")
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+    if head.num_labels != data.num_classes:
+        raise ValueError(
+            f"head num_labels {head.num_labels} is not the dataset's num_classes "
+            f"{data.num_classes}"
+        )
 
 
 def _exit_record(task, policy, exits, forced_count, correct, scored) -> dict:
@@ -439,7 +444,7 @@ def evaluate(
     The reference path: every sample is forwarded lazily under the policy.
     `replay_evaluate` gives the same record from a `LayerTable`.
     """
-    _check_dataset(data, task)
+    _check_dataset(data, head, task)
     correct = 0
     scored = 0
     exits = []
@@ -464,7 +469,7 @@ def evaluate_static(
     renormalize: bool = True,
 ) -> dict:
     """The fixed-depth baseline: truncate every forward at `layer`, no exit machinery."""
-    _check_dataset(data, task)
+    _check_dataset(data, head, task)
     num_layers = enc.config.num_layers
     if not 1 <= layer <= num_layers:
         raise ValueError(f"layer {layer} out of range 1..{num_layers}")
@@ -508,9 +513,10 @@ def build_layer_table(
     are timed, and the times summed over chunks that may have run at once.
     Chunks stream into (N, L) arrays; no hidden states outlive their chunk.
     The entropy table is kept on the encoder (`Encoder.kept`), where
-    `branches.entropy_table` of the same inputs and branches reads it.
+    `branches.entropy_table` of the same inputs and branches reads it; a
+    table kept before, of equal bits, is the one returned.
     """
-    _check_dataset(data, task)
+    _check_dataset(data, head, task)
     n = data.num_sequences
     num_layers = enc.config.num_layers
     entropies = np.empty((n, num_layers), dtype=np.float64)
@@ -542,7 +548,7 @@ def build_layer_table(
 
     embed_seconds, block_seconds, branch_seconds = map(sum, zip(*map_chunks(chunk_facts, n)))
     return LayerTable(
-        entropies=enc.kept.keep_table(data.inputs, branches, entropies),
+        entropies=enc.kept.table(data.inputs, branches, lambda _: entropies),
         correct=correct,
         scored=scored,
         task=task,

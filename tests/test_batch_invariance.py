@@ -396,14 +396,18 @@ class TestDerivedFloat64Arrays:
         assert np.array_equal(doubled.f64.qkv_weight[:, :d], 2 * block.f64.qkv_weight[:, :d])
         assert np.array_equal(doubled.f64.qkv_weight[:, d:], block.f64.qkv_weight[:, d:])
 
-    def test_equal_blocks_share_one_copy(self, enc):
-        # A redrawn or reloaded encoder holds the same arrays, and their one float64 copy.
+    def test_redrawn_and_reloaded_encoders_cast_their_own_blocks(self, enc):
+        # Each block object casts and keeps its own float64 arrays; equal
+        # float32 arrays give bit-equal copies, which forward the same bits.
         redrawn = init_encoder(enc.config)
         reloaded = checkpoint_from_bytes(checkpoint_to_bytes(Checkpoint(encoder=enc))).encoder
-        for i, block in enumerate(enc.blocks):
-            assert redrawn.blocks[i].f64 is block.f64
-            assert reloaded.blocks[i].f64 is block.f64
-            assert dataclasses.replace(block).f64 is block.f64
-        assert enc.blocks[0].f64 is not enc.blocks[1].f64
-        shifted = dataclasses.replace(enc.blocks[0], q_bias=enc.blocks[0].q_bias + np.float32(1))
-        assert shifted.f64 is not enc.blocks[0].f64
+        for other in (redrawn, reloaded):
+            for block, twin in zip(enc.blocks, other.blocks):
+                assert twin.f64 is not block.f64 and twin.f64 is twin.f64
+                for f in dataclasses.fields(block.f64):
+                    mine, theirs = getattr(block.f64, f.name), getattr(twin.f64, f.name)
+                    assert not np.shares_memory(mine, theirs)
+                    assert mine.tobytes() == theirs.tobytes(), f.name
+            x = _batch(enc, np.random.default_rng(26), 3)
+            assert forward_batch(other, x).tobytes() == forward_batch(enc, x).tobytes()
+            assert forward_all(other, x[0]).tobytes() == forward_all(enc, x[0]).tobytes()

@@ -140,11 +140,39 @@ def test_kept_arrays_are_read_only_and_served_again(small_dataset, blocks_run):
         assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 0.0
-    taken = enc.kept.take_cache(inputs)
+    taken = enc.kept.take_cache(cache)
     assert taken is cache and taken.flags.writeable
     assert enc.kept.cache(inputs) is None
-    with pytest.raises(ValueError, match="keeps no hidden-state cache"):
-        enc.kept.take_cache(inputs)
+    with pytest.raises(ValueError, match="does not keep this hidden-state cache"):
+        enc.kept.take_cache(cache)
+
+
+def test_each_entry_point_hashes_its_inputs_once(small_dataset, monkeypatch):
+    # A cold entropy table hashes the inputs once and the branches once, and
+    # so does a kept one; a cold hidden-state cache hashes the inputs once.
+    hashed = []
+    original = encoder_module._digest
+
+    def counting(*arrays):
+        hashed.append(arrays)
+        return original(*arrays)
+
+    monkeypatch.setattr(encoder_module, "_digest", counting)
+    enc = init_encoder(SMALL_ENCODER)
+    inputs = small_dataset.inputs
+    branches = BranchSet(
+        np.ones((SMALL_ENCODER.num_layers, 5, SMALL_ENCODER.model_dim), dtype=np.float32),
+        np.zeros((SMALL_ENCODER.num_layers, 5), dtype=np.float32),
+    )
+    for _ in range(2):
+        hashed.clear()
+        entropy_table(enc, branches, inputs)
+        assert len(hashed) == 2
+        assert len(hashed[0]) == 1 and hashed[0][0] is inputs
+        assert hashed[1][0] is branches.weights and hashed[1][1] is branches.biases
+    hashed.clear()
+    hidden_state_cache(enc, inputs)
+    assert len(hashed) == 1 and hashed[0][0] is inputs
 
 
 def test_build_layer_table_keeps_its_entropies(small_dataset, blocks_run):

@@ -134,8 +134,8 @@ class TestLayerNorm:
         assert np.allclose(out, 0.0, atol=1e-2)
 
     def test_already_normalized(self):
-        out = layer_norm(np.array([1.0, -1.0]), eps=0.0)
-        assert np.allclose(out, [1.0, -1.0], atol=1e-6)
+        out = layer_norm64(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=0.0)
+        assert np.array_equal(out, [1.0, -1.0])
 
     def test_mean_variance_oracle(self):
         out = layer_norm(np.array([2.0, 4.0, 6.0]))
@@ -149,24 +149,28 @@ class TestLayerNorm:
         assert np.allclose(out.var(axis=1), 1.0, atol=1e-3)
 
     def test_gain_bias(self):
-        out = layer_norm(np.array([1.0, -1.0]), gain=np.array([2.0, 2.0]),
-                         bias=np.array([1.0, 1.0]), eps=0.0)
-        assert np.allclose(out, [3.0, -1.0], atol=1e-6)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            layer_norm(np.ones(4), gain=np.ones(3), bias=np.zeros(4))
+        out = layer_norm64(np.array([1.0, -1.0]), np.array([2.0, 2.0]), np.array([1.0, 1.0]),
+                           eps=0.0)
+        assert np.array_equal(out, [3.0, -1.0])
 
     def test_stack_equals_matrices_bitwise(self, rng):
         x = (rng.standard_normal((3, 5, 32)) * 3.0).astype(np.float32)
         gain = rng.standard_normal(32).astype(np.float32)
         bias = rng.standard_normal(32).astype(np.float32)
-        out = layer_norm(x, gain, bias)
-        assert out.shape == x.shape and out.dtype == np.float32
+        x64 = x.astype(np.float64)
+        out = layer_norm64(x64, gain, bias)
+        assert out.shape == x.shape and out.dtype == np.float64
         for i in range(3):
-            assert np.array_equal(out[i], layer_norm(x[i], gain, bias))
+            assert np.array_equal(out[i], layer_norm64(x64[i], gain, bias))
             for r in range(5):
-                assert np.array_equal(out[i, r], layer_norm(x[i, r], gain, bias))
+                assert np.array_equal(out[i, r], layer_norm64(x64[i, r], gain, bias))
+
+    def test_is_the_core_at_unit_gain_and_zero_bias(self, rng):
+        x = (rng.standard_normal((3, 5, 32)) * 3.0).astype(np.float32)
+        out = layer_norm(x)
+        assert out.dtype == np.float32
+        core = layer_norm64(x.astype(np.float64), np.ones(32, np.float32), np.zeros(32, np.float32))
+        assert out.tobytes() == core.astype(np.float32).tobytes()
 
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,13 @@ import pytest
 
 from adaexit import branches as branches_module
 from adaexit import encoder, pipeline, probe
-from adaexit.branches import BranchSet, batch_entropies, entropy_profile, entropy_table
+from adaexit.branches import (
+    BranchSet,
+    batch_entropies,
+    entropy_profile,
+    entropy_table,
+    init_branches,
+)
 from adaexit.cli import build_parser, main
 from adaexit.data import NoiseSpec, add_noise
 from adaexit.encoder import hidden_state_cache, init_encoder, parameter_digest
@@ -19,7 +25,7 @@ from adaexit.errors import ConfigError, DependencyError, FormatError
 from adaexit.pipeline import (
     ARTIFACTS,
     ArtifactPaths,
-    Memo,
+    _inputs,
     _read_profile,
     _write_profile,
     apply_overrides,
@@ -34,6 +40,7 @@ from adaexit.pipeline import (
     stage_calibrate,
     stage_downstream,
     stage_eval,
+    stage_synth,
     stage_teacher,
     stages,
 )
@@ -56,6 +63,7 @@ from adaexit.probe import (
     train_downstream,
 )
 from adaexit.serialize import load_checkpoint, load_dataset, save_checkpoint
+from adaexit.teacher import init_teacher_head
 
 from conftest import assert_served_exits
 
@@ -96,6 +104,11 @@ def _count_forwards(monkeypatch) -> list[bytes]:
 
     monkeypatch.setattr(encoder, "_embed", counting)
     return forwarded
+
+
+def _cli_settings() -> list[str]:
+    """The tiny config as repeated --set flags."""
+    return [arg for key, value in TINY.items() for arg in ("--set", f"{key}={value}")]
 
 
 def _assert_rejected(tmp_path, capsys, key, raw, value, pattern):
@@ -485,8 +498,9 @@ class TestStages:
     def test_each_stage_runs_on_its_declared_inputs_alone(self, tiny_cfg, tmp_path):
         # The stages run in order in one directory. Before each runs there, a
         # fresh directory gets only the files it declares, as they stand then;
-        # run there with no memo, it writes the same bytes. A stage that read
-        # an undeclared file, or one no earlier stage writes, fails here.
+        # run there with no encoder given, it writes the same bytes. A stage
+        # that read an undeclared file, or one no earlier stage writes, fails
+        # here.
         shared = ArtifactPaths(tmp_path / "shared")
         done = set()
         for command, (stage, reads) in stages().items():
@@ -662,6 +676,102 @@ class TestStaleInputs:
                 r"the config asks for EncoderConfig\(num_layers=4, ",
             ):
                 report(four, paths)
+        assert forwarded == []
+
+    @pytest.mark.parametrize(
+        "key, value, dim, splits",
+        [
+            ("data.num_train", "61", "num_sequences", ("train_data",)),
+            ("data.num_eval", "31", "num_sequences", ("eval_data",)),
+            ("data.frames", "11", "frames", ("train_data", "eval_data")),
+            ("data.input_dim", "8", "input_dim", ("train_data", "eval_data")),
+            ("data.num_classes", "40", "num_classes", ("train_data", "eval_data")),
+        ],
+    )
+    def test_dataset_of_other_dimensions_fails_before_any_forward(
+        self, copy, forwarded, capsys, key, value, dim, splits
+    ):
+        cfg, paths = copy
+        other = apply_overrides(cfg, {key: value})
+        readers = [
+            (command, stage, split)
+            for command, (stage, reads) in stages().items()
+            for split in splits
+            if split in reads
+        ]
+        assert readers
+        for command, stage, split in readers:
+            message = (
+                rf"^{split}\.bin holds .*{dim}=\d+.*, the config asks for .*{dim}={value}.*; "
+                r"run 'synth' again$"
+            )
+            with pytest.raises(DependencyError, match=message):
+                stage(other, paths)
+        assert forwarded == []
+        command = readers[-1][0]
+        assert main([command, "--artifacts", str(paths.root), *_cli_settings(), "--set",
+                     f"{key}={value}"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DependencyError"
+        assert record["message"].endswith("run 'synth' again")
+
+    def test_heads_of_another_class_count_fail_before_any_forward(
+        self, copy, forwarded, capsys
+    ):
+        # The held-out split drawn again with 40 classes: eval and
+        # compare-static used to score the 32-label head on it and exit 0.
+        cfg, paths = copy
+        forty = apply_overrides(cfg, {"data.num_classes": "40"})
+        stage_synth(forty, paths)
+        expected = {"teacher": "train-teacher", "branches": "train-branches"}
+        for command, (stage, reads) in stages().items():
+            section = next((name for name in reads if name in expected), None)
+            if section is None:
+                continue
+            message = (
+                rf"^the {section} section of checkpoint\.bin holds .*num_classes=32, "
+                rf"the config asks for .*num_classes=40; run '{expected[section]}' again$"
+            )
+            with pytest.raises(DependencyError, match=message):
+                stage(forty, paths)
+        assert forwarded == []
+        for command in ("eval", "compare-static"):
+            args = [command, "--artifacts", str(paths.root), *_cli_settings()]
+            assert main([*args, "--set", "data.num_classes=40"]) == 1
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record["error"] == "DependencyError"
+            assert "section of checkpoint.bin" in record["message"]
+
+    @pytest.mark.parametrize(
+        "section, head, held",
+        [
+            ("teacher", lambda cfg: init_teacher_head(3, cfg.model_dim, 0), "num_classes=3"),
+            ("branches", lambda cfg: init_branches(4, cfg.num_classes, cfg.model_dim),
+             "num_layers=4"),
+            ("branches", lambda cfg: init_branches(cfg.num_layers, 3, cfg.model_dim),
+             "num_classes=3"),
+            ("downstream", lambda cfg: init_downstream_head(4, cfg.num_classes, cfg.model_dim, 0),
+             "num_layers=4"),
+            ("downstream", lambda cfg: init_downstream_head(cfg.num_layers, 3, cfg.model_dim, 0),
+             "num_labels=3"),
+        ],
+        ids=["teacher-classes", "branch-layers", "branch-classes", "head-layers", "head-labels"],
+    )
+    def test_section_of_other_dimensions_named_with_its_writer(
+        self, copy, forwarded, section, head, held
+    ):
+        cfg, paths = copy
+        ck = load_checkpoint(paths.checkpoint)
+        save_checkpoint(replace(ck, **{section: head(cfg)}), paths.checkpoint)
+        readers = [stage for stage, reads in stages().values() if section in reads]
+        assert readers
+        for stage in readers:
+            message = (
+                rf"^the {section} section of checkpoint\.bin holds .*{held}.*; "
+                rf"run '{ARTIFACTS[section][1]}' again$"
+            )
+            with pytest.raises(DependencyError, match=message):
+                stage(cfg, paths)
         assert forwarded == []
 
     @pytest.mark.parametrize(
@@ -933,8 +1043,8 @@ class TestReplay:
             )
 
 
-class TestMemo:
-    """One memo per run: the run's one encoder, whose kept arrays its stages share."""
+class TestRunEncoder:
+    """A run's stages share its one encoder, and so its kept arrays; an unequal one is not used."""
 
     def test_run_forwards_the_training_split_once(self, tiny_cfg, tmp_path, monkeypatch):
         # The teacher's forward of the training split is the only one: the
@@ -952,9 +1062,9 @@ class TestMemo:
             monkeypatch.setattr(module, "batch_entropies", counting)
         by_stage, rows_by_stage = {}, {}
         for name, (stage, _) in stages().items():
-            def recording(cfg, paths, memo, name=name, stage=stage):
+            def recording(cfg, paths, enc, name=name, stage=stage):
                 start, rows_start = len(forwarded), len(entropy_rows)
-                stage(cfg, paths, memo)
+                stage(cfg, paths, enc)
                 by_stage[name] = forwarded[start:]
                 rows_by_stage[name] = entropy_rows[rows_start:]
 
@@ -973,41 +1083,73 @@ class TestMemo:
         assert sum(rows_by_stage["train-branches"]) == tiny_cfg.num_train
         assert rows_by_stage["train-downstream"] == []
 
+    @staticmethod
+    def _unequal(cfg):
+        """Encoders of another seed, of the run's parameters under another head count, and
+        of the run's config with one parameter edited."""
+        run = init_encoder(cfg.encoder_config())
+        reseeded = init_encoder(replace(cfg, encoder_seed=cfg.encoder_seed + 1).encoder_config())
+        two_heads = init_encoder(replace(cfg, num_heads=2).encoder_config())
+        assert parameter_digest(two_heads) == parameter_digest(run)
+        edited = replace(run, input_bias=run.input_bias + np.float32(0.5))
+        return {"reseeded": reseeded, "two_heads": two_heads, "edited": edited}
+
+    def test_the_checkpoint_encoder_is_replaced_by_an_equal_one_only(self, tiny_run):
+        cfg, paths = tiny_run
+        run = init_encoder(cfg.encoder_config())
+        for command, (_, reads) in stages().items():
+            if "checkpoint" in reads:
+                ck = _inputs(cfg, paths, command, run)[reads.index("checkpoint")]
+                assert ck.encoder is run, command
+                for name, other in self._unequal(cfg).items():
+                    ck = _inputs(cfg, paths, command, other)[reads.index("checkpoint")]
+                    assert ck.encoder is not other, (command, name)
+                    assert ck.encoder.config == cfg.encoder_config()
+
+    @pytest.mark.parametrize("unequal", ["reseeded", "two_heads", "edited"])
+    def test_an_unequal_encoder_is_not_used(self, tiny_cfg, tiny_run, tmp_path, unequal):
+        # Given every stage, an encoder of another seed, another head count or
+        # another parameter that keeps the run's training cache and garbage
+        # tables of the run's inputs under the run's branches: every stage
+        # uses its own encoder and writes the bytes of a fresh run.
+        _, reference = tiny_run
+        ck = load_checkpoint(reference.checkpoint)
+        other = self._unequal(tiny_cfg)[unequal]
+        train = load_dataset(reference.train_data).inputs
+        heldout = load_dataset(reference.eval_data).inputs
+        for inputs in (train, heldout):
+            garbage = np.zeros((len(inputs), tiny_cfg.num_layers))
+            other.kept.table(inputs, ck.branches, lambda _, garbage=garbage: garbage)
+        hidden_state_cache(other, train)
+        paths = ArtifactPaths(tmp_path / "run")
+        for stage, _ in stages().values():
+            stage(tiny_cfg, paths, other)
+        for path in reference.root.rglob("*"):
+            if path.is_file() and path.name not in ("timing.json", "config.ini"):
+                assert (paths.root / path.relative_to(reference.root)).read_bytes() == (
+                    path.read_bytes()
+                ), path.name
+
     def test_arrays_of_other_sources_are_never_served(self, tiny_run, tmp_path):
-        # A memo whose encoders keep arrays of other sources: encoders of
-        # other parameters, or of the same parameters run with another head
-        # count, keeping the run's own inputs and branches; and the run's
-        # encoder keeping other inputs and other branches. Every stage
-        # misses, recomputes, and writes the bytes of the run that had a
-        # fresh memo.
+        # The run's encoder keeping arrays of other inputs and other branches:
+        # every stage misses, recomputes, and writes the bytes of the run.
         cfg, paths = tiny_run
         copy = ArtifactPaths(shutil.copytree(paths.root, tmp_path / "run"))
         ck = load_checkpoint(paths.checkpoint)
         train = load_dataset(paths.train_data).inputs
         heldout = load_dataset(paths.eval_data).inputs
-        reseeded = init_encoder(replace(cfg, encoder_seed=cfg.encoder_seed + 1).encoder_config())
-        two_heads = init_encoder(replace(cfg, num_heads=2).encoder_config())
-        assert parameter_digest(two_heads) == parameter_digest(ck.encoder)
         other_branches = BranchSet(ck.branches.weights + 1, ck.branches.biases)
-        memo = Memo()
-        run = memo.encoder(ck.encoder)
-        for enc in (reseeded, two_heads):
-            assert memo.encoder(enc) is enc
-            hidden_state_cache(enc, train)
+        run = init_encoder(cfg.encoder_config())
         hidden_state_cache(run, train[::-1])
-        for enc, branches, inputs in (
-            (reseeded, ck.branches, heldout),
-            (two_heads, ck.branches, heldout),
-            (run, other_branches, heldout),
-            (run, ck.branches, heldout[::-1]),
-            (reseeded, ck.branches, train),
-            (two_heads, ck.branches, train),
-            (run, other_branches, train),
-            (run, ck.branches, train[::-1]),
+        for branches, inputs in (
+            (other_branches, heldout),
+            (ck.branches, heldout[::-1]),
+            (other_branches, train),
+            (ck.branches, train[::-1]),
         ):
-            enc.kept.keep_table(inputs, branches, np.zeros((len(inputs), cfg.num_layers)))
+            run.kept.table(inputs, branches, lambda _: np.zeros((len(inputs), cfg.num_layers)))
         for stage in (stage_teacher, stage_branches, stage_calibrate, stage_downstream, noise_sweep):
-            stage(cfg, copy, memo)
+            stage(cfg, copy, run)
         for path in paths.root.rglob("*"):
             if path.is_file() and path.name != "timing.json":
                 assert (copy.root / path.relative_to(paths.root)).read_bytes() == (
@@ -1022,18 +1164,17 @@ class TestMemo:
         ck = load_checkpoint(paths.checkpoint)
         train = load_dataset(paths.train_data).inputs
         other_branches = BranchSet(ck.branches.weights + 1, ck.branches.biases)
-        memo = Memo()
-        enc = memo.encoder(ck.encoder)
+        enc = ck.encoder
         garbage = np.zeros((len(train), cfg.num_layers))
-        enc.kept.keep_table(train, other_branches, garbage)
+        enc.kept.table(train, other_branches, lambda _: garbage)
         assert enc.kept.table(train, ck.branches) is None
         assert enc.kept.table(train, other_branches) is garbage
-        stage_downstream(cfg, copy, memo)
+        stage_downstream(cfg, copy, enc)
         for name in ("checkpoint", "span_stats", "exit_traces", "downstream_loss"):
             assert getattr(copy, name).read_bytes() == getattr(paths, name).read_bytes(), name
 
     def test_a_second_run_in_the_process_forwards_again(self, tiny_cfg, tmp_path, monkeypatch):
-        # Nothing outlives a run: each run's memo and encoder are its own.
+        # Nothing outlives a run: each run's encoder is its own.
         forwarded = _count_forwards(monkeypatch)
         counts = []
         for name in ("a", "b"):
@@ -1042,14 +1183,6 @@ class TestMemo:
             train = {x.tobytes() for x in load_dataset(paths.train_data).inputs}
             counts.append(sum(x in train for x in forwarded[start:]))
         assert counts == [tiny_cfg.num_train] * 2
-
-    def test_the_first_encoder_of_a_config_and_parameters_is_the_runs(self, small_encoder):
-        memo = Memo()
-        assert memo.encoder(small_encoder) is small_encoder
-        assert memo.encoder(init_encoder(small_encoder.config)) is small_encoder
-        one_head = init_encoder(replace(small_encoder.config, num_heads=1))
-        assert memo.encoder(one_head) is one_head
-        assert Memo().encoder(init_encoder(small_encoder.config)) is not small_encoder
 
 
 class TestDeterminism:
@@ -1133,7 +1266,7 @@ class TestCli:
             monkeypatch.setattr(
                 pipeline,
                 stage.__name__,
-                lambda cfg, paths, memo, name=name: calls.append((name, cfg, paths.root)),
+                lambda cfg, paths, enc, name=name: calls.append((name, cfg, paths.root)),
             )
         paths = run_pipeline(tiny_cfg, tmp_path / "run")
         assert calls == [(name, tiny_cfg, paths.root) for name in stages()]

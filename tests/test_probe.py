@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adaexit import branches as branches_module
+from adaexit import encoder as encoder_module
 from adaexit.branches import entropy_table, sample_entropies, train_branches
 from adaexit.encoder import forward_all, hidden_state_cache, parameter_digest
 from adaexit.errors import ConfigError
@@ -500,6 +501,32 @@ class TestEvaluate:
         ]
         for call in calls:
             with pytest.raises(ValueError, match="task must be one of"):
+                call()
+
+    @pytest.mark.parametrize("offset", [-2, 1])
+    def test_head_of_another_label_count_rejected_by_every_entry_point(
+        self, stack, small_dataset, rng, offset, monkeypatch
+    ):
+        # A 3-label head on 5-class data used to die in training with a bare IndexError.
+        enc, branches = stack
+        labels = small_dataset.num_classes + offset
+        head = _random_head(rng, num_labels=labels)
+        policy = fixed_exit_policy(2, SMALL_ENCODER.num_layers)
+        calls = [
+            lambda: evaluate_static(enc, head, small_dataset, 2),
+            lambda: evaluate(enc, branches, policy, head, small_dataset),
+            lambda: build_layer_table(enc, branches, small_dataset, head),
+            lambda: train_downstream(
+                enc, branches, policy, head, small_dataset, lr=0.1, steps=1, seed=0
+            ),
+        ]
+        monkeypatch.setattr(encoder_module, "_embed", None)  # no forward may start
+        message = (
+            f"^head num_labels {labels} is not the dataset's num_classes "
+            f"{small_dataset.num_classes}$"
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
                 call()
 
 
