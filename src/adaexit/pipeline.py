@@ -5,8 +5,9 @@ that runs each; every stage is `stage(cfg, paths, enc=None)` and reads all
 its settings from the config. Each entry also declares what its stage
 reads: files and checkpoint sections, by their `ARTIFACTS` names. A stage
 first loads and checks every declared input (`_inputs`), so a missing,
-malformed or stale input fails by name, naming the command that writes it,
-before the stage computes anything. `run_pipeline` saves the config and
+malformed or stale input fails by name, naming the command that writes it
+(the earliest such command when several inputs fail), before the stage
+computes anything. `run_pipeline` saves the config and
 runs them all, each given the run's encoder, and the CLI builds one
 subcommand per entry, each run with none.
 
@@ -523,34 +524,60 @@ def _show(dims: dict) -> str:
     return ", ".join(f"{dim}={value}" for dim, value in dims.items())
 
 
+def _what(paths: ArtifactPaths, name: str) -> str:
+    """An input as a message names it: its file, or a checkpoint section and the file."""
+    path = getattr(paths, name)
+    return path.name if name in _READERS else f"the {name} section of {path.name}"
+
+
 def _inputs(cfg: RunConfig, paths: ArtifactPaths, command: str, enc: Encoder | None) -> list:
     """What `command` reads by its entry in `stages()`, loaded and checked, in that order.
 
-    Each input's file must exist, or a DependencyError names the command
-    that writes it; then the input is read and checked against the config,
-    a dataset's or a section's dimensions by `_DIMS`. A checkpoint section,
-    declared after "checkpoint", must be present, and its value is the
-    section. So a stage whose inputs fail computes nothing. The checkpoint's
-    encoder is `enc`, the run's, when their config and parameters are equal.
+    Each input's file must exist, or its writer is named; then the input is
+    read and checked against the config, a dataset's or a section's
+    dimensions by `_DIMS`. A checkpoint section, declared after
+    "checkpoint", must be present, and its value is the section; every other
+    section the checkpoint holds is checked too. All are checked before any
+    is refused: the DependencyError is the one of the input whose writer
+    comes first in `stages()`, so re-running that command is the next step
+    whatever else is stale. So a stage whose inputs fail computes nothing.
+    The checkpoint's encoder is `enc`, the run's, when their config and
+    parameters are equal.
     """
-    loaded = {}
+    loaded, refusals = {}, []  # refusals: (the writer to re-run, the message)
     for name in stages()[command][1]:
-        path, read, writer = getattr(paths, name), _READERS.get(name), ARTIFACTS[name][1]
-        if not path.exists():
-            raise DependencyError(f"stage {command!r} needs {path.name}; run {writer!r} first")
-        what = path.name if read else f"the {name} section of {path.name}"
-        loaded[name] = read(cfg, paths) if read else getattr(loaded["checkpoint"], name)
-        if loaded[name] is None:
-            raise DependencyError(f"stage {command!r} needs {what}; run {writer!r} first")
+        read, writer = _READERS.get(name), ARTIFACTS[name][1]
+        if read is None and "checkpoint" not in loaded:
+            continue  # the checkpoint itself is refused
+        try:
+            if read is None:
+                value = getattr(loaded["checkpoint"], name)
+            else:
+                value = read(cfg, paths) if getattr(paths, name).exists() else None
+            if value is None:
+                raise DependencyError(
+                    f"stage {command!r} needs {_what(paths, name)}; run {writer!r} first"
+                )
+        except DependencyError as err:
+            refusals.append((writer, str(err)))
+            continue
+        loaded[name] = value
+    ck = loaded.get("checkpoint")
+    sections = [f.name for f in fields(Checkpoint) if f.name != "encoder"] if ck else []
+    held = {name: getattr(ck, name) for name in sections if getattr(ck, name) is not None}
+    for name, value in {**held, **loaded}.items():
         want = _DIMS[name](cfg) if name in _DIMS else {}
-        held = {dim: getattr(loaded[name], dim) for dim in want}
-        if held != want:
-            raise DependencyError(
-                f"{what} holds {_show(held)}, the config asks for {_show(want)}; "
+        dims = {dim: getattr(value, dim) for dim in want}
+        if dims != want:
+            writer = ARTIFACTS[name][1]
+            refusals.append((writer, (
+                f"{_what(paths, name)} holds {_show(dims)}, the config asks for {_show(want)}; "
                 f"run {writer!r} again"
-            )
-    if "checkpoint" in loaded:
-        ck = loaded["checkpoint"]
+            )))
+    if refusals:
+        order = list(stages())
+        raise DependencyError(min(refusals, key=lambda refusal: order.index(refusal[0]))[1])
+    if ck:
         loaded["checkpoint"] = replace(ck, encoder=_run_encoder(enc, ck.encoder))
     return list(loaded.values())
 

@@ -10,8 +10,12 @@ Both paths also equal the reference kernels kept here bit for bit: an
 embedding and a block with every parameter cast per call, the block with
 three separate Q, K and V products, and a branch entropy through the
 checked softmax and a where-masked log.
-The fused QKV product's bits rest on the kernel BLAS picks for its width,
-so CI runs this file under a second OpenBLAS core type as well.
+The encoder multiplies by C-ordered (in, out) float64 weights and the
+reference by transposed views of (out, in) ones, and the fused QKV
+product's bits rest on the kernel BLAS picks for its width; so the default
+encoder is also checked at few frames, where single products by the two
+layouts round differently on some kernels, and CI runs this file under two
+more OpenBLAS core types.
 """
 
 from __future__ import annotations
@@ -292,6 +296,11 @@ def _with_random_norms_and_biases(enc):
     ))
 
 
+@pytest.fixture(scope="module")
+def default_enc():
+    return init_encoder(EncoderConfig())
+
+
 class TestAgainstReferenceKernels:
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_embedding_equals_the_reference_embed(self, enc, perturbed):
@@ -316,6 +325,31 @@ class TestAgainstReferenceKernels:
         for b, x in enumerate(inputs):
             assert np.array_equal(forward_all(enc, x), reference[:, b]), b
             assert np.array_equal(_reference_forward(enc, x[None])[:, 0], reference[:, b]), b
+
+    # The encoder multiplies by C-ordered (in, out) weights, the reference by the
+    # transposed views of (out, in) ones. Single float64 products by the two round
+    # differently at few frames on some OpenBLAS kernels; the float32 layers must not.
+    @pytest.mark.parametrize("frames", [1, 5, 18, 19])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_default_encoder_at_few_frames(self, default_enc, frames, perturbed):
+        enc = _with_random_norms_and_biases(default_enc) if perturbed else default_enc
+        rng = np.random.default_rng(40 + frames)
+        inputs = rng.standard_normal((3, frames, enc.config.input_dim)).astype(np.float32)
+        embedded = embed_batch(enc, inputs)
+        assert embedded.tobytes() == _reference_embed(enc, inputs).tobytes(), "embedding"
+        reference = _reference_forward(enc, inputs)
+        batched = forward_batch(enc, inputs)
+        for k, layer in enumerate(reference, start=1):
+            assert batched[k - 1].tobytes() == layer.tobytes(), (
+                f"batched layer {k}, {frames} frames"
+            )
+        for b, x in enumerate(inputs):
+            assert _embed(enc, x, batched=False).tobytes() == embedded[b].tobytes(), b
+            served = forward_all(enc, x)
+            for k, layer in enumerate(reference, start=1):
+                assert served[k - 1].tobytes() == layer[b].tobytes(), (
+                    f"served layer {k}, {frames} frames, sample {b}"
+                )
 
     # Scale 400 makes posteriors whose small probabilities underflow to exact zeros.
     @pytest.mark.parametrize("scale", [1.0, 400.0])
@@ -375,6 +409,26 @@ class TestDerivedFloat64Arrays:
             assert np.array_equal(block.f64.qkv_weight[:, part], getattr(block, f"{name}_weight").T)
             assert np.array_equal(block.f64.qkv_bias[part], getattr(block, f"{name}_bias"))
         assert block.f64 is block.f64
+
+    def test_weights_are_c_ordered_in_out_arrays_of_their_own(self, enc):
+        cfg = enc.config
+        d, ffn = cfg.model_dim, cfg.ffn_dim
+        shapes = {"qkv_weight": (d, 3 * d), "out_weight": (d, d),
+                  "ffn_in_weight": (d, ffn), "ffn_out_weight": (ffn, d)}
+        for block in enc.blocks:
+            for f in dataclasses.fields(block.f64):
+                a = getattr(block.f64, f.name)
+                assert a.dtype == np.float64, f.name
+                assert a.flags.c_contiguous and a.flags.owndata, f.name
+                if f.name in shapes:
+                    assert a.shape == shapes[f.name], f.name
+                if not f.name.startswith("qkv"):
+                    stored = getattr(block, f.name)
+                    assert np.array_equal(a, stored.T if f.name.endswith("weight") else stored)
+        weight = enc.f64[0]
+        assert weight.dtype == np.float64 and weight.shape == (cfg.input_dim, d)
+        assert weight.flags.c_contiguous and weight.flags.owndata
+        assert np.array_equal(weight, enc.input_weight.T)
 
     def test_checkpoint_round_trip_keeps_its_bytes(self, enc, branches):
         ck = Checkpoint(encoder=enc, branches=branches)

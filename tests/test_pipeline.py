@@ -720,18 +720,18 @@ class TestStaleInputs:
     ):
         # The held-out split drawn again with 40 classes: eval and
         # compare-static used to score the 32-label head on it and exit 0.
+        # Every section is stale; each stage names the earliest writer, the teacher's,
+        # whether or not it reads that section: one command, not one per stale stage.
         cfg, paths = copy
         forty = apply_overrides(cfg, {"data.num_classes": "40"})
         stage_synth(forty, paths)
-        expected = {"teacher": "train-teacher", "branches": "train-branches"}
-        for command, (stage, reads) in stages().items():
-            section = next((name for name in reads if name in expected), None)
-            if section is None:
-                continue
-            message = (
-                rf"^the {section} section of checkpoint\.bin holds .*num_classes=32, "
-                rf"the config asks for .*num_classes=40; run '{expected[section]}' again$"
-            )
+        message = (
+            r"^the teacher section of checkpoint\.bin holds num_classes=32, "
+            r"the config asks for num_classes=40; run 'train-teacher' again$"
+        )
+        readers = [stage for stage, reads in stages().values() if "checkpoint" in reads]
+        assert len(readers) == 6
+        for stage in readers:
             with pytest.raises(DependencyError, match=message):
                 stage(forty, paths)
         assert forwarded == []
@@ -740,7 +740,26 @@ class TestStaleInputs:
             assert main([*args, "--set", "data.num_classes=40"]) == 1
             record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert record["error"] == "DependencyError"
-            assert "section of checkpoint.bin" in record["message"]
+            assert re.search(message, record["message"])
+
+    def test_earliest_writer_named_among_stale_and_missing_inputs(self, copy, forwarded):
+        # The downstream head dropped and the profile cut short: eval names the
+        # branches' writer, which rewrites the profile, before train-downstream.
+        cfg, paths = copy
+        save_checkpoint(replace(load_checkpoint(paths.checkpoint), downstream=None),
+                        paths.checkpoint)
+        lines = paths.profile_train.read_text().splitlines()
+        paths.profile_train.write_text("\n".join(lines[:4]) + "\n")
+        with pytest.raises(
+            DependencyError, match=r"^entropy_profile_train\.csv has 3 layers, the config has 8$"
+        ):
+            stage_eval(cfg, paths)
+        paths.eval_data.unlink()
+        with pytest.raises(
+            DependencyError, match=r"^stage 'eval' needs eval_data\.bin; run 'synth' first$"
+        ):
+            stage_eval(cfg, paths)
+        assert forwarded == []
 
     @pytest.mark.parametrize(
         "section, head, held",
