@@ -3,14 +3,16 @@
 Conventions: parameters and activations are stored as float32; reductions
 (dot products, normalization statistics, probability sums) run in float64
 so results are reproducible at desk scale. Probabilities and entropies
-are returned as float64. Entropy is measured in nats.
+are returned as float64. Entropy is measured in nats. The one exception is
+the head trainer: its products and cross-entropy run in float32, and only
+its parameter update in float64.
 
 Every head trains through one softmax cross-entropy and logit gradient,
 and the linear heads through `train_linear_heads`, the one minibatch-SGD
 loop: the teacher is its one-head call, the exit branches its
 one-head-per-layer call. The trainer splits its heads into contiguous
 groups, one per usable CPU, and trains each group in its own thread (the
-first in the caller's) with preallocated float64 buffers and its own copy
+first in the caller's) with preallocated float32 buffers and its own copy
 of the batch stream, so its bits do not depend on the CPU count.
 `on_usable_cpus` is that rule for any list of independent items: the
 trainer's head groups, and the chunks of every whole-dataset pass.
@@ -19,7 +21,8 @@ Inputs are checked at the module boundary, not inside the hot loops.
 `layer_norm`, `softmax` and `cross_entropy` validate what they are given,
 and softmax refuses non-finite logits; `train_linear_heads` checks its
 cache, labels, starting weights and hyperparameters once. `layer_norm64`,
-`softmax64` and `cross_entropy64` are their unvalidated float64 cores.
+`softmax64` and `cross_entropy64` are their unvalidated cores: float64,
+except that the trainer hands `cross_entropy64` float32 buffers.
 `entropy64`, the per-row entropy of probability rows, has no checked
 wrapper: its one caller, branch entropy, hands it `softmax64`'s rows. The
 encoder's blocks call `layer_norm64` and `softmax64`. Branch entropies call
@@ -28,10 +31,10 @@ softmax's finiteness scan and fail by layer on a non-finite entropy
 instead. The trainer and the downstream probe's step call `cross_entropy64`
 on their own buffers; the checked `cross_entropy` has no caller in the
 package and stays as the validated entry and the tests' reference. Each core
-keeps the arithmetic of the checked call bit for bit and takes float32 or
-float64 parameters alike; the embedding, the blocks and the branches pass
-float64 copies of theirs, cast once (`Encoder.f64`, `BlockParams.f64`,
-`BranchSet.f64`).
+keeps the arithmetic of the checked call bit for bit on float64 input and
+takes float32 or float64 parameters alike; the embedding, the blocks and
+the branches pass float64 copies of theirs, cast once (`Encoder.f64`,
+`BlockParams.f64`, `BranchSet.f64`).
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax64(x: np.ndarray, out=None, rowmax=None, rowsum=None) -> np.ndarray:
-    """Unvalidated float64 core of `softmax`: the rows of x, normalized into out.
+    """Unvalidated core of `softmax`: the rows of x, normalized into out, in x's dtype.
 
     out may be x itself; a new array is returned when it is None. rowmax and
     rowsum, shaped x.shape[:-1] + (1,), receive the row maxima and sums; they
@@ -138,19 +141,23 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
 
 def cross_entropy64(x, picks, picked, rowmax, rowsum, out=None, loss=None):
-    """Unvalidated float64 core of `cross_entropy`: the loss and the logit gradient.
+    """Unvalidated core of `cross_entropy`: the loss and the logit gradient.
 
     x: (..., rows, C) logits; picks: (..., rows) flat positions in x of each
     row's label, in range. The gradient is written into out, which may be x
     itself (a new array when None), and the loss (...) into loss when given.
-    picked (..., rows), rowmax and rowsum (..., rows, 1) are scratch.
+    picked (..., rows), rowmax and rowsum (..., rows, 1) are scratch. The
+    arithmetic runs in the dtype of x and the scratch: float64 for the
+    probe and `cross_entropy`, float32 for the head trainer. A label
+    probability that underflows is floored at max(1e-300, the dtype's
+    smallest normal), so its loss stays finite in either dtype.
     """
     grad = softmax64(x, out, rowmax, rowsum)
     np.take(grad, picks, out=picked, mode="clip")  # clip: no bounds-check buffer
     # rowsum is free once the rows are normalized; it holds each label's p - 1.
     label_grad = np.subtract(picked, 1.0, out=rowsum.reshape(picked.shape))
     np.put(grad, picks, label_grad)
-    np.maximum(picked, 1e-300, out=picked)
+    np.maximum(picked, max(1e-300, float(np.finfo(picked.dtype).tiny)), out=picked)
     np.log(picked, out=picked)
     np.negative(picked, out=picked)
     grad /= grad.shape[-2]
@@ -213,9 +220,12 @@ def train_linear_heads(
     The heads are split into contiguous groups, one per usable CPU, and each
     group trains in its own thread (the first in the caller's) on its own
     copy of that batch stream, so the bits do not depend on the CPU count.
-    Inputs are checked once, here; a head whose parameters leave the
-    float32 range fails by name.
-    Returns the final weights and biases and each step's loss, (steps, H).
+    The products and the loss run in float32 and the update in float64,
+    rounded once to float32 a step, as `sgd_step` rounds it. Inputs are
+    checked once, here; a head whose float32 logits overflow or whose
+    parameters leave the float32 range fails by name.
+    Returns the final weights and biases and each step's loss, (steps, H),
+    the float64 mean of the float32 row losses.
     """
     lr = _check_heads(cache, labels, weights, biases, lr, steps, batch_size)
     heads = cache.shape[0]
@@ -271,8 +281,11 @@ def _train_head_group(cache, labels, weights, biases, lr, steps, batch_size, see
 
     It may run in a worker thread, so it calls numpy only: numpy releases the
     GIL inside matmul and the ufunc loops, and nothing here is traced. The
-    float64 mirrors hold the float32 parameters exactly; each step updates a
-    mirror and re-rounds it through float32, which is `sgd_step`'s arithmetic.
+    batch, the logits, the cross-entropy and both gradients are float32, so
+    the products are sgemm calls. The update is `sgd_step`'s arithmetic:
+    float64(params) - lr * float64(grad), rounded once to float32. A step
+    whose loss is not finite (float32 logits overflow) or whose update
+    leaves the float32 range fails by head, before any numpy warning.
     """
     heads, num_sequences, frames, dim = cache.shape
     classes = weights.shape[1]
@@ -280,53 +293,52 @@ def _train_head_group(cache, labels, weights, biases, lr, steps, batch_size, see
     rng = new_rng(seed)
     losses = np.empty((steps, heads), dtype=np.float64)
     w32, b32 = weights.astype(DTYPE), biases.astype(DTYPE)
-    w64, b64 = w32.astype(np.float64), b32.astype(np.float64)
-    grad_w, grad_b = np.empty_like(w64), np.empty_like(b64)
-    # One float64 batch, gathered per sequence and read by both matmuls.
-    batch_feats = np.empty((heads, batch_size, frames, dim), dtype=np.float64)
+    grad_w, grad_b = np.empty_like(w32), np.empty_like(b32)
+    wide_w, wide_b = np.empty(w32.shape), np.empty(b32.shape)  # each update, in float64
+    batch_feats = np.empty((heads, batch_size, frames, dim), dtype=DTYPE)
     feats = batch_feats.reshape(heads, rows, dim)
-    logits = np.empty((heads, rows, classes), dtype=np.float64)
-    picked = np.empty((heads, rows), dtype=np.float64)
-    rowmax, rowsum = np.empty((2, heads, rows, 1), dtype=np.float64)
+    logits = np.empty((heads, rows, classes), dtype=DTYPE)
+    picked = np.empty((heads, rows), dtype=DTYPE)
+    rowmax, rowsum = np.empty((2, heads, rows, 1), dtype=DTYPE)
     batch_labels = np.empty((batch_size, frames), dtype=labels.dtype)
     # Flat position of each row's first logit; a step adds the row's label.
     row_starts = np.arange(0, heads * rows * classes, classes).reshape(heads, rows)
     picks = np.empty_like(row_starts)
-    for step in range(steps):
-        batch = rng.integers(0, num_sequences, size=batch_size)
-        for j, i in enumerate(batch):
-            batch_feats[:, j] = cache[:, i]
-        np.take(labels, batch, axis=0, out=batch_labels, mode="clip")
-        np.add(row_starts, batch_labels.reshape(-1), out=picks)
-        np.matmul(feats, w64.transpose(0, 2, 1), out=logits)
-        logits += b64[:, None, :]
-        cross_entropy64(logits, picks, picked, rowmax, rowsum, out=logits, loss=losses[step])
-        np.matmul(logits.transpose(0, 2, 1), feats, out=grad_w)
-        logits.sum(axis=1, out=grad_b)
-        for mirror, params, grad in ((w64, w32, grad_w), (b64, b32, grad_b)):
-            grad *= lr
-            mirror -= grad
-            _check_float32_range(mirror, grad, step, first_head, lr)
-            np.copyto(params, mirror)
-            np.copyto(mirror, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails by name below
+        for step in range(steps):
+            batch = rng.integers(0, num_sequences, size=batch_size)
+            np.take(cache, batch, axis=1, out=batch_feats, mode="clip")
+            np.take(labels, batch, axis=0, out=batch_labels, mode="clip")
+            np.add(row_starts, batch_labels.reshape(-1), out=picks)
+            np.matmul(feats, w32.transpose(0, 2, 1), out=logits)
+            logits += b32[:, None, :]
+            cross_entropy64(logits, picks, picked, rowmax, rowsum, out=logits, loss=losses[step])
+            if not np.isfinite(losses[step]).all():
+                reason = "its logits overflow float32"
+                _diverged(first_head, ~np.isfinite(losses[step]), step, reason, lr)
+            np.matmul(logits.transpose(0, 2, 1), feats, out=grad_w)
+            logits.sum(axis=1, out=grad_b)
+            for params, grad, wide in ((w32, grad_w, wide_w), (b32, grad_b, wide_b)):
+                np.multiply(grad, lr, out=wide, dtype=np.float64)
+                np.subtract(params, wide, out=wide, dtype=np.float64)
+                _check_float32_range(wide, step, first_head, lr)
+                np.copyto(params, wide)
     return w32, b32, losses
 
 
-def _check_float32_range(mirror, scratch, step, first_head, lr) -> None:
-    """Fail by name before a float32 cast would overflow: the first sign of a diverging lr.
-
-    Logits of finite float32 weights and features stay finite in float64, so
-    divergence first shows here, as a parameter that float32 cannot hold.
-    """
-    np.abs(mirror, out=scratch)
-    if scratch.max() <= F32_MAX:
+def _check_float32_range(wide, step, first_head, lr) -> None:
+    """Fail by name before the float32 cast of an update would overflow."""
+    if wide.max() <= F32_MAX and wide.min() >= -F32_MAX:  # NaN fails too
         return
-    peaks = scratch.reshape(len(scratch), -1).max(axis=1)
-    head = first_head + int(np.flatnonzero(~(peaks <= F32_MAX))[0])
-    raise ValueError(
-        f"head {head} diverged at step {step}: its parameters exceed the float32 range "
-        f"(lr={lr:g})"
-    )
+    peaks = np.abs(wide).reshape(len(wide), -1).max(axis=1)
+    reason = "its parameters exceed the float32 range"
+    _diverged(first_head, ~(peaks <= F32_MAX), step, reason, lr)
+
+
+def _diverged(first_head, failing, step, reason, lr):
+    """Raise the ValueError that names the first failing head of a group and the step."""
+    head = first_head + int(np.flatnonzero(failing)[0])
+    raise ValueError(f"head {head} diverged at step {step}: {reason} (lr={lr:g})")
 
 
 def entropy64(q: np.ndarray) -> np.ndarray:

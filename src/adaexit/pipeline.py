@@ -540,26 +540,29 @@ def _inputs(cfg: RunConfig, paths: ArtifactPaths, command: str, enc: Encoder | N
     section the checkpoint holds is checked too. All are checked before any
     is refused: the DependencyError is the one of the input whose writer
     comes first in `stages()`, so re-running that command is the next step
-    whatever else is stale. So a stage whose inputs fail computes nothing.
-    The checkpoint's encoder is `enc`, the run's, when their config and
-    parameters are equal.
+    whatever else is stale. Every refusal names that command: a reader's own
+    DependencyError gains "; run '<writer>' again". So a stage whose inputs
+    fail computes nothing. The checkpoint's encoder is `enc`, the run's,
+    when their config and parameters are equal.
     """
     loaded, refusals = {}, []  # refusals: (the writer to re-run, the message)
     for name in stages()[command][1]:
         read, writer = _READERS.get(name), ARTIFACTS[name][1]
         if read is None and "checkpoint" not in loaded:
             continue  # the checkpoint itself is refused
-        try:
-            if read is None:
-                value = getattr(loaded["checkpoint"], name)
-            else:
-                value = read(cfg, paths) if getattr(paths, name).exists() else None
-            if value is None:
-                raise DependencyError(
-                    f"stage {command!r} needs {_what(paths, name)}; run {writer!r} first"
-                )
-        except DependencyError as err:
-            refusals.append((writer, str(err)))
+        value = None
+        if read is None:
+            value = getattr(loaded["checkpoint"], name)
+        elif getattr(paths, name).exists():
+            try:
+                value = read(cfg, paths)
+            except DependencyError as err:  # the reader's check names no command
+                refusals.append((writer, f"{err}; run {writer!r} again"))
+                continue
+        if value is None:
+            refusals.append(
+                (writer, f"stage {command!r} needs {_what(paths, name)}; run {writer!r} first")
+            )
             continue
         loaded[name] = value
     ck = loaded.get("checkpoint")

@@ -15,10 +15,10 @@ from hypothesis.extra.numpy import arrays
 from adaexit import numeric
 from adaexit.numeric import (
     cross_entropy,
+    cross_entropy64,
     entropy64,
     layer_norm,
     layer_norm64,
-    matmul64,
     new_rng,
     running_mean,
     sgd_step,
@@ -286,6 +286,17 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 0, 3)), np.zeros(0, dtype=np.int64))
 
+    # float32 cannot hold 1e-300, so its floor is its smallest normal; float64 keeps 1e-300.
+    @pytest.mark.parametrize("dtype, floor", [(np.float32, float(np.finfo(np.float32).tiny)),
+                                              (np.float64, 1e-300)])
+    def test_core_floors_an_underflowed_label_probability(self, dtype, floor):
+        x = np.array([[0.0, -1000.0]], dtype=dtype)  # exp(-1000) is 0 in either dtype
+        picked = np.empty(1, dtype=dtype)
+        rowmax, rowsum = np.empty((2, 1, 1), dtype=dtype)
+        loss, grad = cross_entropy64(x, np.array([1]), picked, rowmax, rowsum)
+        assert loss.dtype == dtype and grad.dtype == dtype
+        assert np.isfinite(loss) and loss == -np.log(dtype(floor))
+
 
 class TestTrainLinearHeads:
     HEADS, N, T, DIM, C = 3, 10, 6, 5, 4
@@ -324,9 +335,14 @@ class TestTrainLinearHeads:
         onehot = np.eye(self.C)[y]
         expect_loss = -np.log(probs[np.arange(y.size), y]).mean()
         grad = (probs - onehot) / y.size
-        assert loss[0, 0] == pytest.approx(expect_loss, abs=1e-12)
-        assert np.allclose(w[0], weights[0] - 0.5 * grad.T @ x, atol=1e-6)
-        assert np.allclose(b[0], -0.5 * grad.sum(axis=0), atol=1e-6)
+        # The trainer computes in float32. Every value checked here is of order 1 and lies
+        # a few float32 roundings from this float64 formula (a 5-term logit, the softmax,
+        # a 24-row gradient sum, the final rounding of the weights), so 8 float32 epsilons
+        # (about 9.5e-7) bound it; over 200 seeds the largest gap was 0.34 epsilon.
+        tol = 8 * np.finfo(np.float32).eps
+        assert loss[0, 0] == pytest.approx(expect_loss, abs=tol)
+        assert np.allclose(w[0], weights[0] - 0.5 * grad.T @ x, rtol=0, atol=tol)
+        assert np.allclose(b[0], -0.5 * grad.sum(axis=0), rtol=0, atol=tol)
 
     def test_loss_decreases(self, rng):
         cache, labels, weights, biases = self._problem(rng)
@@ -345,7 +361,7 @@ class TestTrainLinearHeads:
         assert np.array_equal(w, weights) and np.array_equal(b, biases)
         assert loss.shape == (0, self.HEADS)
 
-    @pytest.mark.parametrize("heads", [1, 8])
+    @pytest.mark.parametrize("heads", [1, 3, 8])
     @pytest.mark.parametrize("batch_size", [1, 32])
     def test_equals_per_step_cast_loop_bitwise(self, rng, heads, batch_size):
         # N = 5 sequences, so a batch of 32 repeats indices and a batch of 1
@@ -355,7 +371,7 @@ class TestTrainLinearHeads:
         weights = (rng.standard_normal((heads, self.C, self.DIM)) * 0.1).astype(np.float32)
         biases = (rng.standard_normal((heads, self.C)) * 0.1).astype(np.float32)
         args = (cache, labels, weights, biases, 0.3, 12, batch_size, 11)
-        for got, expect in zip(train_linear_heads(*args), cast_per_step_heads(*args)):
+        for got, expect in zip(train_linear_heads(*args), float32_per_step_heads(*args)):
             assert np.array_equal(got, expect)
 
     def test_empty_batch_rejected(self, rng):
@@ -399,7 +415,7 @@ class TestHeadGroups:
         groups = _use_workers(monkeypatch, workers)
         args = _train_args(rng, heads)
         args["batch_size"] = batch_size
-        expect = cast_per_step_heads(**args)
+        expect = float32_per_step_heads(**args)
         first = train_linear_heads(**args)
         second = train_linear_heads(**args)
         for a, b, ref in zip(first, second, expect):
@@ -414,7 +430,7 @@ class TestHeadGroups:
         groups = _use_workers(monkeypatch, 8)
         args = _train_args(rng, 8)
         args["steps"] = 40
-        expect = cast_per_step_heads(**args)
+        expect = float32_per_step_heads(**args)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -523,6 +539,22 @@ class TestTrainerBoundary:
             with pytest.raises(ValueError, match="head 1 diverged at step 1: "):
                 train_linear_heads(**args)
 
+    def test_float32_logit_overflow_names_the_head_before_any_warning(self, rng):
+        # One head, as the teacher trains: features near 1e30 and lr = 1e-20 move the weights
+        # to about 1e9 at step 0, well inside float32, so step 1's logits overflow float32
+        # while the float64 update is still in range.
+        args = _train_args(rng, 1)
+        args["cache"] *= np.float32(1e30)
+        args.update(lr=1e-20, steps=1)
+        w, b, losses = train_linear_heads(**args)
+        assert np.isfinite(losses).all()
+        assert 1e6 < np.abs(w).max() < 1e12 and np.abs(b).max() < 1e12
+        args.update(steps=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="head 0 diverged at step 1: its logits overflow"):
+                train_linear_heads(**args)
+
     def test_sane_lr_on_the_same_features_trains(self, rng):
         args = _train_args(rng, 3)
         args["cache"][1] *= np.float32(1e33)
@@ -532,33 +564,38 @@ class TestTrainerBoundary:
 
 
 def fancy_index_cross_entropy(logits, labels):
-    """Reference: softmax cross-entropy by fancy indexing, on a fresh softmax array."""
-    x = np.asarray(logits, dtype=np.float64)
+    """Reference: softmax cross-entropy by fancy indexing, on a fresh softmax array.
+
+    float32 logits are computed in float32, any others in float64; the loss
+    is the float64 mean of the rows' losses.
+    """
+    x = np.asarray(logits)
+    x = x if x.dtype == np.float32 else x.astype(np.float64)
     probs = x - x.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     rows = probs.shape[-2]
     idx = np.arange(rows)
     picked = np.ascontiguousarray(probs[..., idx, labels])
-    loss = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
+    floor = max(1e-300, float(np.finfo(x.dtype).tiny))
+    loss = -np.log(np.maximum(picked, floor)).mean(axis=-1, dtype=np.float64)
     probs[..., idx, labels] -= 1.0
     probs /= rows
     return loss, probs
 
 
-def cast_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, seed):
-    """Reference trainer: each matmul casts a fresh float32 gather of the batch."""
+def float32_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, seed):
+    """Reference trainer: float32 products and loss on a fresh gather, `sgd_step` updates."""
     heads, num_sequences, _, dim = cache.shape
     rng = new_rng(seed)
     losses = np.empty((steps, heads), dtype=np.float64)
     for step in range(steps):
         batch = rng.integers(0, num_sequences, size=batch_size)
         feats = cache[:, batch].reshape(heads, -1, dim)
-        logits = matmul64(feats, weights.transpose(0, 2, 1)) + biases[:, None, :].astype(
-            np.float64
-        )
+        logits = feats @ weights.transpose(0, 2, 1) + biases[:, None, :]
+        assert logits.dtype == np.float32
         losses[step], dlogits = fancy_index_cross_entropy(logits, labels[batch].reshape(-1))
-        weights = sgd_step(weights, matmul64(dlogits.transpose(0, 2, 1), feats), lr)
+        weights = sgd_step(weights, dlogits.transpose(0, 2, 1) @ feats, lr)
         biases = sgd_step(biases, dlogits.sum(axis=1), lr)
     return weights, biases, losses
 

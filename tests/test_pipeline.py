@@ -643,7 +643,8 @@ class TestStaleInputs:
         for report in (*self.REPORTS, stage_calibrate, stage_downstream):
             with pytest.raises(
                 DependencyError,
-                match=rf"entropy_profile_train\.csv has {rows} layers, the config has 8",
+                match=rf"^entropy_profile_train\.csv has {rows} layers, the config has 8; "
+                r"run 'train-branches' again$",
             ):
                 report(cfg, paths)
         assert forwarded == []
@@ -666,17 +667,25 @@ class TestStaleInputs:
                 stage(cfg, paths)
         assert forwarded == []
 
-    def test_checkpoint_of_another_encoder_fails_before_any_forward(self, copy, forwarded):
+    def test_checkpoint_of_another_encoder_fails_before_any_forward(
+        self, copy, forwarded, capsys
+    ):
         cfg, paths = copy
         four = apply_overrides(cfg, {"encoder.num_layers": "4"})
         for report in (*self.REPORTS, stage_branches, stage_calibrate, stage_downstream):
             with pytest.raises(
                 DependencyError,
-                match=r"checkpoint\.bin holds EncoderConfig\(num_layers=8, .*"
-                r"the config asks for EncoderConfig\(num_layers=4, ",
+                match=r"^checkpoint\.bin holds EncoderConfig\(num_layers=8, .*"
+                r"the config asks for EncoderConfig\(num_layers=4, .*\); "
+                r"run 'train-teacher' again$",
             ):
                 report(four, paths)
         assert forwarded == []
+        args = ["eval", "--artifacts", str(paths.root), *_cli_settings()]
+        assert main([*args, "--set", "encoder.num_layers=4"]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DependencyError"
+        assert record["message"].endswith("; run 'train-teacher' again")
 
     @pytest.mark.parametrize(
         "key, value, dim, splits",
@@ -751,7 +760,9 @@ class TestStaleInputs:
         lines = paths.profile_train.read_text().splitlines()
         paths.profile_train.write_text("\n".join(lines[:4]) + "\n")
         with pytest.raises(
-            DependencyError, match=r"^entropy_profile_train\.csv has 3 layers, the config has 8$"
+            DependencyError,
+            match=r"^entropy_profile_train\.csv has 3 layers, the config has 8; "
+            r"run 'train-branches' again$",
         ):
             stage_eval(cfg, paths)
         paths.eval_data.unlink()
@@ -759,6 +770,20 @@ class TestStaleInputs:
             DependencyError, match=r"^stage 'eval' needs eval_data\.bin; run 'synth' first$"
         ):
             stage_eval(cfg, paths)
+        assert forwarded == []
+
+    def test_short_span_stats_names_its_writer(self, copy, forwarded):
+        cfg, paths = copy
+        paths.span_stats.write_text(json.dumps({"exit_counts": [1, 2, 3]}))
+        readers = [stage for stage, reads in stages().values() if "span_stats" in reads]
+        assert readers
+        for stage in readers:
+            with pytest.raises(
+                DependencyError,
+                match=r"^span_stats\.json has 3 layers, the config has 8; "
+                r"run 'train-downstream' again$",
+            ):
+                stage(cfg, paths)
         assert forwarded == []
 
     @pytest.mark.parametrize(
