@@ -18,23 +18,27 @@ of the batch stream, so its bits do not depend on the CPU count.
 trainer's head groups, and the chunks of every whole-dataset pass.
 
 Inputs are checked at the module boundary, not inside the hot loops.
-`layer_norm`, `softmax` and `cross_entropy` validate what they are given,
-and softmax refuses non-finite logits; `train_linear_heads` checks its
-cache, labels, starting weights and hyperparameters once. `layer_norm64`,
-`softmax64` and `cross_entropy64` are their unvalidated cores: float64,
-except that the trainer hands `cross_entropy64` float32 buffers.
-`entropy64`, the per-row entropy of probability rows, has no checked
-wrapper: its one caller, branch entropy, hands it `softmax64`'s rows. The
-encoder's blocks call `layer_norm64` and `softmax64`. Branch entropies call
-`softmax64` on their logits and `entropy64` on its rows; they skip
-softmax's finiteness scan and fail by layer on a non-finite entropy
-instead. The trainer and the downstream probe's step call `cross_entropy64`
-on their own buffers; the checked `cross_entropy` has no caller in the
-package and stays as the validated entry and the tests' reference. Each core
-keeps the arithmetic of the checked call bit for bit on float64 input and
-takes float32 or float64 parameters alike; the embedding, the blocks and
-the branches pass float64 copies of theirs, cast once (`Encoder.f64`,
-`BlockParams.f64`, `BranchSet.f64`).
+`layer_norm` and `softmax` validate what they are given, and softmax
+refuses non-finite logits; `train_linear_heads` checks its cache, labels,
+starting weights and hyperparameters once. `layer_norm64` and `softmax64`
+are their unvalidated cores, float64 in the library's calls.
+`cross_entropy64`, the in-place loss and logit gradient, has no checked
+wrapper: its callers, the trainer (float32 buffers) and the downstream
+probe's step (float64), hand it buffers they built. It shares `softmax64`'s
+subtract, exp, row sum and divide, but takes each row's max down a
+class-major copy of the logits, which is faster on the trainer's short
+float32 rows and, a max being exact in any order, gives the same bits;
+`softmax64` keeps `x.max(axis=-1)`, since served requests ran slower with
+the copy. `entropy64`, the per-row entropy of probability rows, has no
+checked wrapper either: its one caller, branch entropy, hands it
+`softmax64`'s rows. The encoder's blocks call `layer_norm64` and
+`softmax64`. Branch entropies call `softmax64` on their logits and
+`entropy64` on its rows; they skip softmax's finiteness scan and fail by
+layer on a non-finite entropy instead. Each core keeps the arithmetic of
+the checked call bit for bit on float64 input and takes float32 or float64
+parameters alike; the embedding, the blocks and the branches pass float64
+copies of theirs, cast once (`Encoder.f64`, `BlockParams.f64`,
+`BranchSet.f64`).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ __all__ = [
     "DTYPE",
     "softmax",
     "softmax64",
-    "cross_entropy",
     "cross_entropy64",
     "train_linear_heads",
     "on_usable_cpus",
@@ -78,8 +81,12 @@ def matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
 
 
-def _checked_rows(logits) -> np.ndarray:
-    """The logits as float64, refused unless they are a nonempty stack of finite rows."""
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction over the last axis of any stack of rows.
+
+    The logits must be a nonempty stack of finite rows. Returns float64
+    probabilities that sum to 1 along the last axis.
+    """
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("expected a vector or a stack of vectors, got a scalar")
@@ -87,15 +94,7 @@ def _checked_rows(logits) -> np.ndarray:
         raise ValueError("empty input")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
-    return x
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction over the last axis of any stack of rows.
-
-    Returns float64 probabilities that sum to 1 along the last axis.
-    """
-    return softmax64(_checked_rows(logits))
+    return softmax64(x)
 
 
 def softmax64(x: np.ndarray, out=None, rowmax=None, rowsum=None) -> np.ndarray:
@@ -103,59 +102,57 @@ def softmax64(x: np.ndarray, out=None, rowmax=None, rowsum=None) -> np.ndarray:
 
     out may be x itself; a new array is returned when it is None. rowmax and
     rowsum, shaped x.shape[:-1] + (1,), receive the row maxima and sums; they
-    are allocated when not given.
+    are allocated when not given. The row max is `x.max(axis=-1)`: serving,
+    attention and branch entropies call this on small stacks, and served
+    requests ran slower with `cross_entropy64`'s class-major copy.
     """
-    e = np.subtract(x, x.max(axis=-1, keepdims=True, out=rowmax), out=out)
+    return _normalize_rows(x, x.max(axis=-1, keepdims=True, out=rowmax), out, rowsum)
+
+
+def _normalize_rows(x, rowmax, out, rowsum):
+    """exp(x - rowmax) over its row sums, into out: `softmax64`'s and `cross_entropy64`'s tail."""
+    e = np.subtract(x, rowmax, out=out)
     np.exp(e, out=e)  # in place: a fresh array per call costs more than the exp
     e /= e.sum(axis=-1, keepdims=True, out=rowsum)
     return e
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy over rows and its float64 logit gradient.
-
-    logits: (..., rows, C); labels: (rows,) class indices shared by every
-    leading index. Returns the loss, of the leading shape, and
-    (softmax - one_hot) / rows. A stack's loss and gradient equal the
-    single calls bit for bit.
-    """
-    x = _checked_rows(logits)
-    if x.ndim < 2:
-        raise ValueError(f"expected a stack of rows, got shape {x.shape}")
-    rows, classes = x.shape[-2:]
-    labels = np.asarray(labels)
-    if labels.shape != (rows,) or labels.dtype.kind not in "iu":
-        raise ValueError(
-            f"labels must be {rows} integer class indices, got {labels.dtype} {labels.shape}"
-        )
-    try:  # one C call both range-checks the labels and finds their flat positions
-        picks = np.ravel_multi_index((np.arange(rows), labels), (rows, classes))
-    except ValueError:
-        raise ValueError(
-            f"labels must lie in [0, {classes}), got [{labels.min()}, {labels.max()}]"
-        ) from None
-    if x.ndim > 2:
-        picks = picks + np.arange(0, x.size, rows * classes).reshape(x.shape[:-2] + (1,))
-    stats = x.shape[:-1] + (1,)
-    return cross_entropy64(x, picks, np.empty(picks.shape), np.empty(stats), np.empty(stats))
-
-
-def cross_entropy64(x, picks, picked, rowmax, rowsum, out=None, loss=None):
-    """Unvalidated core of `cross_entropy`: the loss and the logit gradient.
+def cross_entropy64(x, picks, picked, rowmax, rowsum, out=None, loss=None, columns=None):
+    """Unvalidated softmax cross-entropy: the loss and the logit gradient, in place.
 
     x: (..., rows, C) logits; picks: (..., rows) flat positions in x of each
-    row's label, in range. The gradient is written into out, which may be x
-    itself (a new array when None), and the loss (...) into loss when given.
-    picked (..., rows), rowmax and rowsum (..., rows, 1) are scratch. The
+    row's label, in range. The gradient, (softmax - one_hot) / rows, is
+    written into out, which may be x itself (a new array when None), and the
+    loss, the mean over rows (...), into loss when given. picked (..., rows),
+    rowmax and rowsum (..., rows, 1) and columns (C, ..., rows), x with its
+    class axis first, are scratch; columns is allocated when None. The
     arithmetic runs in the dtype of x and the scratch: float64 for the
-    probe and `cross_entropy`, float32 for the head trainer. A label
-    probability that underflows is floored at max(1e-300, the dtype's
-    smallest normal), so its loss stays finite in either dtype.
+    probe, float32 for the head trainer. A label probability that underflows
+    is floored at max(1e-300, the dtype's smallest normal), so its loss stays
+    finite in either dtype. A row holding +inf or NaN gets a NaN loss.
+
+    Each row's max is a leading-axis max down a class-major copy of x, not
+    `x.max(axis=-1)`: on the trainer's (4, 1024, 32) float32 logits that is
+    about 125 against 400 us, and a max is exact in any order, so the bits
+    are `softmax64`'s. The rest is `softmax64`'s subtract, exp, row sum and
+    divide.
     """
-    grad = softmax64(x, out, rowmax, rowsum)
+    class_major = np.moveaxis(x, -1, 0)
+    if columns is None:
+        columns = class_major.copy()
+    elif columns.shape != class_major.shape:
+        raise ValueError(
+            f"columns must be the logits' shape with the class axis first, "
+            f"{class_major.shape}; got {columns.shape}"
+        )
+    else:
+        np.copyto(columns, class_major)
+    # rowmax[..., 0] is a view whatever rowmax's strides, so the maxima cannot land in a copy.
+    np.max(columns, axis=0, out=rowmax[..., 0])
+    grad = _normalize_rows(x, rowmax, out, rowsum)
     np.take(grad, picks, out=picked, mode="clip")  # clip: no bounds-check buffer
     # rowsum is free once the rows are normalized; it holds each label's p - 1.
-    label_grad = np.subtract(picked, 1.0, out=rowsum.reshape(picked.shape))
+    label_grad = np.subtract(picked, 1.0, out=rowsum[..., 0])
     np.put(grad, picks, label_grad)
     np.maximum(picked, max(1e-300, float(np.finfo(picked.dtype).tiny)), out=picked)
     np.log(picked, out=picked)
@@ -282,10 +279,12 @@ def _train_head_group(cache, labels, weights, biases, lr, steps, batch_size, see
     It may run in a worker thread, so it calls numpy only: numpy releases the
     GIL inside matmul and the ufunc loops, and nothing here is traced. The
     batch, the logits, the cross-entropy and both gradients are float32, so
-    the products are sgemm calls. The update is `sgd_step`'s arithmetic:
-    float64(params) - lr * float64(grad), rounded once to float32. A step
-    whose loss is not finite (float32 logits overflow) or whose update
-    leaves the float32 range fails by head, before any numpy warning.
+    the products are sgemm calls; `cross_entropy64` takes the row maxima
+    down `columns`, a class-major copy of the logits. The update is
+    `sgd_step`'s arithmetic: float64(params) - lr * float64(grad), rounded
+    once to float32. A step whose loss is not finite (float32 logits
+    overflow) or whose update leaves the float32 range fails by head,
+    before any numpy warning.
     """
     heads, num_sequences, frames, dim = cache.shape
     classes = weights.shape[1]
@@ -300,6 +299,7 @@ def _train_head_group(cache, labels, weights, biases, lr, steps, batch_size, see
     logits = np.empty((heads, rows, classes), dtype=DTYPE)
     picked = np.empty((heads, rows), dtype=DTYPE)
     rowmax, rowsum = np.empty((2, heads, rows, 1), dtype=DTYPE)
+    columns = np.empty((classes, heads, rows), dtype=DTYPE)
     batch_labels = np.empty((batch_size, frames), dtype=labels.dtype)
     # Flat position of each row's first logit; a step adds the row's label.
     row_starts = np.arange(0, heads * rows * classes, classes).reshape(heads, rows)
@@ -312,7 +312,8 @@ def _train_head_group(cache, labels, weights, biases, lr, steps, batch_size, see
             np.add(row_starts, batch_labels.reshape(-1), out=picks)
             np.matmul(feats, w32.transpose(0, 2, 1), out=logits)
             logits += b32[:, None, :]
-            cross_entropy64(logits, picks, picked, rowmax, rowsum, out=logits, loss=losses[step])
+            cross_entropy64(logits, picks, picked, rowmax, rowsum,
+                            out=logits, loss=losses[step], columns=columns)
             if not np.isfinite(losses[step]).all():
                 reason = "its logits overflow float32"
                 _diverged(first_head, ~np.isfinite(losses[step]), step, reason, lr)

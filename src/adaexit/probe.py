@@ -302,6 +302,7 @@ class _ProbeStep:
         self.picks = np.empty_like(self.row_starts)
         self.picked, self.loss = np.empty((batch_size, rows)), np.empty(batch_size)
         self.rowmax, self.rowsum = np.empty((2, batch_size, rows, 1))
+        self.columns = np.empty((num_labels, batch_size, rows))  # the logits, class-major
         self.d_pw = np.empty((batch_size, num_labels, dim))
         # The sequence task's bias gradient is its one logit row's.
         self.d_pb = self.logits[:, 0] if self.sequence else np.empty((batch_size, num_labels))
@@ -346,7 +347,8 @@ class _ProbeStep:
             np.matmul(feats, w64.T, out=logits)
         logits += b64
         cross_entropy64(
-            logits, self.picks, self.picked, self.rowmax, self.rowsum, out=logits, loss=self.loss
+            logits, self.picks, self.picked, self.rowmax, self.rowsum, out=logits, loss=self.loss,
+            columns=self.columns,
         )
         if self.sequence:
             np.multiply(d_pb[:, :, None], self.pooled[:, None, :], out=self.d_pw)

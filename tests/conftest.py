@@ -5,6 +5,7 @@ import pytest
 
 from adaexit.data import SynthDatasetSpec, synth_dataset
 from adaexit.encoder import EncoderConfig, IncrementalForward, init_encoder
+from adaexit.numeric import cross_entropy64
 from adaexit.policy import run_exit
 from adaexit.probe import _ProbeStep
 
@@ -57,6 +58,27 @@ def assert_served_exits(enc, branches, policy, inputs, entropies, exits, forced)
         assert trace.entropies == {k: float(row[k - 1]) for k in evaluated}, i
         assert list(trace.entropies) == evaluated, i
     return served
+
+
+def cross_entropy(logits, labels, columns=None, rowmax=None):
+    """Mean softmax cross-entropy over rows and its logit gradient: `cross_entropy64` on a copy.
+
+    logits: (..., rows, C), float32 kept and anything else cast to float64;
+    labels: (rows,) class indices in [0, C), shared by every leading index.
+    The core runs in place on the copy, as the trainer and the probe call it,
+    with fresh scratch but for the optional columns and rowmax. Returns the
+    loss, of the leading shape, in float64, and (softmax - one_hot) / rows.
+    """
+    x = np.array(logits, dtype=np.float32 if np.asarray(logits).dtype == np.float32 else np.float64)
+    rows, classes = x.shape[-2:]
+    picks = np.arange(0, rows * classes, classes) + np.asarray(labels)
+    picks = picks + np.arange(0, x.size, rows * classes).reshape(x.shape[:-2] + (1,))
+    stats = x.shape[:-1] + (1,)
+    rowmax = np.empty(stats, dtype=x.dtype) if rowmax is None else rowmax
+    rowsum, picked = np.empty(stats, dtype=x.dtype), np.empty(picks.shape, dtype=x.dtype)
+    loss = np.empty(x.shape[:-2])
+    cross_entropy64(x, picks, picked, rowmax, rowsum, out=x, loss=loss, columns=columns)
+    return loss, x
 
 
 def probe_step(prefixes, labels, head, renormalize=True):

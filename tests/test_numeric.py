@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from adaexit import numeric
 from adaexit.numeric import (
-    cross_entropy,
+    F32_MAX,
     cross_entropy64,
     entropy64,
     layer_norm,
@@ -25,6 +25,8 @@ from adaexit.numeric import (
     softmax,
     train_linear_heads,
 )
+
+from conftest import cross_entropy
 
 finite_vectors = arrays(
     np.float64,
@@ -276,16 +278,6 @@ class TestCrossEntropy:
         cross_entropy(x, np.array([0, 1, 2, 0]))
         assert np.array_equal(x, before)
 
-    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0], [0.0, 1.0]],
-                             ids=["high", "negative", "short", "float"])
-    def test_bad_labels_rejected(self, labels):
-        with pytest.raises(ValueError, match="labels must"):
-            cross_entropy(np.zeros((2, 3)), np.array(labels))
-
-    def test_no_rows_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros((2, 0, 3)), np.zeros(0, dtype=np.int64))
-
     # float32 cannot hold 1e-300, so its floor is its smallest normal; float64 keeps 1e-300.
     @pytest.mark.parametrize("dtype, floor", [(np.float32, float(np.finfo(np.float32).tiny)),
                                               (np.float64, 1e-300)])
@@ -296,6 +288,76 @@ class TestCrossEntropy:
         loss, grad = cross_entropy64(x, np.array([1]), picked, rowmax, rowsum)
         assert loss.dtype == dtype and grad.dtype == dtype
         assert np.isfinite(loss) and loss == -np.log(dtype(floor))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_core_equals_fancy_index_reference_bitwise(self, data):
+        x, labels = data.draw(logit_stacks())
+        with np.errstate(over="ignore"):  # x - max overflows to -inf near -F32_MAX, exp gives 0
+            ref_loss, ref_grad = fancy_index_cross_entropy(x, labels)
+        for columns in (None, np.empty((x.shape[-1], *x.shape[:-1]), dtype=x.dtype)):
+            with np.errstate(over="ignore"):
+                loss, grad = cross_entropy(x, labels, columns)
+            assert loss.tobytes() == np.asarray(ref_loss).tobytes()
+            assert grad.dtype == x.dtype and grad.tobytes() == ref_grad.tobytes()
+
+    # The head trainer's group (4 heads, batch 32 of 32 frames, 32 classes) and the
+    # downstream probe's frame and sequence steps (batch 32, 32 frames, 32 labels).
+    @pytest.mark.parametrize("shape, dtype", [((4, 1024, 32), np.float32),
+                                              ((32, 32, 32), np.float64),
+                                              ((32, 1, 32), np.float64)])
+    def test_core_equals_fancy_index_reference_at_the_callers_shapes(self, rng, shape, dtype):
+        x = (rng.standard_normal(shape) * 8.0).astype(dtype)
+        x[..., ::3, 5] = x[..., ::3, 4]  # ties for the row max
+        x[..., ::7, :] = 0.0
+        x[..., ::7, ::2] = -0.0
+        labels = rng.integers(0, shape[-1], size=shape[-2])
+        ref_loss, ref_grad = fancy_index_cross_entropy(x, labels)
+        for columns in (None, np.empty((shape[-1], *shape[:-1]), dtype=dtype)):
+            loss, grad = cross_entropy(x, labels, columns)
+            assert loss.tobytes() == ref_loss.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_core_gives_a_non_finite_loss_for_a_row_holding_inf_or_nan(self, rng, dtype, bad):
+        x = rng.standard_normal((3, 5, 4)).astype(dtype)
+        x[1, 2, 3] = bad
+        labels = rng.integers(0, 4, size=5)
+        with np.errstate(invalid="ignore"):
+            loss, grad = cross_entropy(x, labels, np.empty((4, 3, 5), dtype=dtype))
+            ref_loss, ref_grad = fancy_index_cross_entropy(x, labels)
+        assert np.isfinite(loss).tolist() == [True, False, True]
+        assert np.array_equal(loss, ref_loss, equal_nan=True)
+        assert np.array_equal(grad, ref_grad, equal_nan=True)
+
+    @pytest.mark.parametrize("layout", ["strided", "transposed"])
+    def test_core_writes_the_row_max_into_a_non_contiguous_rowmax(self, rng, layout):
+        x = rng.standard_normal((3, 6, 5)) * 10.0
+        labels = rng.integers(0, 5, size=6)
+        if layout == "strided":
+            rowmax = np.full((3, 6, 2), np.nan)[..., :1]
+        else:
+            rowmax = np.full((1, 6, 3), np.nan).transpose(2, 1, 0)
+        assert rowmax.shape == (3, 6, 1) and not rowmax.flags.c_contiguous
+        loss, grad = cross_entropy(x, labels, np.empty((5, 3, 6)), rowmax=rowmax)
+        ref_loss, ref_grad = fancy_index_cross_entropy(x, labels)
+        assert np.array_equal(rowmax, x.max(axis=-1, keepdims=True))
+        assert loss.tobytes() == ref_loss.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+    def test_core_takes_a_non_contiguous_columns_buffer(self, rng):
+        x = rng.standard_normal((3, 6, 5)) * 10.0
+        labels = rng.integers(0, 5, size=6)
+        columns = np.empty((6, 3, 5)).transpose(2, 1, 0)
+        assert columns.shape == (5, 3, 6) and not columns.flags.c_contiguous
+        loss, grad = cross_entropy(x, labels, columns)
+        ref_loss, ref_grad = fancy_index_cross_entropy(x, labels)
+        assert loss.tobytes() == ref_loss.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 18), (3, 6, 5), (5, 6, 3), (5, 1, 3, 6)])
+    def test_core_refuses_a_columns_buffer_of_another_shape(self, rng, shape):
+        x = rng.standard_normal((3, 6, 5))
+        with pytest.raises(ValueError, match=r"columns must be .* \(5, 3, 6\); got"):
+            cross_entropy(x, np.zeros(6, dtype=np.int64), np.empty(shape))
 
 
 class TestTrainLinearHeads:
@@ -578,10 +640,30 @@ def fancy_index_cross_entropy(logits, labels):
     idx = np.arange(rows)
     picked = np.ascontiguousarray(probs[..., idx, labels])
     floor = max(1e-300, float(np.finfo(x.dtype).tiny))
-    loss = -np.log(np.maximum(picked, floor)).mean(axis=-1, dtype=np.float64)
+    # Each row's loss is negated before the mean, as in the core: a zero mean stays +0.0.
+    loss = np.negative(np.log(np.maximum(picked, floor))).mean(axis=-1, dtype=np.float64)
     probs[..., idx, labels] -= 1.0
     probs /= rows
     return loss, probs
+
+
+# Values a row max must get right: ties, both zeros and the float32 extremes.
+EDGE_LOGITS = [0.0, -0.0, 1.0, -1.0, F32_MAX, -F32_MAX,
+               float(np.nextafter(np.float32(F32_MAX), np.float32(0))), -3.4e38, 1e-45]
+
+
+@st.composite
+def logit_stacks(draw):
+    """(x, labels): a float32 or float64 stack of 1-300 rows of 1-40 logits, with edge values."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (*draw(st.sampled_from([(), (1,), (3,), (2, 2)])), draw(st.integers(1, 300)),
+             draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e4, 1e37]))
+    x = rng.standard_normal(shape) * scale
+    edges = rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    x[edges] = rng.choice(draw(st.lists(st.sampled_from(EDGE_LOGITS), min_size=1)), edges.sum())
+    return x.astype(dtype), rng.integers(0, shape[-1], size=shape[-2])
 
 
 def float32_per_step_heads(cache, labels, weights, biases, lr, steps, batch_size, seed):

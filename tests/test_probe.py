@@ -12,7 +12,7 @@ from adaexit import encoder as encoder_module
 from adaexit.branches import entropy_table, sample_entropies, train_branches
 from adaexit.encoder import forward_all, hidden_state_cache, parameter_digest
 from adaexit.errors import ConfigError
-from adaexit.numeric import cross_entropy, layer_norm, new_rng, sgd_step, softmax
+from adaexit.numeric import layer_norm, new_rng, sgd_step, softmax
 from adaexit.policy import ExitPolicy, decide_exits, fixed_exit_policy
 from adaexit.probe import (
     TASKS,
@@ -33,7 +33,13 @@ from adaexit.probe import (
 )
 from adaexit.teacher import train_teacher
 
-from conftest import SMALL_ENCODER, assert_served_exits, probe_step, truncated_forward
+from conftest import (
+    SMALL_ENCODER,
+    assert_served_exits,
+    cross_entropy,
+    probe_step,
+    truncated_forward,
+)
 
 
 @pytest.fixture(scope="module")
