@@ -55,7 +55,6 @@ __all__ = [
     "train_branches",
     "branch_logits",
     "branch_entropy",
-    "sample_entropies",
     "batch_entropies",
     "entropy_table",
     "entropy_profile",
@@ -235,20 +234,13 @@ def branch_entropy(branches: BranchSet, states: np.ndarray, layer: int) -> float
     return entropy_from_hidden(branches, states[layer - 1], layer)
 
 
-def sample_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
-    """Entropies of every computed layer for one sample, shape (len(states),)."""
-    return np.array(
-        [branch_entropy(branches, states, k) for k in range(1, len(states) + 1)],
-        dtype=np.float64,
-    )
-
-
 def batch_entropies(branches: BranchSet, states: np.ndarray) -> np.ndarray:
     """Entropies of every layer of a batch: (layers, B, frames, d) states -> (B, layers).
 
-    Row b equals `sample_entropies(branches, states[:, b])` bit for bit: each
-    layer's logits loop over the batch with one (frames, d) product each, and
-    the frame mean is `running_mean`'s recurrence, run down the batch at once.
+    Entry (b, k-1) equals `branch_entropy(branches, states[:, b], k)` bit for
+    bit: each layer's logits loop over the batch with one (frames, d) product
+    each, and the frame mean is `running_mean`'s recurrence, run down the
+    batch at once.
     One layer's logits are held at a time.
     """
     out = np.empty(states.shape[1::-1], dtype=np.float64)

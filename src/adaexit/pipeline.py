@@ -45,13 +45,10 @@ noise level over that level's entropy table (`branches.entropy_table`,
 eval's for the clean level when the run's encoder keeps it), which gives the
 exits `run_exit` would.
 
-All metric JSONs and CSVs are byte-deterministic for a fixed config;
-wall-clock measurements go to a separate timing file, which is the one
-artifact excluded from that guarantee. Its early-exit and full-pass times
-are priced from the three wall-time totals measured, per chunk of
-sequences, while the eval table was built (input projections, blocks,
-branch entropies): a policy pays for the blocks it ran and the branches it
-evaluated.
+No stage reads a clock, so every file a stage writes is byte-deterministic
+for a fixed config. `run_pipeline` times each stage and writes those wall
+times to its timing file after the last stage, the one artifact excluded
+from that guarantee.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ from .probe import (
     build_layer_table,
     init_downstream_head,
     replay_evaluate,
-    replay_timing,
     train_downstream,
 )
 from .serialize import (
@@ -378,7 +374,7 @@ ARTIFACTS = {
     "exit_traces": ("exit_traces_train.csv", "train-downstream"),
     "downstream_loss": ("downstream_loss.csv", "train-downstream"),
     "metrics_dir": ("metrics", "eval"),
-    "timing_file": ("timing.json", "eval"),
+    "timing_file": ("timing.json", "pipeline"),
     "exit_distribution": ("exit_distribution.csv", "noise-sweep"),
     "exit_summary": ("exit_summary.csv", "noise-sweep"),
     "comparison_csv": ("comparison.csv", "compare-static"),
@@ -709,7 +705,6 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None)
     for pattern in ("eval_*.json", "exit_hist_*.csv"):
         for stale in paths.metrics_dir.glob(pattern):
             stale.unlink()
-    timings = {}
     summary = {}
     for ratio in cfg.eval_ratios:
         base = calibrate(profile, ratio)
@@ -722,7 +717,6 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None)
                 _write_json(paths.metrics_dir / f"eval_{name}.json", {"error": str(err)})
                 continue
             record = replay_evaluate(table, policy)
-            timings[name] = replay_timing(table, policy)
             _write_json(paths.metrics_dir / f"eval_{name}.json", record)
             _write_csv(
                 paths.metrics_dir / f"exit_hist_{name}.csv",
@@ -735,7 +729,6 @@ def stage_eval(cfg: RunConfig, paths: ArtifactPaths, enc: Encoder | None = None)
                 "layer_compute_saved": record["layer_compute_saved"],
             }
     _write_json(paths.metrics_dir / "eval_summary.json", summary)
-    _write_json(paths.timing_file, timings)
     return summary
 
 
@@ -869,16 +862,22 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> ArtifactPaths:
     Every stage is given the run's encoder, drawn here from the config, and
     so shares its kept arrays: the training split is forwarded once for the
     teacher, the branches and the downstream head, and the sweep's clean
-    level reuses eval's entropy table.
+    level reuses eval's entropy table. The wall times, in seconds, of each
+    stage and of the whole run go to timing.json after the last stage, in
+    run order with "total" last.
     """
     paths = ArtifactPaths(Path(out_dir))
     paths.root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, paths.config_file)
     started = time.perf_counter()
     enc = init_encoder(cfg.encoder_config())
+    seconds = {}
     for name, (stage, _) in stages().items():
         t0 = time.perf_counter()
         stage(cfg, paths, enc)
-        print(f"[pipeline] {name}: {time.perf_counter() - t0:.1f}s")
-    print(f"[pipeline] total {time.perf_counter() - started:.1f}s")
+        seconds[name] = time.perf_counter() - t0
+        print(f"[pipeline] {name}: {seconds[name]:.1f}s")
+    seconds["total"] = time.perf_counter() - started
+    print(f"[pipeline] total {seconds['total']:.1f}s")
+    paths.timing_file.write_text(json.dumps(seconds, indent=2) + "\n")
     return paths

@@ -28,19 +28,15 @@ count at every exit depth; its entropies are kept on the encoder, as
 normalization and the table's forwards run in chunks on every usable CPU
 (`encoder.map_chunks`), the caller's thread taking the first share; a
 chunk's work calls no public entry point of this module, since a tracer
-keeps one span stack. `replay_evaluate` and `replay_timing` are pure
-functions of that table: each decides every row at once with
-`policy.decide_exits`, with no per-row trace. `replay_evaluate` gives
-`evaluate`'s record for any policy; replaying the policy pinned to layer k
-(`policy.fixed_exit_policy`) gives every number of `evaluate_static`'s
-record at k. `replay_timing` prices a policy from the table's three
-wall-time totals, each measured per chunk and summed over chunks that may
-run at once, so a total can exceed the wall time of the build.
+keeps one span stack. `replay_evaluate` is a pure function of that
+table: it decides every row at once with `policy.decide_exits`, with no
+per-row trace, and gives `evaluate`'s record for any policy; replaying the
+policy pinned to layer k (`policy.fixed_exit_policy`) gives every number
+of `evaluate_static`'s record at k.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +68,6 @@ __all__ = [
     "evaluate_static",
     "build_layer_table",
     "replay_evaluate",
-    "replay_timing",
 ]
 
 TASKS = ("frame", "sequence")
@@ -101,19 +96,13 @@ class DownstreamHead:
 class LayerTable:
     """Per-sample, per-layer facts of one full forward over a dataset.
 
-    Row i is sample i; column k-1 is layer k. The build's three wall-time
-    totals are the table's only non-deterministic fields. Each sums the
-    per-chunk times of chunks that ran on every usable CPU at once, so it
-    can exceed the wall time of the build.
+    Row i is sample i; column k-1 is layer k.
     """
 
     entropies: np.ndarray  # (N, L) float64 branch entropy of layer k
     correct: np.ndarray  # (N, L) int64 probe correct count when exiting at k
     scored: np.ndarray  # (N,) int64 predictions scored per sample
     task: str
-    embed_seconds: float  # summed wall time of the N input projections
-    block_seconds: float  # of all N·L blocks
-    branch_seconds: float  # of all N·L branch entropies
 
     @property
     def num_samples(self) -> int:
@@ -504,16 +493,15 @@ def build_layer_table(
     """One full forward per sample, recording what every exit layer would see and score.
 
     Each entropy row is the sample's row of `batch_entropies`, bit for bit
-    `sample_entropies` of its L hidden layers: the same hidden matrices a
-    lazy forward computes (batch invariance, prefix property), so replayed
-    exits equal those of `run_exit`. The layers are normalized once at
-    depth L, and the features for exit depth k weight their first k layers:
-    one einsum per depth over a chunk, bit-identical to the features of a
-    pass truncated at k, then scored with `evaluate`'s arithmetic. Samples
-    are forwarded in batched chunks on every usable CPU
-    (`encoder.map_chunks`); each chunk's projection, blocks and entropies
-    are timed, and the times summed over chunks that may have run at once.
-    Chunks stream into (N, L) arrays; no hidden states outlive their chunk.
+    `branch_entropy` of each of its L hidden layers: the same hidden
+    matrices a lazy forward computes (batch invariance, prefix property),
+    so replayed exits equal those of `run_exit`. The layers are normalized
+    once at depth L, and the features for exit depth k weight their first k
+    layers: one einsum per depth over a chunk, bit-identical to the
+    features of a pass truncated at k, then scored with `evaluate`'s
+    arithmetic. Samples are forwarded in batched chunks on every usable CPU
+    (`encoder.map_chunks`), each chunk streaming into (N, L) arrays; no
+    hidden states outlive their chunk.
     The entropy table is kept on the encoder (`Encoder.kept`), where
     `branches.entropy_table` of the same inputs and branches reads it; a
     table kept before, of equal bits, is the one returned.
@@ -530,13 +518,9 @@ def build_layer_table(
         targets = np.array([_sequence_label(y, data.num_classes) for y in data.labels])
 
     def chunk_facts(chunk):
-        t0 = time.perf_counter()
         stream = embed_batch(enc, data.inputs[chunk])
-        t1 = time.perf_counter()
         states = run_blocks(enc, stream, np.empty((num_layers, *stream.shape), dtype=DTYPE))
-        t2 = time.perf_counter()
         entropies[chunk] = batch_entropies(branches, states)
-        t3 = time.perf_counter()
         normed = layer_norm(states)
         for k, w in enumerate(weights, start=1):
             logits = np.einsum("k,kbtd->btd", w, normed[:k]) @ w64.T
@@ -546,17 +530,13 @@ def build_layer_table(
             else:
                 hits = logits.argmax(axis=2) == data.labels[chunk]
                 correct[chunk, k - 1] = hits.sum(axis=1)
-        return t1 - t0, t2 - t1, t3 - t2
 
-    embed_seconds, block_seconds, branch_seconds = map(sum, zip(*map_chunks(chunk_facts, n)))
+    map_chunks(chunk_facts, n)
     return LayerTable(
         entropies=enc.kept.table(data.inputs, branches, lambda _: entropies),
         correct=correct,
         scored=scored,
         task=task,
-        embed_seconds=embed_seconds,
-        block_seconds=block_seconds,
-        branch_seconds=branch_seconds,
     )
 
 
@@ -575,27 +555,3 @@ def replay_evaluate(table: LayerTable, policy: ExitPolicy, rows=None) -> dict:
         int(table.scored[idx].sum()),
     )
 
-
-def replay_timing(table: LayerTable, policy: ExitPolicy) -> dict:
-    """Wall time of early-exit forwards under `policy` against full-depth ones.
-
-    Priced from the table's three measured totals: every block has one shape
-    and so does every branch, so a policy pays every input projection plus
-    its share of the N·L blocks (its summed exit layers) and of the N·L
-    branches (those it evaluated: a row's allowed layers up to its exit).
-    A full pass pays all projections and blocks.
-    """
-    if not table.num_samples:
-        raise ValueError("empty dataset")
-    exits, _ = decide_exits(policy, table.entropies)
-    evaluated = np.searchsorted(policy.allowed, exits, side="right")
-    all_layers = table.num_samples * table.num_layers
-    blocks = int(exits.sum()) / all_layers * table.block_seconds
-    branches = int(evaluated.sum()) / all_layers * table.branch_seconds
-    early = table.embed_seconds + blocks + branches
-    full = table.embed_seconds + table.block_seconds
-    return {
-        "early_exit_seconds": float(early),
-        "full_pass_seconds": float(full),
-        "forward_time_saved": float(1.0 - early / full),
-    }

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaexit.branches import branch_entropy
 from adaexit.data import SynthDatasetSpec, synth_dataset
 from adaexit.encoder import EncoderConfig, IncrementalForward, init_encoder
 from adaexit.numeric import cross_entropy64
@@ -58,6 +59,14 @@ def assert_served_exits(enc, branches, policy, inputs, entropies, exits, forced)
         assert trace.entropies == {k: float(row[k - 1]) for k in evaluated}, i
         assert list(trace.entropies) == evaluated, i
     return served
+
+
+def sample_entropies(branches, states):
+    """`branch_entropy` of each of one sample's computed layers, shape (len(states),)."""
+    return np.array(
+        [branch_entropy(branches, states, k) for k in range(1, len(states) + 1)],
+        dtype=np.float64,
+    )
 
 
 def cross_entropy(logits, labels, columns=None, rowmax=None):

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adaexit.branches import EntropyProfile, entropy_profile, init_branches, sample_entropies
+from adaexit.branches import EntropyProfile, entropy_profile, init_branches
 from adaexit.data import make_mixture
 from adaexit.encoder import EncoderConfig, IncrementalForward, forward_all, init_encoder
 from adaexit.pipeline import (
@@ -52,7 +52,7 @@ from adaexit.serialize import (
     load_dataset,
 )
 
-from conftest import probe_step
+from conftest import probe_step, sample_entropies
 
 SEED_FAMILIES = (1, 2, 3)
 

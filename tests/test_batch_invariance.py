@@ -31,7 +31,6 @@ from adaexit.branches import (
     batch_entropies,
     entropy_from_hidden,
     init_branches,
-    sample_entropies,
 )
 from adaexit.encoder import (
     FORWARD_CHUNK,
@@ -49,7 +48,7 @@ from adaexit.encoder import (
 from adaexit.numeric import entropy64, matmul64, running_mean, running_means, softmax, softmax64
 from adaexit.serialize import Checkpoint, checkpoint_from_bytes, checkpoint_to_bytes
 
-from conftest import SMALL_ENCODER
+from conftest import SMALL_ENCODER, sample_entropies
 
 BATCH_SIZES = (1, 7, 32)
 FRAMES = 12

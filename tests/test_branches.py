@@ -14,7 +14,6 @@ from adaexit.branches import (
     branch_logits,
     entropy_profile,
     init_branches,
-    sample_entropies,
     train_branches,
 )
 from adaexit.data import FrameDataset
@@ -28,7 +27,7 @@ from adaexit.encoder import (
 from adaexit.numeric import entropy64, softmax, train_linear_heads
 from adaexit.teacher import pseudo_labels, train_teacher
 
-from conftest import SMALL_ENCODER, truncated_forward
+from conftest import SMALL_ENCODER, sample_entropies, truncated_forward
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
 """Static checks on the package source: no unused import, no dangling `__all__`
-entry, no private name borrowed from another module.
+entry, no private name borrowed from another module, no dead definition.
 
 A module's imports must each be read somewhere in that module (or re-exported
 through its `__all__`), every name its `__all__` lists must be bound at
 module level, and no name it imports from another adaexit module may start
-with an underscore. `__init__.py` only re-exports, so it is left out.
+with an underscore. Every function and class it defines at module level must
+be read by name, bare or as an attribute, somewhere in the package or the
+benchmark: a helper only the tests call belongs in the tests. `__init__.py`
+only re-exports, so it is left out.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adaexit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*PACKAGE.rglob("*.py"), *(PACKAGE.parent.parent / "perfbench").rglob("*.py")])
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -75,8 +79,33 @@ def private_imports(tree: ast.Module) -> list[str]:
     )
 
 
+def names_read(*trees: ast.Module) -> set[str]:
+    """Every name the trees load, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_definitions(tree: ast.Module, read: set[str]) -> list[str]:
+    """Module-level functions and classes of `tree` whose names are not in `read`."""
+    return sorted(
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.fixture(scope="module")
+def read_by_the_system() -> set[str]:
+    return names_read(*map(_parse, READERS))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -95,6 +124,12 @@ def test_every_dunder_all_entry_is_defined(path):
 def test_no_private_name_imported_from_another_module(path):
     private = private_imports(_parse(path))
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_definition_is_read(path, read_by_the_system):
+    unread = unread_definitions(_parse(path), read_by_the_system)
+    assert not unread, f"{path.name} defines what nothing in src or perfbench reads: {unread}"
 
 
 def test_catches_a_private_import():
@@ -121,3 +156,19 @@ def test_catches_a_leftover_import_and_export():
     )
     assert unused_imports(tree) == ["asdict (line 1)"]
     assert undefined_exports(tree) == ["gone"]
+
+
+def test_catches_a_definition_nothing_reads():
+    module = ast.parse(
+        "def used():\n"
+        "    return 1\n"
+        "def _helper():\n"
+        "    pass\n"
+        "class Thing:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "def gone():\n"
+        "    gone = 1\n"
+    )
+    reader = ast.parse("from m import Thing, gone\nm.used()\n")
+    assert unread_definitions(module, names_read(module, reader)) == ["Thing", "_helper", "gone"]

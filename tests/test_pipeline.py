@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 from dataclasses import replace
@@ -427,15 +428,13 @@ class TestStages:
         assert rows[1] == rows[2]
         assert {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()} == shared
 
-    def test_timing_present(self, tiny_run):
-        cfg, paths = tiny_run
-        summary = json.loads((paths.metrics_dir / "eval_summary.json").read_text())
-        timings = json.loads(paths.timing_file.read_text())
-        records = [name for name, record in summary.items() if "error" not in record]
-        assert records and sorted(timings) == sorted(records)
-        for name in records:
-            assert timings[name]["early_exit_seconds"] > 0
-            assert timings[name]["full_pass_seconds"] > 0
+    def test_timing_holds_each_stage_and_the_total(self, tiny_run):
+        _, paths = tiny_run
+        seconds = json.loads(paths.timing_file.read_text())
+        assert list(seconds) == [*stages(), "total"]
+        assert all(isinstance(s, float) and math.isfinite(s) and s >= 0 for s in seconds.values())
+        total = seconds.pop("total")
+        assert total >= math.fsum(seconds.values())
 
     def test_report_forwards_once_per_sequence(self, tiny_run, tmp_path, monkeypatch):
         # Each report forwards each sequence of each dataset variant exactly
@@ -514,7 +513,7 @@ class TestStages:
             for name, (_, writer) in ARTIFACTS.items():
                 assert writer != command or getattr(alone, name).exists(), (command, name)
             for path in alone.root.rglob("*"):
-                if path.is_file() and path.name != "timing.json":
+                if path.is_file():
                     twin = shared.root / path.relative_to(alone.root)
                     assert path.read_bytes() == twin.read_bytes(), (command, path.name)
             done.add(command)
@@ -527,6 +526,9 @@ class TestStages:
 
 # Every (command, input) pair that `stages()` declares.
 DECLARED = [(command, name) for command, (_, reads) in stages().items() for name in reads]
+
+# The files `run_pipeline` writes and no stage does.
+PIPELINE_FILES = {file for file, writer in ARTIFACTS.values() if writer == "pipeline"}
 
 
 def _drop(key):
@@ -1169,7 +1171,7 @@ class TestRunEncoder:
         for stage, _ in stages().values():
             stage(tiny_cfg, paths, other)
         for path in reference.root.rglob("*"):
-            if path.is_file() and path.name not in ("timing.json", "config.ini"):
+            if path.is_file() and path.name not in PIPELINE_FILES:
                 assert (paths.root / path.relative_to(reference.root)).read_bytes() == (
                     path.read_bytes()
                 ), path.name
@@ -1195,7 +1197,7 @@ class TestRunEncoder:
         for stage in (stage_teacher, stage_branches, stage_calibrate, stage_downstream, noise_sweep):
             stage(cfg, copy, run)
         for path in paths.root.rglob("*"):
-            if path.is_file() and path.name != "timing.json":
+            if path.is_file():
                 assert (copy.root / path.relative_to(paths.root)).read_bytes() == (
                     path.read_bytes()
                 ), path.name
@@ -1258,7 +1260,7 @@ class TestCli:
 
     def test_stagewise_flow(self, tiny_cfg, tmp_path):
         # The stages run one by one write what run_pipeline writes, byte for
-        # byte; config.ini comes only from the 'pipeline' command.
+        # byte, but the files only the 'pipeline' command writes.
         artifacts = tmp_path / "cli_stages"
         args = ["--artifacts", str(artifacts)]
         for key, value in TINY.items():
@@ -1271,8 +1273,8 @@ class TestCli:
             return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
         written = files(artifacts)
-        assert written == files(reference) - {Path("config.ini")}
-        for name in sorted(written - {Path("timing.json")}):
+        assert written == files(reference) - {Path(name) for name in PIPELINE_FILES}
+        for name in sorted(written):
             assert (artifacts / name).read_bytes() == (reference / name).read_bytes(), name
 
     @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from adaexit.policy import (
     run_exit,
     save_policy,
 )
-from adaexit.probe import LayerTable, replay_timing
 from adaexit.teacher import train_teacher
 
 
@@ -196,21 +195,6 @@ def policies_and_tables(draw):
     return constrain(base, kind, stats, rate_cutoff=cutoff), table
 
 
-def _per_trace_timing(table: LayerTable, policy: ExitPolicy) -> dict:
-    """`replay_timing`'s prices from one `decide_exit` trace per row."""
-    traces = [decide_exit(policy, lambda k: row[k - 1]) for row in table.entropies]
-    all_layers = table.num_samples * table.num_layers
-    blocks = sum(t.exit_layer for t in traces) / all_layers * table.block_seconds
-    branches = sum(len(t.entropies) for t in traces) / all_layers * table.branch_seconds
-    early = table.embed_seconds + blocks + branches
-    full = table.embed_seconds + table.block_seconds
-    return {
-        "early_exit_seconds": float(early),
-        "full_pass_seconds": float(full),
-        "forward_time_saved": float(1.0 - early / full),
-    }
-
-
 class TestDecideExitsVectorized:
     """`decide_exits` over a table is `decide_exit` over each row, in two arrays."""
 
@@ -230,16 +214,6 @@ class TestDecideExitsVectorized:
         assert evaluated.tolist() == [len(t.entropies) for t in traces]
         if policy.threshold == 0.0:  # no entropy is below 0: every row is forced
             assert forced.all() and (exits == policy.allowed[-1]).all()
-        timed = LayerTable(
-            entropies=table,
-            correct=np.zeros(table.shape, dtype=np.int64),
-            scored=np.ones(len(table), dtype=np.int64),
-            task="frame",
-            embed_seconds=0.3,
-            block_seconds=2.7,
-            branch_seconds=1.1,
-        )
-        assert replay_timing(timed, policy) == _per_trace_timing(timed, policy)
 
     def test_tie_with_the_threshold_does_not_fire(self):
         policy = ExitPolicy(threshold=1.0, ratio=1.0, num_layers=3)

@@ -9,7 +9,7 @@ import pytest
 
 from adaexit import branches as branches_module
 from adaexit import encoder as encoder_module
-from adaexit.branches import entropy_table, sample_entropies, train_branches
+from adaexit.branches import entropy_table, train_branches
 from adaexit.encoder import forward_all, hidden_state_cache, parameter_digest
 from adaexit.errors import ConfigError
 from adaexit.numeric import layer_norm, new_rng, sgd_step, softmax
@@ -25,7 +25,6 @@ from adaexit.probe import (
     normalize_prefix,
     prefix_weights,
     replay_evaluate,
-    replay_timing,
     _ProbeStep,
     _train_probe,
     train_downstream,
@@ -38,6 +37,7 @@ from conftest import (
     assert_served_exits,
     cross_entropy,
     probe_step,
+    sample_entropies,
     truncated_forward,
 )
 
@@ -550,38 +550,12 @@ class TestLayerTable:
                 enc, branches, policy, head, small_dataset
             )
 
-    def test_timing_charges_evaluated_branches(self):
-        # Dyadic totals over N = 4, L = 8, so every price is exact.
-        num_samples, num_layers = 4, 8
-        table = LayerTable(
-            entropies=np.ones((num_samples, num_layers)),
-            correct=np.zeros((num_samples, num_layers), dtype=np.int64),
-            scored=np.ones(num_samples, dtype=np.int64),
-            task="frame",
-            embed_seconds=1.0,
-            block_seconds=8.0,
-            branch_seconds=4.0,
-        )
-        # Threshold 0 never fires: all blocks and all branches run.
-        full_depth = replay_timing(table, ExitPolicy(0.0, 0.0, num_layers))
-        assert full_depth["full_pass_seconds"] == 9.0
-        assert full_depth["early_exit_seconds"] == 13.0
-        # Pinned to layer 2: two blocks and one branch per sample.
-        pinned = replay_timing(table, fixed_exit_policy(2, num_layers))
-        assert pinned["early_exit_seconds"] == 3.5
-        assert pinned["full_pass_seconds"] == 9.0
-        assert pinned["forward_time_saved"] == 1 - 3.5 / 9.0
-
-    def test_rows_are_sample_entropies_and_times_are_totals(
-        self, stack, small_dataset, rng
-    ):
+    def test_rows_are_sample_entropies(self, stack, small_dataset, rng):
         enc, branches = stack
         head = _random_head(rng, num_labels=small_dataset.num_classes)
         table = build_layer_table(enc, branches, small_dataset, head)
         for row, x in zip(table.entropies, small_dataset.inputs):
             assert np.array_equal(row, sample_entropies(branches, forward_all(enc, x)))
-        for total in (table.embed_seconds, table.block_seconds, table.branch_seconds):
-            assert isinstance(total, float) and total > 0.0
 
     def test_pinned_policy_replays_as_static(self, stack, small_dataset, rng):
         enc, branches = stack
@@ -603,18 +577,17 @@ class TestLayerTable:
         head = _random_head(rng, num_labels=small_dataset.num_classes)
         table = build_layer_table(enc, branches, small_dataset, head)
         deeper = ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers + 1)
-        for replay in (replay_evaluate, replay_timing):
-            with pytest.raises(ConfigError, match="policy is for 5 layers"):
-                replay(table, deeper)
+        with pytest.raises(ConfigError, match="policy is for 5 layers"):
+            replay_evaluate(table, deeper)
         policy = ExitPolicy(0.5, 0.5, SMALL_ENCODER.num_layers)
         with pytest.raises(ValueError, match="empty"):
             replay_evaluate(table, policy, rows=[])
         no_rows = LayerTable(
             entropies=table.entropies[:0], correct=table.correct[:0], scored=table.scored[:0],
-            task="frame", embed_seconds=0.0, block_seconds=0.0, branch_seconds=0.0,
+            task="frame",
         )
         with pytest.raises(ValueError, match="empty"):
-            replay_timing(no_rows, policy)
+            replay_evaluate(no_rows, policy, rows=None)
 
     def test_evaluate_has_no_timing(self, stack, small_dataset, rng):
         enc, branches = stack
